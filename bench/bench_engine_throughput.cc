@@ -68,20 +68,18 @@ struct RunResult {
   /// Read-path rate: ad-hoc Query calls (off-grid quantile + rank/CDF per
   /// call) against the full ingested window, in thousands per second.
   double query_kqps = 0.0;
-  /// Encoded wire size of this configuration's full window state, per
-  /// metric (engine/wire.h): what one agent ships per export. Exports are
-  /// shard-coalesced, so this no longer scales with the shard count.
+  /// Encoded full-frame size of this configuration's window state, per
+  /// metric (engine/wire.h): what one agent ships on first contact or
+  /// resync. Exports are shard-coalesced, so this does not scale with the
+  /// shard count.
   size_t wire_bytes_per_metric = 0;
-  /// Same full window state through the v2 coder (varint/zigzag +
-  /// log-linear value encoding): the resync / first-contact frame size.
-  size_t wire_bytes_per_metric_v2 = 0;
   /// Steady-state delta-sync frame size per metric: after the initial
   /// full sync, each round ships only the sub-windows the receiver has
   /// not seen (one Tick's worth here) plus refreshed scalars.
   size_t wire_bytes_per_metric_delta = 0;
-  /// Distributed-tier rate: decode + AggregatorEngine::Ingest of a
-  /// 4-agent fleet's frames plus one fleet Query per round, in thousands
-  /// of agent snapshots merged per second.
+  /// Distributed-tier rate: AggregatorEngine::IngestFrame (decode,
+  /// validate, swap) of a 4-agent fleet's full frames plus one fleet Query
+  /// per round, in thousands of agent snapshots merged per second.
   double merge_kqps = 0.0;
   /// Transport-tier rate: the same full window state shipped through the
   /// real stack — AgentClient produce + framed send over loopback TCP,
@@ -417,39 +415,47 @@ RunResult RunOnce(engine::BackendKind kind, int num_shards, int num_threads,
     result.query_kqps =
         query_elapsed > 0.0 ? kQueries / query_elapsed / 1e3 : 0.0;
 
-    // Wire + fleet-merge phase: the distributed tier's cost. One export is
-    // encoded per simulated agent (same window state, distinct source
-    // names) — re-encoded into one reused buffer, the agent loop's
-    // steady-state allocation-free path; each round decodes and ingests
-    // the 4-agent fleet and runs one fleet query.
+    // Wire + fleet-merge phase: the distributed tier's cost. Each
+    // simulated agent ships the same window state as one full frame under
+    // its own source name; each round ingests the 4-agent fleet's frames
+    // and runs one fleet query.
     constexpr int kAgents = 4;
     constexpr int kMergeRounds = 100;
-    engine::WireSnapshot exported = engine.ExportSnapshot("agent-0");
-    std::vector<uint8_t> encode_buffer;
-    if (!exported.metrics.empty()) {
-      engine::EncodeSnapshot(exported, &encode_buffer);
-      result.wire_bytes_per_metric =
-          encode_buffer.size() / exported.metrics.size();
-      engine::EncodeSnapshotV2(exported, &encode_buffer);
-      result.wire_bytes_per_metric_v2 =
-          encode_buffer.size() / exported.metrics.size();
-    }
-    std::vector<std::vector<uint8_t>> frames;
+    std::vector<std::vector<uint8_t>> frames(kAgents);
     for (int a = 0; a < kAgents; ++a) {
-      exported.source = "agent-" + std::to_string(a);
-      engine::EncodeSnapshot(exported, &encode_buffer);
-      frames.push_back(encode_buffer);
+      engine::ExportCursor cursor;  // fresh cursor: a full frame
+      const Status exported_frame =
+          engine.Export("agent-" + std::to_string(a), &cursor, &frames[a]);
+      if (!exported_frame.ok()) {
+        std::fprintf(stderr, "FATAL: export(%s) failed: %s\n",
+                     engine::BackendKindName(kind),
+                     exported_frame.ToString().c_str());
+        std::exit(1);
+      }
+    }
+    auto decoded = engine::DecodeFrame(frames[0]);
+    if (!decoded.ok()) {
+      std::fprintf(stderr, "FATAL: decode(%s) failed: %s\n",
+                   engine::BackendKindName(kind),
+                   decoded.status().ToString().c_str());
+      std::exit(1);
+    }
+    const engine::WireSnapshot exported =
+        std::move(decoded.ValueOrDie().snapshot);
+    if (!exported.metrics.empty()) {
+      result.wire_bytes_per_metric =
+          frames[0].size() / exported.metrics.size();
     }
     engine::AggregatorEngine aggregator;
     Stopwatch merge_watch;
     merge_watch.Start();
     for (int round = 0; round < kMergeRounds; ++round) {
       for (const std::vector<uint8_t>& frame : frames) {
-        const Status ingested = aggregator.IngestEncoded(frame);
+        auto ingested = aggregator.IngestFrame(frame);
         if (!ingested.ok()) {
           std::fprintf(stderr, "FATAL: fleet ingest(%s) failed: %s\n",
                        engine::BackendKindName(kind),
-                       ingested.ToString().c_str());
+                       ingested.status().ToString().c_str());
           std::exit(1);
         }
       }
@@ -468,7 +474,7 @@ RunResult RunOnce(engine::BackendKind kind, int num_shards, int num_threads,
             : 0.0;
 
     // Steady-state delta-sync size: first export through the cursor is a
-    // full v2 frame, then each round records one batch, ticks, and ships
+    // full frame, then each round records one batch, ticks, and ships
     // only the unseen sub-windows. The last round is the steady state —
     // the window has rolled past its depth, so every round retires as
     // many sub-windows as it adds.
@@ -482,8 +488,7 @@ RunResult RunOnce(engine::BackendKind kind, int num_shards, int num_threads,
         const size_t n = std::min(kBatchSize, data[0].size() - base);
         (void)engine.RecordBatch(key, data[0].data() + base, n);
         engine.Tick();
-        const Status sent =
-            engine.ExportDeltaEncoded("agent-0", &cursor, &delta_frame);
+        const Status sent = engine.Export("agent-0", &cursor, &delta_frame);
         if (!sent.ok()) {
           std::fprintf(stderr, "FATAL: delta export(%s) failed: %s\n",
                        engine::BackendKindName(kind),
@@ -693,14 +698,13 @@ void WriteJson(const std::vector<RunResult>& results,
                  "    {\"backend\": \"%s\", \"shards\": %d, \"threads\": %d, "
                  "\"record_mops\": %.3f, \"batch_mops\": %.3f, "
                  "\"query_kqps\": %.3f, \"wire_bytes_per_metric\": %zu, "
-                 "\"wire_bytes_per_metric_v2\": %zu, "
                  "\"wire_bytes_per_metric_delta\": %zu, "
                  "\"merge_kqps\": %.3f, \"net_frames_kqps\": %.3f}%s\n",
                  engine::BackendKindName(r.backend), r.num_shards, r.threads,
                  r.buffered_mops, r.batch_mops, r.query_kqps,
-                 r.wire_bytes_per_metric, r.wire_bytes_per_metric_v2,
-                 r.wire_bytes_per_metric_delta, r.merge_kqps,
-                 r.net_frames_kqps, i + 1 < results.size() ? "," : "");
+                 r.wire_bytes_per_metric, r.wire_bytes_per_metric_delta,
+                 r.merge_kqps, r.net_frames_kqps,
+                 i + 1 < results.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n  \"cardinality\": [\n");
   for (size_t i = 0; i < cardinality.size(); ++i) {
@@ -776,21 +780,20 @@ int Main(int argc, char** argv) {
     for (int threads : thread_counts) {
       std::printf("\nbackend: %s, writer threads: %d\n",
                   engine::BackendKindName(kind), threads);
-      std::printf("%-8s %18s %18s %10s %14s %12s %10s %12s %14s %12s\n",
+      std::printf("%-8s %18s %18s %10s %14s %12s %12s %14s %12s\n",
                   "shards", "Record (M op/s)", "Batch (M op/s)", "speedup",
-                  "Query (K q/s)", "Wire (B/met)", "v2 (B)", "delta (B)",
+                  "Query (K q/s)", "Wire (B/met)", "delta (B)",
                   "Merge (K s/s)", "Net (K f/s)");
       double baseline = 0.0;
       for (int shards : kShardSweep) {
         const RunResult r = RunOnce(kind, shards, threads, data);
         if (shards == kShardSweep.front()) baseline = r.batch_mops;
         std::printf(
-            "%-8d %18.2f %18.2f %9.2fx %14.1f %12zu %10zu %12zu %14.1f "
-            "%12.1f\n",
+            "%-8d %18.2f %18.2f %9.2fx %14.1f %12zu %12zu %14.1f %12.1f\n",
             shards, r.buffered_mops, r.batch_mops,
             baseline > 0.0 ? r.batch_mops / baseline : 0.0, r.query_kqps,
-            r.wire_bytes_per_metric, r.wire_bytes_per_metric_v2,
-            r.wire_bytes_per_metric_delta, r.merge_kqps, r.net_frames_kqps);
+            r.wire_bytes_per_metric, r.wire_bytes_per_metric_delta,
+            r.merge_kqps, r.net_frames_kqps);
         results.push_back(r);
       }
     }

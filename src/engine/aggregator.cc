@@ -7,7 +7,6 @@
 #include <set>
 #include <utility>
 
-#include "common/timer.h"
 #include "engine/interner.h"
 
 namespace qlove {
@@ -51,7 +50,6 @@ bool SameServingConfiguration(const MetricOptions& a, const MetricOptions& b) {
 
 AggregatorEngine::AggregatorEngine(AggregatorOptions options)
     : options_(options), sync_token_(GenerateSyncToken()) {
-#if QLOVE_INTROSPECTION_ENABLED
   if (options_.introspection) {
     // The self-metrics engine holds only `__qlove/` sketches (one shard:
     // stage samples are published single-threaded inside its Tick), so
@@ -60,45 +58,28 @@ AggregatorEngine::AggregatorEngine(AggregatorOptions options)
     self_options.num_shards = 1;
     self_.reset(new TelemetryEngine(self_options));
   }
-#endif
 }
 
-void AggregatorEngine::RecordSelfStage(Stage stage, double micros) const {
-#if QLOVE_INTROSPECTION_ENABLED
-  if (self_ != nullptr && self_->introspection_ != nullptr) {
-    self_->introspection_->RecordStage(stage, micros);
-  }
-#else
-  (void)stage;
-  (void)micros;
-#endif
+Introspection* AggregatorEngine::SelfIntrospection() const {
+  return self_ != nullptr ? self_->introspection_.get() : nullptr;
+}
+
+void AggregatorEngine::CountAccepted() {
+  const int64_t accepted =
+      ingests_.fetch_add(1, std::memory_order_relaxed) + 1;
+  // Publish buffered decode/ingest samples into the sketches every few
+  // accepted frames, so FleetHealth's p50/p99 stay current without a
+  // separate driver thread.
+  if (self_ != nullptr && accepted % 8 == 0) self_->Tick();
 }
 
 Status AggregatorEngine::Ingest(WireSnapshot snapshot) {
-#if QLOVE_INTROSPECTION_ENABLED
-  if (self_ != nullptr) {
-    Stopwatch watch;
-    watch.Start();
-    const Status status = IngestImpl(std::move(snapshot));
-    RecordSelfStage(Stage::kAggregatorIngest, watch.ElapsedNanos() * 1e-3);
-    if (status.ok()) {
-      const int64_t accepted =
-          ingests_.fetch_add(1, std::memory_order_relaxed) + 1;
-      // Publish buffered decode/ingest samples into the sketches every few
-      // accepted frames, so FleetHealth's p50/p99 stay current without a
-      // separate driver thread.
-      if (accepted % 8 == 0) self_->Tick();
-    } else if (status.code() == Status::Code::kFailedPrecondition) {
-      rejected_reordered_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      rejected_invalid_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return status;
-  }
-#endif
-  const Status status = IngestImpl(std::move(snapshot));
+  const Status status = [&] {
+    ScopedStageTimer timer(SelfIntrospection(), Stage::kAggregatorIngest);
+    return IngestImpl(std::move(snapshot));
+  }();
   if (status.ok()) {
-    ingests_.fetch_add(1, std::memory_order_relaxed);
+    CountAccepted();
   } else if (status.code() == Status::Code::kFailedPrecondition) {
     rejected_reordered_.fetch_add(1, std::memory_order_relaxed);
   } else {
@@ -190,34 +171,6 @@ Status AggregatorEngine::IngestImpl(WireSnapshot snapshot) {
   return Status::OK();
 }
 
-Status AggregatorEngine::IngestEncoded(const uint8_t* data, size_t size) {
-  wire_bytes_ingested_.fetch_add(static_cast<int64_t>(size),
-                                 std::memory_order_relaxed);
-#if QLOVE_INTROSPECTION_ENABLED
-  if (self_ != nullptr) {
-    Stopwatch watch;
-    watch.Start();
-    auto decoded = DecodeSnapshot(data, size);
-    RecordSelfStage(Stage::kWireDecode, watch.ElapsedNanos() * 1e-3);
-    if (!decoded.ok()) {
-      decode_failures_.fetch_add(1, std::memory_order_relaxed);
-      return decoded.status();
-    }
-    return Ingest(decoded.TakeValue());
-  }
-#endif
-  auto decoded = DecodeSnapshot(data, size);
-  if (!decoded.ok()) {
-    decode_failures_.fetch_add(1, std::memory_order_relaxed);
-    return decoded.status();
-  }
-  return Ingest(decoded.TakeValue());
-}
-
-Status AggregatorEngine::IngestEncoded(const std::vector<uint8_t>& buffer) {
-  return IngestEncoded(buffer.data(), buffer.size());
-}
-
 Result<AggregatorEngine::IngestAck> AggregatorEngine::IngestFrame(
     const uint8_t* data, size_t size) {
   // Checkpoint BEFORE applying: when rotation is due, the new segment
@@ -235,16 +188,8 @@ Result<AggregatorEngine::IngestAck> AggregatorEngine::IngestFrameImpl(
     const uint8_t* data, size_t size) {
   wire_bytes_ingested_.fetch_add(static_cast<int64_t>(size),
                                  std::memory_order_relaxed);
-  auto decoded = [&]() -> Result<WireFrame> {
-#if QLOVE_INTROSPECTION_ENABLED
-    if (self_ != nullptr) {
-      Stopwatch watch;
-      watch.Start();
-      auto result = DecodeFrame(data, size);
-      RecordSelfStage(Stage::kWireDecode, watch.ElapsedNanos() * 1e-3);
-      return result;
-    }
-#endif
+  auto decoded = [&] {
+    ScopedStageTimer timer(SelfIntrospection(), Stage::kWireDecode);
     return DecodeFrame(data, size);
   }();
   if (!decoded.ok()) {
@@ -265,17 +210,8 @@ Result<AggregatorEngine::IngestAck> AggregatorEngine::IngestFrameImpl(
   // stage, accepted frames counted, rejections classified. NAKs are a
   // protocol outcome (the agent resolves them by resyncing), so they are
   // neither an accepted ingest nor an invalid rejection.
-  auto applied = [&]() -> Result<IngestAck> {
-#if QLOVE_INTROSPECTION_ENABLED
-    if (self_ != nullptr) {
-      Stopwatch watch;
-      watch.Start();
-      auto result = ApplyDelta(std::move(frame.delta));
-      RecordSelfStage(Stage::kAggregatorIngest,
-                      watch.ElapsedNanos() * 1e-3);
-      return result;
-    }
-#endif
+  auto applied = [&] {
+    ScopedStageTimer timer(SelfIntrospection(), Stage::kAggregatorIngest);
     return ApplyDelta(std::move(frame.delta));
   }();
   if (!applied.ok()) {
@@ -289,14 +225,8 @@ Result<AggregatorEngine::IngestAck> AggregatorEngine::IngestFrameImpl(
   }
   wire_bytes_delta_ingested_.fetch_add(static_cast<int64_t>(size),
                                        std::memory_order_relaxed);
-  const int64_t accepted =
-      ingests_.fetch_add(1, std::memory_order_relaxed) + 1;
   delta_ingests_.fetch_add(1, std::memory_order_relaxed);
-#if QLOVE_INTROSPECTION_ENABLED
-  if (self_ != nullptr && accepted % 8 == 0) self_->Tick();
-#else
-  (void)accepted;
-#endif
+  CountAccepted();
   return ack;
 }
 
@@ -473,9 +403,9 @@ Result<AggregatorEngine::IngestAck> AggregatorEngine::ApplyDelta(
   }
   if (held.snapshot.sync_token != delta.sync_token) {
     // Same epoch number, different engine incarnation: the agent
-    // restarted and its Tick epochs collided with the state we hold
-    // (or the held state came from a v1 frame, token 0). Patching across
-    // incarnations would silently mix two different windows.
+    // restarted and its Tick epochs collided with the state we hold.
+    // Patching across incarnations would silently mix two different
+    // windows.
     return nak;
   }
 
@@ -508,8 +438,7 @@ Result<AggregatorEngine::IngestAck> AggregatorEngine::ApplyDelta(
     if (held_it->shards.size() != 1 ||
         held_it->shards[0].kind != BackendKind::kQlove ||
         held_it->options.backend.kind != BackendKind::kQlove) {
-      // Held state is not the coalesced qlove shape deltas patch (e.g. it
-      // came from an older v1 exporter before a config change).
+      // Held state is not the coalesced qlove shape deltas patch.
       return nak;
     }
     WireMetricSummary merged = *held_it;
@@ -894,7 +823,6 @@ AggregatorEngine::FleetHealthSnapshot AggregatorEngine::FleetHealth() const {
     health.has_transport = true;
     health.transport = provider();
   }
-#if QLOVE_INTROSPECTION_ENABLED
   if (self_ != nullptr) {
     // Cover every buffered sample before reading the sketches back.
     self_->Tick();
@@ -906,7 +834,6 @@ AggregatorEngine::FleetHealthSnapshot AggregatorEngine::FleetHealth() const {
       }
     }
   }
-#endif
   return health;
 }
 

@@ -1,6 +1,6 @@
 // Copyright 2026 The QLOVE Reproduction Authors
 // The central tier of the distributed deployment: per-host agents run a
-// TelemetryEngine each, export WireSnapshots every Tick (engine/wire.h),
+// TelemetryEngine each, export a wire frame every Tick (engine/wire.h),
 // and an AggregatorEngine pools the decoded summaries to serve fleet-wide
 // queries — the merge-centrally topology the paper's mergeable summaries
 // were built for. The aggregator holds exactly one snapshot per source
@@ -73,35 +73,18 @@ struct AggregatorOptions {
   /// ingest): recorded into a private single-shard TelemetryEngine's
   /// `__qlove/` sketches — the aggregator dogfoods the same machinery it
   /// aggregates. Plain counters (ingests, rejects, bytes) are kept either
-  /// way. Ignored when built with -DQLOVE_INTROSPECTION=OFF.
+  /// way.
   bool introspection = true;
 };
 
 /// \brief Pools remote agents' summaries and serves fleet-wide queries.
 ///
-/// Thread-safe: Ingest and Query may be called concurrently (one mutex —
+/// Thread-safe: IngestFrame and Query may be called concurrently (one mutex —
 /// the aggregator is read-mostly between Ticks and ingest is a pointer
 /// swap per source, so a finer scheme has nothing to win yet).
 class AggregatorEngine {
  public:
   explicit AggregatorEngine(AggregatorOptions options = {});
-
-  /// Replaces \p snapshot.source's state with \p snapshot. Rejects
-  /// InvalidArgument when a metric's self-described options cannot serve
-  /// (defense against corrupt or hostile wire data: the summaries would
-  /// poison every fleet query they pool into) or when metrics violate the
-  /// wire contract's strictly-ascending canonical key order (a repeated
-  /// key would double-count), and FailedPrecondition when the snapshot's
-  /// epoch regresses by no more than staleness_epochs (a reordered export
-  /// must not roll a source's state backwards; re-ingesting the same
-  /// epoch is idempotent and allowed). A larger regression is an agent
-  /// restart — the engine's Tick counter began again at 1 — and replaces
-  /// the source's state normally.
-  Status Ingest(WireSnapshot snapshot);
-
-  /// DecodeSnapshot + Ingest in one step (the receive-loop shape).
-  Status IngestEncoded(const uint8_t* data, size_t size);
-  Status IngestEncoded(const std::vector<uint8_t>& buffer);
 
   /// \brief The receiver's verdict on one frame, for the sender's
   /// delta-sync loop (engine.h ExportCursor).
@@ -120,14 +103,26 @@ class AggregatorEngine {
     int64_t acked_epoch = -1;
   };
 
-  /// Decodes and applies any frame (v1 full, v2 full, v2 delta) and
-  /// reports the sync verdict. Full frames take the Ingest path: accepted
-  /// frames ack applied, and frame errors (corrupt bytes, invalid
-  /// options, reordered epochs) stay error Statuses exactly as in
-  /// IngestEncoded. Delta frames apply atomically against the source's
-  /// held snapshot — on any disagreement the held state is untouched and
-  /// the ack says resync_required (an OK Result: NAKs are protocol flow,
-  /// not failures).
+  /// Decodes and applies one frame (full or delta) and reports the sync
+  /// verdict — the aggregator's only ingest call.
+  ///
+  /// A full frame replaces the source's state wholesale and acks applied.
+  /// It is rejected InvalidArgument when the bytes do not decode, when a
+  /// metric's self-described options cannot serve (defense against
+  /// corrupt or hostile wire data: the summaries would poison every fleet
+  /// query they pool into), or when metrics violate the wire contract's
+  /// strictly-ascending canonical key order (a repeated key would
+  /// double-count); and FailedPrecondition when the frame's epoch
+  /// regresses by no more than staleness_epochs (a reordered export must
+  /// not roll a source's state backwards; re-ingesting the same epoch is
+  /// idempotent and allowed). A larger regression is an agent restart —
+  /// the engine's Tick counter began again at 1 — and replaces the
+  /// source's state normally.
+  ///
+  /// A delta frame applies atomically against the source's held
+  /// snapshot — on any disagreement the held state is untouched and the
+  /// ack says resync_required (an OK Result: NAKs are protocol flow, not
+  /// failures).
   Result<IngestAck> IngestFrame(const uint8_t* data, size_t size);
   Result<IngestAck> IngestFrame(const std::vector<uint8_t>& buffer);
 
@@ -154,22 +149,18 @@ class AggregatorEngine {
   /// singular on the wire, and silently pooling disagreeing
   /// configurations is what Query() itself refuses.
   ///
-  /// The snapshot is stamped with the fleet epoch and this aggregator's
-  /// own sync token. ExportOptions::include_self_metrics gates whether
+  /// The frame is stamped with the fleet epoch and this aggregator's own
+  /// sync token. ExportOptions::include_self_metrics gates whether
   /// `__qlove/` metrics held from the children ride along (fleet-health
-  /// rollup across tiers); ExportOptions::coalesce_shards is IGNORED —
-  /// cross-source sub-window epochs are only nominally aligned (an
-  /// agent restart resets them), so re-exports always ship the raw
-  /// per-source summaries rather than risk merging different wall-clock
-  /// windows into one.
+  /// rollup across tiers). Re-exports ship the per-source summaries
+  /// as received: cross-source sub-window epochs are only nominally
+  /// aligned (an agent restart resets them), so folding them into one
+  /// summary would risk merging different wall-clock windows.
   /// @{
 
-  /// The pooled fleet state as one WireSnapshot named \p source.
-  WireSnapshot ExportSnapshot(std::string source,
-                              const ExportOptions& export_options = {}) const;
-
-  /// ExportSnapshot + EncodeSnapshotV2 into \p out (buffer reused), with
-  /// re-export bytes counted into FleetHealth.
+  /// Encodes the pooled fleet state as one full frame named \p source
+  /// into \p out (buffer reused), with re-export bytes counted into
+  /// FleetHealth.
   Status ExportEncoded(std::string source, std::vector<uint8_t>* out,
                        const ExportOptions& export_options = {}) const;
 
@@ -308,13 +299,13 @@ class AggregatorEngine {
     int64_t ingests = 0;             ///< Snapshots accepted.
     int64_t rejected_reordered = 0;  ///< FailedPrecondition (stale frame).
     int64_t rejected_invalid = 0;    ///< InvalidArgument (bad wire data).
-    int64_t decode_failures = 0;     ///< IngestEncoded decode errors.
-    int64_t wire_bytes_ingested = 0; ///< Encoded bytes seen by IngestEncoded.
+    int64_t decode_failures = 0;     ///< IngestFrame decode errors.
+    int64_t wire_bytes_ingested = 0; ///< Encoded bytes seen by IngestFrame.
     int64_t queries = 0;             ///< Query() calls.
     int64_t delta_ingests = 0;       ///< Delta frames applied.
     int64_t resyncs_requested = 0;   ///< Delta NAKs (resync_required acks).
     int64_t wire_bytes_delta_ingested = 0;  ///< Bytes of applied deltas.
-    int64_t reexports = 0;           ///< ExportSnapshot/ExportEncoded calls.
+    int64_t reexports = 0;           ///< ExportEncoded calls.
     int64_t wire_bytes_reexported = 0;  ///< Encoded re-export bytes.
     int64_t reexport_dropped = 0;    ///< Same-key summaries dropped from
                                      ///< re-exports over disagreeing
@@ -387,9 +378,15 @@ class AggregatorEngine {
            options_.staleness_epochs;
   }
 
-  /// The validate-and-swap itself; Ingest wraps it with timing and the
-  /// accept/reject accounting.
+  /// Applies one decoded full frame (see IngestFrame for the rejection
+  /// rules), with timing and the accept/reject accounting around
+  /// IngestImpl.
+  Status Ingest(WireSnapshot snapshot);
+  /// The validate-and-swap itself.
   Status IngestImpl(WireSnapshot snapshot);
+  /// Counts one accepted frame and, every few, Ticks the self-metrics
+  /// engine so FleetHealth's latency sketches stay current.
+  void CountAccepted();
   /// The decode-and-dispatch behind IngestFrame; the public wrapper adds
   /// the WAL hooks (checkpoint-before-apply, append-after-apply). Replay
   /// calls this directly — the WAL is not yet enabled during recovery, so
@@ -407,9 +404,12 @@ class AggregatorEngine {
   /// reserved for malformed frame CONTENT (negative counts, grid-size
   /// mismatches) that no resync would fix differently.
   Result<IngestAck> ApplyDelta(WireDelta delta);
-  /// Records one latency sample into the self-metrics engine (no-op when
-  /// introspection is off).
-  void RecordSelfStage(Stage stage, double micros) const;
+  /// The pooled fleet state as one WireSnapshot named \p source (see the
+  /// re-export section).
+  WireSnapshot ExportSnapshot(std::string source,
+                              const ExportOptions& export_options) const;
+  /// The self-metrics engine's stage sink; null when introspection is off.
+  Introspection* SelfIntrospection() const;
 
   AggregatorOptions options_;
   /// Incarnation token stamped on re-exports (wire.h GenerateSyncToken):

@@ -24,9 +24,9 @@
 // (a median over pre-averaged groups is not the median over the originals)
 // and the per-summary bookkeeping some error bounds derive from (merged
 // sub-windows are fewer and larger, which only tightens the finite-m
-// terms). Callers that need byte-level parity with the unmerged state —
-// the serialize-then-merge bit-identity property — export with
-// ExportOptions::coalesce_shards = false.
+// terms). Every engine export is coalesced, so an aggregator's answers
+// match the exporting engine's own to within these differences, and match
+// each other (any tier, any number of re-encodes) bit for bit.
 
 #ifndef QLOVE_ENGINE_COALESCE_H_
 #define QLOVE_ENGINE_COALESCE_H_

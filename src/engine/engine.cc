@@ -164,7 +164,6 @@ TelemetryEngine::TelemetryEngine(EngineOptions options)
   metric_options_.shard_window = options_.shard_window;
   metric_options_.phis = options_.phis;
   metric_options_.backend = options_.default_backend;
-#if QLOVE_INTROSPECTION_ENABLED
   if (options_.introspection && options_status_.ok()) {
     introspection_ =
         std::make_unique<Introspection>(options_.slow_query_log_capacity);
@@ -176,7 +175,6 @@ TelemetryEngine::TelemetryEngine(EngineOptions options)
     internal_metric_options_.phis = {0.5, 0.9, 0.99, 0.999};
     internal_metric_options_.backend = BackendOptions{};
   }
-#endif
   std::lock_guard<std::mutex> lock(live_engines_mu);
   LiveEngines().insert(engine_id_);
 }
@@ -343,7 +341,6 @@ void TelemetryEngine::FlushToShards(MetricState* state, const double* values,
   // (pre_quantizer() == nullptr) skip the pass and the copy.
   const Quantizer* pre = state->pre_quantizer();
   const double* publish = values;
-#if QLOVE_INTROSPECTION_ENABLED
   // Flush-granularity self-metrics: internal `__qlove/` states carry a
   // null sink (their publication must not count as user traffic or
   // recurse), so the state itself decides whether this flush is observed.
@@ -352,24 +349,12 @@ void TelemetryEngine::FlushToShards(MetricState* state, const double* values,
   if (pre != nullptr) {
     thread_local std::vector<double> quantized;
     quantized.resize(count);
-    if (in != nullptr) {
-      Stopwatch watch;
-      watch.Start();
-      pre->QuantizeBatch(values, quantized.data(), count);
-      in->RecordStage(Stage::kQuantizeBatch, watch.ElapsedNanos() * 1e-3);
-    } else {
+    {
+      ScopedStageTimer timer(in, Stage::kQuantizeBatch);
       pre->QuantizeBatch(values, quantized.data(), count);
     }
     publish = quantized.data();
   }
-#else
-  if (pre != nullptr) {
-    thread_local std::vector<double> quantized;
-    quantized.resize(count);
-    pre->QuantizeBatch(values, quantized.data(), count);
-    publish = quantized.data();
-  }
-#endif
   // Deal the batch round-robin starting at the metric's rotating cursor:
   // value i -> shard (cursor + i) % S. Every shard receives an interleaved
   // 1/S stripe (an i.i.d.-like sample of the batch), which is what makes
@@ -413,41 +398,29 @@ void TelemetryEngine::Flush() {
 }
 
 void TelemetryEngine::Tick() {
-#if QLOVE_INTROSPECTION_ENABLED
-  if (introspection_ != nullptr) {
-    Stopwatch watch;
-    watch.Start();
-    Flush();
-    // Publish buffered stage samples BEFORE closing sub-windows, so the
-    // samples recorded since the last Tick land in the sub-window this
-    // Tick closes (queryable immediately after).
-    PublishStageSamples();
-    std::vector<std::shared_ptr<MetricState>> states = registry_.List();
-    for (const auto& state : states) {
-      state->CloseSubWindows();
-    }
-    for (const auto& state : internal_registry_.List()) {
-      state->CloseSubWindows();
-    }
-    MaintainAfterTick(states);
-    tick_epochs_.fetch_add(1, std::memory_order_relaxed);
-    AppendWalRecord();
-    introspection_->OnTick();
-    // This Tick's own latency is buffered now and published by the NEXT
-    // Tick (a one-boundary lag; the alternative would re-open the window
-    // just closed).
-    introspection_->RecordStage(Stage::kTick, watch.ElapsedNanos() * 1e-3);
-    return;
-  }
-#endif
+  Stopwatch watch;
   Flush();
+  // Publish buffered stage samples BEFORE closing sub-windows, so the
+  // samples recorded since the last Tick land in the sub-window this Tick
+  // closes (queryable immediately after).
+  if (introspection_ != nullptr) PublishStageSamples();
   std::vector<std::shared_ptr<MetricState>> states = registry_.List();
   for (const auto& state : states) {
+    state->CloseSubWindows();
+  }
+  for (const auto& state : internal_registry_.List()) {
     state->CloseSubWindows();
   }
   MaintainAfterTick(states);
   tick_epochs_.fetch_add(1, std::memory_order_relaxed);
   AppendWalRecord();
+  if (introspection_ != nullptr) {
+    introspection_->OnTick();
+    // This Tick's own latency is buffered now and published by the NEXT
+    // Tick (a one-boundary lag; the alternative would re-open the window
+    // just closed).
+    introspection_->RecordStage(Stage::kTick, watch.ElapsedNanos() * 1e-3);
+  }
 }
 
 Status TelemetryEngine::EnableWal(const std::string& dir,
@@ -499,11 +472,9 @@ void TelemetryEngine::AppendWalRecord() {
       wal_degraded_.load(std::memory_order_relaxed) ||
       wal_ticks_since_checkpoint_ >= wal_->options().checkpoint_every_n_ticks;
   if (checkpoint) wal_cursor_.RequestResync();  // full frame
-  ExportOptions export_options;
-  export_options.include_self_metrics = false;
-  Status status =
-      ExportDeltaEncoded("wal", &wal_cursor_, &wal_scratch_, export_options);
-  if (status.ok() && checkpoint) status = wal_->BeginSegment();
+  // The unmetered encode: WAL records are not wire exports.
+  EncodeExport("wal", &wal_cursor_, &wal_scratch_, ExportOptions{});
+  Status status = checkpoint ? wal_->BeginSegment() : Status::OK();
   if (status.ok()) {
     status = wal_->Append(wal_scratch_.data(), wal_scratch_.size(),
                           checkpoint);
@@ -698,7 +669,6 @@ void TelemetryEngine::MaintainAfterTick(
 }
 
 void TelemetryEngine::PublishStageSamples() {
-#if QLOVE_INTROSPECTION_ENABLED
   std::lock_guard<std::mutex> lock(publish_mu_);
   for (int s = 0; s < kStageCount; ++s) {
     const Stage stage = static_cast<Stage>(s);
@@ -720,7 +690,6 @@ void TelemetryEngine::PublishStageSamples() {
     FlushToShards(stage_states_[s].get(), stage_scratch_.data(),
                   stage_scratch_.size());
   }
-#endif
 }
 
 WireSnapshot TelemetryEngine::ExportSnapshot(
@@ -748,7 +717,7 @@ WireSnapshot TelemetryEngine::ExportSnapshot(
     metric.key = state->key();
     metric.options = state->options();
     metric.shards = state->SnapshotShards();
-    if (export_options.coalesce_shards && metric.shards.size() > 1) {
+    if (metric.shards.size() > 1) {
       // Shard count is an agent-internal detail: fold the per-shard
       // summaries into one so frame size stops scaling with it.
       BackendSummary coalesced = CoalesceShardSummaries(metric.shards);
@@ -757,39 +726,12 @@ WireSnapshot TelemetryEngine::ExportSnapshot(
     }
     snapshot.metrics.push_back(std::move(metric));
   }
-#if QLOVE_INTROSPECTION_ENABLED
-  if (introspection_ != nullptr) introspection_->OnExport();
-#endif
   return snapshot;
 }
 
-Status TelemetryEngine::ExportEncoded(
-    std::string source, std::vector<uint8_t>* out,
-    const ExportOptions& export_options) const {
-  QLOVE_RETURN_NOT_OK(options_status_);
-  if (out == nullptr) {
-    return Status::InvalidArgument("null output buffer");
-  }
-#if QLOVE_INTROSPECTION_ENABLED
-  if (introspection_ != nullptr) {
-    Stopwatch watch;
-    watch.Start();
-    const WireSnapshot snapshot =
-        ExportSnapshot(std::move(source), export_options);
-    EncodeSnapshot(snapshot, out);
-    introspection_->RecordStage(Stage::kWireEncode,
-                                watch.ElapsedNanos() * 1e-3);
-    introspection_->OnWireBytes(static_cast<int64_t>(out->size()));
-    return Status::OK();
-  }
-#endif
-  EncodeSnapshot(ExportSnapshot(std::move(source), export_options), out);
-  return Status::OK();
-}
-
-Status TelemetryEngine::ExportDeltaEncoded(
-    std::string source, ExportCursor* cursor, std::vector<uint8_t>* out,
-    const ExportOptions& export_options) const {
+Status TelemetryEngine::Export(std::string source, ExportCursor* cursor,
+                               std::vector<uint8_t>* out,
+                               const ExportOptions& export_options) const {
   QLOVE_RETURN_NOT_OK(options_status_);
   if (cursor == nullptr) {
     return Status::InvalidArgument("null export cursor");
@@ -797,14 +739,25 @@ Status TelemetryEngine::ExportDeltaEncoded(
   if (out == nullptr) {
     return Status::InvalidArgument("null output buffer");
   }
-  ExportOptions coalesced = export_options;
-  coalesced.coalesce_shards = true;  // deltas address one summary per metric
-
-#if QLOVE_INTROSPECTION_ENABLED
   Stopwatch watch;
-  if (introspection_ != nullptr) watch.Start();
-#endif
-  const WireSnapshot snapshot = ExportSnapshot(std::move(source), coalesced);
+  const bool delta =
+      EncodeExport(std::move(source), cursor, out, export_options);
+  if (introspection_ != nullptr) {
+    const auto bytes = static_cast<int64_t>(out->size());
+    introspection_->RecordStage(Stage::kWireEncode,
+                                watch.ElapsedNanos() * 1e-3);
+    introspection_->OnExport();
+    introspection_->OnWireBytes(bytes);
+    if (delta) introspection_->OnDeltaExport(bytes);
+  }
+  return Status::OK();
+}
+
+bool TelemetryEngine::EncodeExport(std::string source, ExportCursor* cursor,
+                                   std::vector<uint8_t>* out,
+                                   const ExportOptions& export_options) const {
+  const WireSnapshot snapshot =
+      ExportSnapshot(std::move(source), export_options);
   // A tracked metric absent from this snapshot vanished (evicted or
   // otherwise retired). A delta frame can only describe metrics it
   // carries, so the receiver would keep serving the stale key forever;
@@ -905,18 +858,7 @@ Status TelemetryEngine::ExportDeltaEncoded(
     }
   }
   cursor->sent_.erase(tracked, cursor->sent_.end());
-#if QLOVE_INTROSPECTION_ENABLED
-  if (introspection_ != nullptr) {
-    introspection_->RecordStage(Stage::kWireEncode,
-                                watch.ElapsedNanos() * 1e-3);
-    introspection_->OnWireBytes(static_cast<int64_t>(out->size()));
-    if (encoded_delta) {
-      introspection_->OnDeltaExport(static_cast<int64_t>(out->size()));
-    }
-  }
-#endif
-  (void)encoded_delta;
-  return Status::OK();
+  return encoded_delta;
 }
 
 std::shared_ptr<MetricState> TelemetryEngine::FindState(
@@ -949,30 +891,26 @@ bool TargetsReservedNamespace(const QuerySpec& spec) {
 }  // namespace
 
 Result<QueryResult> TelemetryEngine::Query(const QuerySpec& spec) const {
-#if QLOVE_INTROSPECTION_ENABLED
-  if (introspection_ != nullptr && !TargetsReservedNamespace(spec)) {
-    Stopwatch watch;
-    watch.Start();
-    auto result = QueryImpl(spec);
-    const double micros = watch.ElapsedNanos() * 1e-3;
-    introspection_->OnQuery();
-    introspection_->RecordStage(Stage::kQuery, micros);
-    if (options_.slow_query_threshold_us > 0.0 &&
-        micros >= options_.slow_query_threshold_us) {
-      SlowQueryRecord record;
-      record.spec = DescribeQuerySpec(spec);
-      record.micros = micros;
-      record.ok = result.ok();
-      record.matched =
-          result.ok()
-              ? static_cast<int64_t>(result.ValueOrDie().matched.size())
-              : 0;
-      introspection_->RecordSlowQuery(std::move(record));
-    }
-    return result;
+  if (introspection_ == nullptr || TargetsReservedNamespace(spec)) {
+    return QueryImpl(spec);
   }
-#endif
-  return QueryImpl(spec);
+  Stopwatch watch;
+  auto result = QueryImpl(spec);
+  const double micros = watch.ElapsedNanos() * 1e-3;
+  introspection_->OnQuery();
+  introspection_->RecordStage(Stage::kQuery, micros);
+  if (options_.slow_query_threshold_us > 0.0 &&
+      micros >= options_.slow_query_threshold_us) {
+    SlowQueryRecord record;
+    record.spec = DescribeQuerySpec(spec);
+    record.micros = micros;
+    record.ok = result.ok();
+    record.matched =
+        result.ok() ? static_cast<int64_t>(result.ValueOrDie().matched.size())
+                    : 0;
+    introspection_->RecordSlowQuery(std::move(record));
+  }
+  return result;
 }
 
 Result<QueryResult> TelemetryEngine::QueryImpl(const QuerySpec& spec) const {
@@ -1197,7 +1135,7 @@ EngineStats TelemetryEngine::Stats() const {
   stats.metric_count = registry_.size();
   stats.internal_metric_count = internal_registry_.size();
   // Cardinality gauges live on engine atomics / the interner so they are
-  // meaningful even with introspection compiled out or disabled.
+  // meaningful even with introspection disabled.
   stats.evictions = evictions_.load(std::memory_order_relaxed);
   stats.degrades = degrades_.load(std::memory_order_relaxed);
   stats.evicted_events = evicted_events_.load(std::memory_order_relaxed);
@@ -1250,7 +1188,6 @@ EngineStats TelemetryEngine::Stats() const {
     stats.total_memory_bytes += stats.metrics.back().memory_bytes;
   }
 
-#if QLOVE_INTROSPECTION_ENABLED
   if (introspection_ != nullptr) {
     stats.enabled = true;
     stats.counters = introspection_->Counters();
@@ -1273,19 +1210,14 @@ EngineStats TelemetryEngine::Stats() const {
     }
     stats.slow_queries = introspection_->SlowQueries();
   }
-#endif
   return stats;
 }
 
 void TelemetryEngine::SetSlowQueryHook(
     std::function<void(const SlowQueryRecord&)> hook) {
-#if QLOVE_INTROSPECTION_ENABLED
   if (introspection_ != nullptr) {
     introspection_->SetSlowQueryHook(std::move(hook));
   }
-#else
-  (void)hook;
-#endif
 }
 
 }  // namespace engine

@@ -23,6 +23,7 @@
 //       QuerySpec::ForSelector({"rtt_us", {{"service", "search"}}})
 //           .With(QueryRequest::Quantile(0.97))
 //           .With(QueryRequest::Rank(500.0)));
+//   engine.Export("host-1", &cursor, &frame);  // ship to an aggregator
 //
 // Tick() defines sub-window boundaries in time rather than element count
 // (real telemetry windows are temporal); QLOVE's Level-2 machinery already
@@ -99,8 +100,7 @@ struct EngineOptions {
 
   /// Runtime switch for the self-metrics layer (engine/introspection.h):
   /// false skips all counter/timer work and registers no `__qlove/`
-  /// metrics. Ignored (always off) when the library is built with
-  /// -DQLOVE_INTROSPECTION=OFF.
+  /// metrics.
   bool introspection = true;
 
   /// Queries whose wall time meets this threshold (microseconds) are
@@ -141,26 +141,17 @@ struct EngineOptions {
   Status Validate() const;
 };
 
-/// \brief Knobs for ExportSnapshot / ExportEncoded / ExportDeltaEncoded.
+/// \brief Knobs for TelemetryEngine::Export and
+/// AggregatorEngine::ExportEncoded.
 struct ExportOptions {
   /// Include the engine's own `__qlove/` self-metrics in the export so
   /// they roll up across the fleet like any other metric. Default OFF:
   /// wire consumers that pin exact export bytes (golden fixtures) must
   /// not absorb nondeterministic timing sketches unasked.
   bool include_self_metrics = false;
-
-  /// Fold each metric's per-shard summaries into one per-metric summary
-  /// (engine/coalesce.h) before export. Shard count is an agent-internal
-  /// scaling detail, and per-shard framing made wire bytes grow linearly
-  /// with it; coalescing returns an 8-shard export to ~1-shard size.
-  /// Default ON. Turn OFF for byte-level parity with the engine's own
-  /// uncoalesced merge state (the serialize-then-merge bit-identity
-  /// property): the coalesced merge is equivalent only up to
-  /// floating-point reassociation and sub-window regrouping.
-  bool coalesce_shards = true;
 };
 
-/// \brief Per-receiver delta-sync state for ExportDeltaEncoded: which
+/// \brief Per-receiver delta-sync state for TelemetryEngine::Export: which
 /// epoch and which qlove sub-windows the receiving aggregator is believed
 /// to hold, so the next export ships only what it has not seen.
 ///
@@ -168,7 +159,8 @@ struct ExportOptions {
 /// from one exporting thread at a time. The protocol is optimistic: the
 /// cursor advances as frames are produced, and when the receiver disagrees
 /// (it NAKed, it restarted, frames were dropped in transit) the caller
-/// invokes RequestResync() and the next export is a full v2 frame.
+/// invokes RequestResync() and the next export is a full frame. A fresh
+/// cursor's first export is always a full frame.
 class ExportCursor {
  public:
   /// Force the next export to be a full frame (initial state). Call on
@@ -281,48 +273,43 @@ class TelemetryEngine {
   std::vector<MetricSnapshot> SnapshotAll(
       const SnapshotOptions& snapshot_options = {}) const;
 
-  /// Exports the engine's complete mergeable state as one WireSnapshot —
-  /// the agent half of the distributed deployment: encode with
-  /// EncodeSnapshot (engine/wire.h) and ship to an AggregatorEngine.
+  /// The agent half of the distributed deployment: encodes this engine's
+  /// mergeable window state into \p out (buffer reused) for an
+  /// AggregatorEngine. The frame is a full frame (first export through
+  /// \p cursor, or after cursor->RequestResync()) or a DELTA frame
+  /// carrying, per qlove metric, only the sub-windows newer than what
+  /// \p cursor says the receiver holds (plus refreshed scalars); non-qlove
+  /// metrics and metrics with unshippable diffs ride as full replacements
+  /// inside the delta.
+  ///
   /// Covers every registered metric that has seen at least one Tick
   /// (pre-first-Tick metrics have no window state, matching SnapshotAll),
   /// in canonical key order; each metric carries its full MetricOptions so
-  /// the receiver can rebuild the exact merge. \p source names this agent
-  /// in the aggregator's per-source state. With
+  /// the receiver can rebuild the exact merge, and its per-shard summaries
+  /// folded into one (engine/coalesce.h) — shard count is an agent-internal
+  /// scaling detail and does not multiply frame size. \p source names this
+  /// agent in the aggregator's per-source state. With
   /// export_options.include_self_metrics, the engine's `__qlove/`
-  /// self-metrics ride along (dogfooding: fleet health rolls up through
-  /// the same pipeline as the telemetry itself).
-  WireSnapshot ExportSnapshot(std::string source,
-                              const ExportOptions& export_options = {}) const;
-
-  /// ExportSnapshot + EncodeSnapshot in one timed call: the encoded bytes
-  /// land in \p out (buffer reused), the wire-encode latency lands in
-  /// `__qlove/stage_us{stage=wire_encode}`, and the byte count feeds the
-  /// wire_bytes_encoded counter.
-  Status ExportEncoded(std::string source, std::vector<uint8_t>* out,
-                       const ExportOptions& export_options = {}) const;
-
-  /// The delta-sync agent loop: encodes into \p out either a full v2
-  /// frame (first export through \p cursor, or after RequestResync) or a
-  /// v2 DELTA frame carrying, per qlove metric, only the sub-windows newer
-  /// than what \p cursor says the receiver holds (plus refreshed scalars);
-  /// non-qlove metrics and metrics with unshippable diffs ride as full
-  /// replacements inside the delta. Exports are always shard-coalesced on
-  /// this path (deltas address one summary per metric). The cursor
-  /// advances optimistically; pair with AggregatorEngine::IngestFrame and
-  /// call cursor->RequestResync() whenever the returned IngestAck demands
-  /// it or the transport hiccups. Timing/bytes land in the wire_encode
-  /// stage and the delta export counters.
-  Status ExportDeltaEncoded(std::string source, ExportCursor* cursor,
-                            std::vector<uint8_t>* out,
-                            const ExportOptions& export_options = {}) const;
+  /// self-metrics ride along (fleet health rolls up through the same
+  /// pipeline as the telemetry itself).
+  ///
+  /// The cursor advances optimistically; pair with
+  /// AggregatorEngine::IngestFrame and call cursor->RequestResync()
+  /// whenever the returned IngestAck demands it or the transport hiccups.
+  /// Timing lands in the wire_encode stage; the frame feeds the exports /
+  /// wire_bytes_encoded (and, for deltas, delta_exports /
+  /// wire_bytes_delta) counters.
+  Status Export(std::string source, ExportCursor* cursor,
+                std::vector<uint8_t>* out,
+                const ExportOptions& export_options = {}) const;
 
   /// \name Crash durability (engine/wal.h)
   ///
   /// With a WAL enabled, every Tick appends one record — the same
-  /// delta-sync frame ExportDeltaEncoded would ship to an aggregator —
-  /// and periodically a full-snapshot checkpoint (segment rotation,
-  /// cadence, or degraded-mode healing). A restarted process calls
+  /// delta-sync frame Export would ship to an aggregator (but unmetered:
+  /// WAL records never count as exports) — and periodically a
+  /// full-snapshot checkpoint (segment rotation, cadence, or degraded-mode
+  /// healing). A restarted process calls
   /// RecoverFromWal on a FRESH engine to resume with the last durable
   /// window; because recovery rebuilds real registry state, the next
   /// export to an aggregator re-ships it (the receiver treats the new
@@ -427,6 +414,14 @@ class TelemetryEngine {
   /// The uninstrumented query path; Query() wraps it with timing and the
   /// slow-query capture.
   Result<QueryResult> QueryImpl(const QuerySpec& spec) const;
+  /// The engine's window state as one coalesced WireSnapshot (see Export).
+  WireSnapshot ExportSnapshot(std::string source,
+                              const ExportOptions& export_options) const;
+  /// The unmetered encode behind Export (and the WAL): full frame or delta
+  /// per \p cursor, which it advances. Returns true when it wrote a delta.
+  bool EncodeExport(std::string source, ExportCursor* cursor,
+                    std::vector<uint8_t>* out,
+                    const ExportOptions& export_options) const;
   /// Drains the buffered stage-latency samples into the `__qlove/`
   /// sketches (called at Tick, before CloseSubWindows so the samples land
   /// in the closing sub-window).
@@ -450,7 +445,7 @@ class TelemetryEngine {
 
   /// High-cardinality lifecycle gauges (always on — they are cheap relaxed
   /// counters and the budget policy needs them even with introspection
-  /// compiled out). Surfaced through Stats().
+  /// switched off). Surfaced through Stats().
   std::atomic<int64_t> evictions_{0};
   std::atomic<int64_t> degrades_{0};
   std::atomic<int64_t> evicted_events_{0};
@@ -476,7 +471,7 @@ class TelemetryEngine {
   /// registry, created with a null introspection sink (no recursion) and
   /// a single shard each (samples arrive from one publishing thread at a
   /// time, under publish_mu_). Null introspection_ means the layer is off
-  /// (options or compile flag) and every hook site skips.
+  /// (EngineOptions::introspection) and every hook site skips.
   std::unique_ptr<Introspection> introspection_;
   MetricRegistry internal_registry_;
   MetricOptions internal_metric_options_;

@@ -24,10 +24,11 @@
 //    SnapshotAll, metric_count, wildcard selectors, default exports — are
 //    untouched by the self-metrics' existence).
 //
-// Compile-time escape hatch: configure with -DQLOVE_INTROSPECTION=OFF and
-// every hook compiles to a no-op (QLOVE_INTROSPECTION_ENABLED == 0); the
-// types below still exist so Stats()/FleetHealth() callers compile, they
-// just report enabled == false.
+// Off switch: EngineOptions::introspection / AggregatorOptions::
+// introspection = false leaves the Introspection pointer null, so every
+// hook site is one predictable null check (the bench gates the on-cost
+// against a 2% budget of single-writer record_mops); Stats() and
+// FleetHealth() then report enabled == false with empty stages.
 
 #ifndef QLOVE_ENGINE_INTROSPECTION_H_
 #define QLOVE_ENGINE_INTROSPECTION_H_
@@ -43,12 +44,6 @@
 #include <vector>
 
 #include "engine/metric_key.h"
-
-#if defined(QLOVE_INTROSPECTION_DISABLED)
-#define QLOVE_INTROSPECTION_ENABLED 0
-#else
-#define QLOVE_INTROSPECTION_ENABLED 1
-#endif
 
 namespace qlove {
 namespace engine {
@@ -73,9 +68,9 @@ enum class Stage {
   kQuantizeBatch = 1,    ///< Batch quantization of one flushed buffer.
   kTick = 2,             ///< CloseSubWindows across every metric.
   kQuery = 3,            ///< One whole TelemetryEngine::Query call.
-  kWireEncode = 4,       ///< ExportSnapshot + EncodeSnapshot.
-  kWireDecode = 5,       ///< DecodeSnapshot on the aggregator.
-  kAggregatorIngest = 6, ///< AggregatorEngine::Ingest (validated swap).
+  kWireEncode = 4,       ///< One TelemetryEngine::Export call.
+  kWireDecode = 5,       ///< DecodeFrame inside AggregatorEngine::IngestFrame.
+  kAggregatorIngest = 6, ///< IngestFrame's validated swap / delta apply.
 };
 inline constexpr int kStageCount = 7;
 
@@ -105,12 +100,11 @@ struct CountersSnapshot {
   int64_t ticks = 0;             ///< Tick() calls.
   int64_t queries = 0;           ///< Query() calls (user metrics only).
   int64_t slow_queries = 0;      ///< Queries over the slow threshold.
-  int64_t exports = 0;           ///< ExportSnapshot calls.
-  int64_t wire_bytes_encoded = 0;      ///< Bytes produced by ExportEncoded /
-                                       ///< ExportDeltaEncoded (all frames).
-  int64_t delta_exports = 0;           ///< Delta frames produced by
-                                       ///< ExportDeltaEncoded (full-frame
-                                       ///< resyncs excluded).
+  int64_t exports = 0;           ///< Export calls (WAL records excluded).
+  int64_t wire_bytes_encoded = 0;      ///< Bytes produced by Export (all
+                                       ///< frames, WAL records excluded).
+  int64_t delta_exports = 0;           ///< Delta frames produced by Export
+                                       ///< (full-frame resyncs excluded).
   int64_t wire_bytes_delta = 0;        ///< Bytes of those delta frames (a
                                        ///< subset of wire_bytes_encoded).
   int64_t stage_samples_dropped = 0;   ///< Samples lost to a full stage
@@ -154,7 +148,7 @@ struct MetricFootprint {
 
 /// \brief TelemetryEngine::Stats(): the whole structured self-portrait.
 struct EngineStats {
-  bool enabled = false;  ///< False when compiled out or options-disabled.
+  bool enabled = false;  ///< False when switched off in EngineOptions.
   int64_t tick_epochs = 0;
   size_t metric_count = 0;           ///< User metrics.
   size_t internal_metric_count = 0;  ///< `__qlove/` metrics.
@@ -165,7 +159,7 @@ struct EngineStats {
   int64_t total_memory_bytes = 0;        ///< Sum over metrics.
   // High-cardinality lifecycle gauges. Always populated (they read
   // engine-level atomics and the interner, not the counter hub), so they
-  // stay meaningful with introspection compiled out or disabled.
+  // stay meaningful with introspection disabled.
   int64_t evictions = 0;       ///< Metrics evicted (idle or budget).
   int64_t degrades = 0;        ///< Backend degradations (exact→qlove→gk).
   int64_t evicted_events = 0;  ///< Events owned by evicted/replaced metrics.
@@ -174,7 +168,7 @@ struct EngineStats {
   size_t registry_bytes = 0;   ///< Registry node/table footprint (both tiers).
   // Durability surface (engine/wal.h). Populated with or without
   // introspection — crash safety must stay observable when the counter
-  // hub is compiled out.
+  // hub is switched off.
   bool wal_enabled = false;
   bool wal_degraded = false;        ///< Sticky non-durable mode (disk fault).
   int64_t wal_records = 0;          ///< Records appended (checkpoints incl.).
@@ -303,27 +297,23 @@ class Introspection {
   std::function<void(const SlowQueryRecord&)> slow_hook_;
 };
 
-/// Times a region into \p introspection when non-null; free when null or
-/// compiled out. Usage: { ScopedStageTimer t(in, Stage::kTick); ...work; }
+/// Times a region into \p introspection when non-null; free when null.
+/// Usage: { ScopedStageTimer t(in, Stage::kTick); ...work; }
 class ScopedStageTimer {
  public:
   ScopedStageTimer(Introspection* introspection, Stage stage)
       : introspection_(introspection), stage_(stage) {
-#if QLOVE_INTROSPECTION_ENABLED
     if (introspection_ != nullptr) {
       start_ = std::chrono::steady_clock::now();
     }
-#endif
   }
   ~ScopedStageTimer() {
-#if QLOVE_INTROSPECTION_ENABLED
     if (introspection_ != nullptr) {
       const auto elapsed = std::chrono::steady_clock::now() - start_;
       introspection_->RecordStage(
           stage_,
           std::chrono::duration<double, std::micro>(elapsed).count());
     }
-#endif
   }
   ScopedStageTimer(const ScopedStageTimer&) = delete;
   ScopedStageTimer& operator=(const ScopedStageTimer&) = delete;
@@ -331,9 +321,7 @@ class ScopedStageTimer {
  private:
   Introspection* introspection_;
   Stage stage_;
-#if QLOVE_INTROSPECTION_ENABLED
   std::chrono::steady_clock::time_point start_;
-#endif
 };
 
 }  // namespace engine

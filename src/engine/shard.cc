@@ -1,10 +1,10 @@
 #include "engine/shard.h"
 
 #include <algorithm>
+#include <chrono>
 #include <thread>
 #include <utility>
 
-#include "common/timer.h"
 #include "engine/introspection.h"
 
 namespace qlove {
@@ -80,43 +80,36 @@ Status Shard::Initialize(const BackendOptions& backend, const WindowSpec& spec,
 }
 
 int64_t Shard::DrainLocked() const {
-#if QLOVE_INTROSPECTION_ENABLED
   // Drain telemetry at batch granularity: one timer read pair and one
   // counter update per drain that moved data, never per value. Empty
   // drains (idle Tick/Snapshot polls) stay out of the latency sketch.
-  if (introspection_ != nullptr) {
-    const int64_t pending_before = ring_.pending();
-    int64_t accepted = 0;
-    Stopwatch watch;
-    watch.Start();
-    const int64_t drained =
-        ring_.Drain([this, &accepted](const double* run, size_t n) {
-          const int64_t took = backend_->AddDense(run, n);
-          accepted += took;
-          total_added_.fetch_add(took, std::memory_order_relaxed);
-          backend_inflight_.store(backend_->InflightCount(),
-                                  std::memory_order_relaxed);
-        });
-    if (drained > 0) {
-      introspection_->OnDrain(drained, accepted, pending_before);
-      introspection_->RecordStage(Stage::kIngestDrain,
-                                  watch.ElapsedNanos() * 1e-3);
-    }
-    return drained;
+  const int64_t pending_before =
+      introspection_ != nullptr ? ring_.pending() : 0;
+  std::chrono::steady_clock::time_point start;
+  if (introspection_ != nullptr) start = std::chrono::steady_clock::now();
+  int64_t accepted = 0;
+  const int64_t drained =
+      ring_.Drain([this, &accepted](const double* run, size_t n) {
+        // The backend reports what it accepts (it drops corrupt
+        // telemetry): TotalAdded must reconcile with snapshot
+        // window/inflight counts.
+        const int64_t took = backend_->AddDense(run, n);
+        accepted += took;
+        total_added_.fetch_add(took, std::memory_order_relaxed);
+        // Refresh the backend-side inflight from inside the sink — Drain
+        // only decrements the ring's pending count after the last run, so
+        // a concurrent InflightCount() poll transiently double-counts
+        // drained values instead of seeing them vanish from both counters.
+        backend_inflight_.store(backend_->InflightCount(),
+                                std::memory_order_relaxed);
+      });
+  if (introspection_ != nullptr && drained > 0) {
+    const std::chrono::duration<double, std::micro> elapsed =
+        std::chrono::steady_clock::now() - start;
+    introspection_->OnDrain(drained, accepted, pending_before);
+    introspection_->RecordStage(Stage::kIngestDrain, elapsed.count());
   }
-#endif
-  return ring_.Drain([this](const double* run, size_t n) {
-    // The backend reports what it accepts (it drops corrupt telemetry):
-    // TotalAdded must reconcile with snapshot window/inflight counts.
-    total_added_.fetch_add(backend_->AddDense(run, n),
-                           std::memory_order_relaxed);
-    // Refresh the backend-side inflight from inside the sink — Drain only
-    // decrements the ring's pending count after the last run, so a
-    // concurrent InflightCount() poll transiently double-counts drained
-    // values instead of seeing them vanish from both counters.
-    backend_inflight_.store(backend_->InflightCount(),
-                            std::memory_order_relaxed);
-  });
+  return drained;
 }
 
 void Shard::PublishPreQuantizedStrided(const double* values, size_t count,
@@ -131,9 +124,7 @@ void Shard::PublishPreQuantizedStrided(const double* values, size_t count,
     // path — it only fires when writers outrun the drain rate). A drain
     // that moves nothing means the slot at tail was claimed by a stalled
     // writer; yield until it publishes.
-#if QLOVE_INTROSPECTION_ENABLED
     if (introspection_ != nullptr) introspection_->OnRingFullStall();
-#endif
     int64_t drained;
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -145,9 +136,7 @@ void Shard::PublishPreQuantizedStrided(const double* values, size_t count,
   // water volunteers a drain, but never waits for the lock — if someone
   // else is already draining (or snapshotting), the ring keeps absorbing.
   if (ring_.AboveHighWater() && mu_.try_lock()) {
-#if QLOVE_INTROSPECTION_ENABLED
     if (introspection_ != nullptr) introspection_->OnHighWaterDrain();
-#endif
     DrainLocked();
     mu_.unlock();
   }

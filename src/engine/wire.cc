@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
@@ -15,495 +14,9 @@
 namespace qlove {
 namespace engine {
 
-namespace {
-
 // ---------------------------------------------------------------------------
-// Encoding primitives: little-endian fixed width, pointer-bumped into a
-// caller-sized buffer (EncodedSnapshotSize computes the exact byte count
-// up front, so encoding never grows or reallocates mid-write).
-// ---------------------------------------------------------------------------
-
-class Writer {
- public:
-  explicit Writer(uint8_t* out) : p_(out) {}
-
-  void U8(uint8_t v) { *p_++ = v; }
-  void U16(uint16_t v) {
-    *p_++ = static_cast<uint8_t>(v);
-    *p_++ = static_cast<uint8_t>(v >> 8);
-  }
-  void U32(uint32_t v) {
-    for (int shift = 0; shift < 32; shift += 8) {
-      *p_++ = static_cast<uint8_t>(v >> shift);
-    }
-  }
-  void U64(uint64_t v) {
-    for (int shift = 0; shift < 64; shift += 8) {
-      *p_++ = static_cast<uint8_t>(v >> shift);
-    }
-  }
-  void I32(int32_t v) { U32(static_cast<uint32_t>(v)); }
-  void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
-  void F64(double v) {
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    U64(bits);
-  }
-  void Bool(bool v) { U8(v ? 1 : 0); }
-  void Str(std::string_view s) {
-    U32(static_cast<uint32_t>(s.size()));
-    std::memcpy(p_, s.data(), s.size());
-    p_ += s.size();
-  }
-
-  const uint8_t* pos() const { return p_; }
-
- private:
-  uint8_t* p_;
-};
-
-// ---------------------------------------------------------------------------
-// Exact sizes, mirroring the encoder field for field. A divergence between
-// a *Size function and its Encode* twin trips the end-of-buffer assertion
-// in EncodeSnapshot (and the round-trip tests compare both overloads'
-// bytes).
-// ---------------------------------------------------------------------------
-
-size_t StrSize(std::string_view s) { return 4 + s.size(); }
-
-size_t KeySize(const MetricKey& key) {
-  size_t n = StrSize(key.name()) + 4;
-  for (size_t i = 0; i < key.tag_count(); ++i) {
-    MetricKey::TagView tag = key.tag(i);
-    n += StrSize(tag.name) + StrSize(tag.value);
-  }
-  return n;
-}
-
-size_t OptionsSize(const MetricOptions& options) {
-  // Fixed scalar block (window + backend + qlove knobs) + the phi grid:
-  // 2x i64 window, u32 phi count, u8 kind, f64 epsilon, i32 digits,
-  // 2x bool, 5x f64, 2x i64.
-  return 8 + 8 + 4 + 8 * options.phis.size() + 1 + 8 + 4 + 1 + 8 + 8 + 8 +
-         8 + 8 + 8 + 1 + 8;
-}
-
-size_t SummarySize(const BackendSummary& summary) {
-  // kind + count + inflight + burst + rank_error + semantics.
-  size_t n = 1 + 8 + 8 + 1 + 8 + 1;
-  if (summary.kind == BackendKind::kQlove) {
-    n += 4;
-    for (const core::SubWindowSummary& sub : summary.subwindows) {
-      n += 8 + 8 + 1 + 4 + 8 * sub.quantiles.size() + 4;
-      for (const core::TailCapture& tail : sub.tails) {
-        n += 4 + 16 * tail.topk.size() + 4 + 8 * tail.samples.size();
-      }
-    }
-  } else {
-    n += 4 + 16 * summary.entries.size();
-  }
-  return n;
-}
-
-// ---------------------------------------------------------------------------
-// Decoding primitives: every read is bounds-checked against the buffer;
-// every count is checked against the bytes that could possibly back it
-// before any allocation happens.
-// ---------------------------------------------------------------------------
-
-class Reader {
- public:
-  Reader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
-
-  size_t remaining() const { return size_ - pos_; }
-  size_t pos() const { return pos_; }
-
-  Status U8(uint8_t* out) {
-    QLOVE_RETURN_NOT_OK(Need(1));
-    *out = data_[pos_++];
-    return Status::OK();
-  }
-  Status U16(uint16_t* out) {
-    QLOVE_RETURN_NOT_OK(Need(2));
-    *out = static_cast<uint16_t>(data_[pos_] |
-                                 (static_cast<uint16_t>(data_[pos_ + 1]) << 8));
-    pos_ += 2;
-    return Status::OK();
-  }
-  Status U32(uint32_t* out) {
-    QLOVE_RETURN_NOT_OK(Need(4));
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(data_[pos_ + static_cast<size_t>(i)])
-           << (8 * i);
-    }
-    pos_ += 4;
-    *out = v;
-    return Status::OK();
-  }
-  Status U64(uint64_t* out) {
-    QLOVE_RETURN_NOT_OK(Need(8));
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(data_[pos_ + static_cast<size_t>(i)])
-           << (8 * i);
-    }
-    pos_ += 8;
-    *out = v;
-    return Status::OK();
-  }
-  Status I32(int32_t* out) {
-    uint32_t bits;
-    QLOVE_RETURN_NOT_OK(U32(&bits));
-    *out = static_cast<int32_t>(bits);
-    return Status::OK();
-  }
-  Status I64(int64_t* out) {
-    uint64_t bits;
-    QLOVE_RETURN_NOT_OK(U64(&bits));
-    *out = static_cast<int64_t>(bits);
-    return Status::OK();
-  }
-  /// A count that must be >= 0 after decoding (populations, weights).
-  Status NonNegI64(int64_t* out, const char* what) {
-    QLOVE_RETURN_NOT_OK(I64(out));
-    if (*out < 0) {
-      return Status::InvalidArgument(std::string("wire: negative ") + what);
-    }
-    return Status::OK();
-  }
-  Status F64(double* out) {
-    uint64_t bits;
-    QLOVE_RETURN_NOT_OK(U64(&bits));
-    std::memcpy(out, &bits, sizeof(*out));
-    return Status::OK();
-  }
-  /// Strict boolean: only 0/1 decode, so a corrupt byte cannot survive a
-  /// decode-re-encode normalization unnoticed.
-  Status Bool(bool* out) {
-    uint8_t v;
-    QLOVE_RETURN_NOT_OK(U8(&v));
-    if (v > 1) return Status::InvalidArgument("wire: boolean byte not 0/1");
-    *out = v == 1;
-    return Status::OK();
-  }
-  Status Str(std::string* out) {
-    uint32_t n;
-    QLOVE_RETURN_NOT_OK(Length(&n, 1, "string"));
-    out->assign(reinterpret_cast<const char*>(data_ + pos_), n);
-    pos_ += n;
-    return Status::OK();
-  }
-  /// Reads a u32 element count and verifies the remaining buffer could hold
-  /// \p min_element_bytes per element BEFORE the caller allocates: a
-  /// hostile count fails here, not in a multi-GB reserve.
-  Status Length(uint32_t* out, size_t min_element_bytes, const char* what) {
-    QLOVE_RETURN_NOT_OK(U32(out));
-    if (static_cast<size_t>(*out) * min_element_bytes > remaining()) {
-      return Status::InvalidArgument(
-          std::string("wire: truncated buffer (") + what + " count " +
-          std::to_string(*out) + " exceeds remaining bytes)");
-    }
-    return Status::OK();
-  }
-
- private:
-  Status Need(size_t n) {
-    if (remaining() < n) {
-      return Status::InvalidArgument(
-          "wire: truncated buffer at offset " + std::to_string(pos_));
-    }
-    return Status::OK();
-  }
-
-  const uint8_t* data_;
-  size_t size_;
-  size_t pos_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-// Per-struct encode/decode, always in the same field order (the format IS
-// this order; any change is a version bump).
-// ---------------------------------------------------------------------------
-
-void EncodeOptions(const MetricOptions& options, Writer* w) {
-  w->I64(options.shard_window.size);
-  w->I64(options.shard_window.period);
-  w->U32(static_cast<uint32_t>(options.phis.size()));
-  for (double phi : options.phis) w->F64(phi);
-  const BackendOptions& backend = options.backend;
-  w->U8(static_cast<uint8_t>(backend.kind));
-  w->F64(backend.epsilon);
-  const core::QloveOptions& q = backend.qlove;
-  w->I32(q.quantizer_digits);
-  w->Bool(q.enable_fewk);
-  w->F64(q.high_quantile_threshold);
-  w->F64(q.fewk.topk_fraction);
-  w->F64(q.fewk.samplek_fraction);
-  w->I64(q.fewk.ts);
-  w->F64(q.burst_significance);
-  w->F64(q.burst_min_superiority);
-  w->Bool(q.enable_error_bounds);
-  w->I64(q.density_reservoir_capacity);
-}
-
-Status DecodeKind(Reader* r, BackendKind* kind) {
-  uint8_t raw;
-  QLOVE_RETURN_NOT_OK(r->U8(&raw));
-  if (raw > static_cast<uint8_t>(BackendKind::kExact)) {
-    return Status::InvalidArgument("wire: unknown backend kind " +
-                                   std::to_string(raw));
-  }
-  *kind = static_cast<BackendKind>(raw);
-  return Status::OK();
-}
-
-Status DecodeOptions(Reader* r, MetricOptions* options) {
-  QLOVE_RETURN_NOT_OK(r->I64(&options->shard_window.size));
-  QLOVE_RETURN_NOT_OK(r->I64(&options->shard_window.period));
-  uint32_t num_phis;
-  QLOVE_RETURN_NOT_OK(r->Length(&num_phis, 8, "phi grid"));
-  options->phis.resize(num_phis);
-  for (double& phi : options->phis) QLOVE_RETURN_NOT_OK(r->F64(&phi));
-  BackendOptions& backend = options->backend;
-  QLOVE_RETURN_NOT_OK(DecodeKind(r, &backend.kind));
-  QLOVE_RETURN_NOT_OK(r->F64(&backend.epsilon));
-  core::QloveOptions& q = backend.qlove;
-  QLOVE_RETURN_NOT_OK(r->I32(&q.quantizer_digits));
-  QLOVE_RETURN_NOT_OK(r->Bool(&q.enable_fewk));
-  QLOVE_RETURN_NOT_OK(r->F64(&q.high_quantile_threshold));
-  QLOVE_RETURN_NOT_OK(r->F64(&q.fewk.topk_fraction));
-  QLOVE_RETURN_NOT_OK(r->F64(&q.fewk.samplek_fraction));
-  QLOVE_RETURN_NOT_OK(r->I64(&q.fewk.ts));
-  QLOVE_RETURN_NOT_OK(r->F64(&q.burst_significance));
-  QLOVE_RETURN_NOT_OK(r->F64(&q.burst_min_superiority));
-  QLOVE_RETURN_NOT_OK(r->Bool(&q.enable_error_bounds));
-  QLOVE_RETURN_NOT_OK(r->I64(&q.density_reservoir_capacity));
-  return Status::OK();
-}
-
-void EncodeSummary(const BackendSummary& summary, Writer* w) {
-  w->U8(static_cast<uint8_t>(summary.kind));
-  w->I64(summary.count);
-  w->I64(summary.inflight);
-  w->Bool(summary.burst_active);
-  w->F64(summary.rank_error);
-  w->U8(static_cast<uint8_t>(summary.semantics));
-  if (summary.kind == BackendKind::kQlove) {
-    w->U32(static_cast<uint32_t>(summary.subwindows.size()));
-    for (const core::SubWindowSummary& sub : summary.subwindows) {
-      w->I64(sub.count);
-      w->I64(sub.epoch);
-      w->Bool(sub.bursty);
-      w->U32(static_cast<uint32_t>(sub.quantiles.size()));
-      for (double quantile : sub.quantiles) w->F64(quantile);
-      w->U32(static_cast<uint32_t>(sub.tails.size()));
-      for (const core::TailCapture& tail : sub.tails) {
-        w->U32(static_cast<uint32_t>(tail.topk.size()));
-        for (const auto& [value, count] : tail.topk) {
-          w->F64(value);
-          w->I64(count);
-        }
-        w->U32(static_cast<uint32_t>(tail.samples.size()));
-        for (double sample : tail.samples) w->F64(sample);
-      }
-    }
-  } else {
-    w->U32(static_cast<uint32_t>(summary.entries.size()));
-    for (const auto& [value, weight] : summary.entries) {
-      w->F64(value);
-      w->I64(weight);
-    }
-  }
-}
-
-Status DecodeSummary(Reader* r, BackendSummary* summary) {
-  QLOVE_RETURN_NOT_OK(DecodeKind(r, &summary->kind));
-  QLOVE_RETURN_NOT_OK(r->NonNegI64(&summary->count, "summary count"));
-  QLOVE_RETURN_NOT_OK(r->NonNegI64(&summary->inflight, "inflight count"));
-  QLOVE_RETURN_NOT_OK(r->Bool(&summary->burst_active));
-  QLOVE_RETURN_NOT_OK(r->F64(&summary->rank_error));
-  uint8_t semantics;
-  QLOVE_RETURN_NOT_OK(r->U8(&semantics));
-  if (semantics > static_cast<uint8_t>(sketch::RankSemantics::kInterpolated)) {
-    return Status::InvalidArgument("wire: unknown rank semantics " +
-                                   std::to_string(semantics));
-  }
-  summary->semantics = static_cast<sketch::RankSemantics>(semantics);
-  if (summary->kind == BackendKind::kQlove) {
-    // Minimum sub-window wire size: count + epoch + bursty + two counts.
-    uint32_t num_sub;
-    QLOVE_RETURN_NOT_OK(r->Length(&num_sub, 8 + 8 + 1 + 4 + 4, "sub-window"));
-    summary->subwindows.resize(num_sub);
-    for (core::SubWindowSummary& sub : summary->subwindows) {
-      QLOVE_RETURN_NOT_OK(r->NonNegI64(&sub.count, "sub-window count"));
-      QLOVE_RETURN_NOT_OK(r->NonNegI64(&sub.epoch, "sub-window epoch"));
-      QLOVE_RETURN_NOT_OK(r->Bool(&sub.bursty));
-      uint32_t num_quantiles;
-      QLOVE_RETURN_NOT_OK(r->Length(&num_quantiles, 8, "quantile"));
-      sub.quantiles.resize(num_quantiles);
-      for (double& quantile : sub.quantiles) {
-        QLOVE_RETURN_NOT_OK(r->F64(&quantile));
-      }
-      uint32_t num_tails;
-      QLOVE_RETURN_NOT_OK(r->Length(&num_tails, 4 + 4, "tail capture"));
-      sub.tails.resize(num_tails);
-      for (core::TailCapture& tail : sub.tails) {
-        uint32_t num_topk;
-        QLOVE_RETURN_NOT_OK(r->Length(&num_topk, 16, "top-k entry"));
-        tail.topk.resize(num_topk);
-        for (auto& [value, count] : tail.topk) {
-          QLOVE_RETURN_NOT_OK(r->F64(&value));
-          QLOVE_RETURN_NOT_OK(r->NonNegI64(&count, "top-k multiplicity"));
-        }
-        uint32_t num_samples;
-        QLOVE_RETURN_NOT_OK(r->Length(&num_samples, 8, "tail sample"));
-        tail.samples.resize(num_samples);
-        for (double& sample : tail.samples) {
-          QLOVE_RETURN_NOT_OK(r->F64(&sample));
-        }
-      }
-    }
-  } else {
-    uint32_t num_entries;
-    QLOVE_RETURN_NOT_OK(r->Length(&num_entries, 16, "weighted entry"));
-    summary->entries.resize(num_entries);
-    for (auto& [value, weight] : summary->entries) {
-      QLOVE_RETURN_NOT_OK(r->F64(&value));
-      QLOVE_RETURN_NOT_OK(r->NonNegI64(&weight, "entry weight"));
-    }
-  }
-  return Status::OK();
-}
-
-void EncodeKey(const MetricKey& key, Writer* w) {
-  w->Str(key.name());
-  w->U32(static_cast<uint32_t>(key.tag_count()));
-  for (size_t i = 0; i < key.tag_count(); ++i) {
-    MetricKey::TagView tag = key.tag(i);
-    w->Str(tag.name);
-    w->Str(tag.value);
-  }
-}
-
-Status DecodeKey(Reader* r, MetricKey* key) {
-  std::string name;
-  QLOVE_RETURN_NOT_OK(r->Str(&name));
-  uint32_t num_tags;
-  QLOVE_RETURN_NOT_OK(r->Length(&num_tags, 4 + 4, "tag"));
-  std::vector<MetricTag> tags(num_tags);
-  for (MetricTag& tag : tags) {
-    QLOVE_RETURN_NOT_OK(r->Str(&tag.first));
-    QLOVE_RETURN_NOT_OK(r->Str(&tag.second));
-  }
-  // MetricKey re-canonicalizes its tags. Encoded keys come from a
-  // MetricKey, so their tags arrive sorted and unique and survive a
-  // re-encode byte-identically; a corrupt buffer whose tags decode out of
-  // order is silently canonicalized, which is the safe direction. A buffer
-  // carrying a duplicate tag name, though, would be silently *collapsed*
-  // (last wins) — reject it so the re-encode invariant holds.
-  *key = MetricKey(std::move(name), std::move(tags));
-  if (key->tag_count() != num_tags) {
-    return Status::InvalidArgument("duplicate tag name in encoded key");
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-size_t EncodedSnapshotSize(const WireSnapshot& snapshot) {
-  size_t n = sizeof(kWireMagic) + 2 + StrSize(snapshot.source) + 8 + 4;
-  for (const WireMetricSummary& metric : snapshot.metrics) {
-    n += KeySize(metric.key) + OptionsSize(metric.options) + 4;
-    for (const BackendSummary& shard : metric.shards) {
-      n += SummarySize(shard);
-    }
-  }
-  return n;
-}
-
-void EncodeSnapshot(const WireSnapshot& snapshot, std::vector<uint8_t>* out) {
-  out->resize(EncodedSnapshotSize(snapshot));
-  Writer w(out->data());
-  for (uint8_t byte : kWireMagic) w.U8(byte);
-  w.U16(kWireVersion);
-  w.Str(snapshot.source);
-  w.I64(snapshot.epoch);
-  w.U32(static_cast<uint32_t>(snapshot.metrics.size()));
-  for (const WireMetricSummary& metric : snapshot.metrics) {
-    EncodeKey(metric.key, &w);
-    EncodeOptions(metric.options, &w);
-    w.U32(static_cast<uint32_t>(metric.shards.size()));
-    for (const BackendSummary& shard : metric.shards) {
-      EncodeSummary(shard, &w);
-    }
-  }
-  // The size walk and the encoder disagreeing would mean heap corruption;
-  // catch it loudly in checked builds.
-  assert(w.pos() == out->data() + out->size());
-  (void)w;
-}
-
-std::vector<uint8_t> EncodeSnapshot(const WireSnapshot& snapshot) {
-  std::vector<uint8_t> out;
-  EncodeSnapshot(snapshot, &out);
-  return out;
-}
-
-namespace {
-
-// The version-1 body: everything after magic + version.
-Status DecodeV1Body(Reader* r, WireSnapshot* snapshot) {
-  QLOVE_RETURN_NOT_OK(r->Str(&snapshot->source));
-  // Epochs are counters; a negative one is corruption, and letting it
-  // through would make the aggregator's fleet_epoch - epoch staleness
-  // arithmetic overflow on INT64_MIN.
-  QLOVE_RETURN_NOT_OK(r->NonNegI64(&snapshot->epoch, "snapshot epoch"));
-  uint32_t num_metrics;
-  // Minimum metric wire size: empty key (4+4) + options (the fixed scalar
-  // block alone is > 80 bytes) + shard count.
-  QLOVE_RETURN_NOT_OK(r->Length(&num_metrics, 4 + 4 + 80 + 4, "metric"));
-  snapshot->metrics.resize(num_metrics);
-  for (WireMetricSummary& metric : snapshot->metrics) {
-    QLOVE_RETURN_NOT_OK(DecodeKey(r, &metric.key));
-    QLOVE_RETURN_NOT_OK(DecodeOptions(r, &metric.options));
-    uint32_t num_shards;
-    // Minimum summary wire size: kind + counts + flags + payload count.
-    QLOVE_RETURN_NOT_OK(r->Length(&num_shards, 1 + 8 + 8 + 1 + 8 + 1 + 4,
-                                  "shard summary"));
-    metric.shards.resize(num_shards);
-    for (BackendSummary& shard : metric.shards) {
-      QLOVE_RETURN_NOT_OK(DecodeSummary(r, &shard));
-    }
-  }
-  if (r->remaining() != 0) {
-    return Status::InvalidArgument(
-        "wire: " + std::to_string(r->remaining()) +
-        " trailing bytes after snapshot");
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Result<WireSnapshot> DecodeSnapshot(const uint8_t* data, size_t size) {
-  auto frame = DecodeFrame(data, size);
-  if (!frame.ok()) return frame.status();
-  if (frame.ValueOrDie().is_delta) {
-    return Status::InvalidArgument(
-        "wire: delta frame (deltas apply against held state; use "
-        "DecodeFrame / AggregatorEngine::IngestFrame)");
-  }
-  return std::move(frame.ValueOrDie().snapshot);
-}
-
-Result<WireSnapshot> DecodeSnapshot(const std::vector<uint8_t>& buffer) {
-  return DecodeSnapshot(buffer.data(), buffer.size());
-}
-
-// ---------------------------------------------------------------------------
-// Version 2: varint/zigzag integers, tagged log-linear doubles, delta
-// frames. The encoder appends into a caller-owned vector (clear() keeps
+// Varint/zigzag integers, tagged log-linear doubles, delta frames. The
+// encoder appends into a caller-owned vector (clear() keeps
 // capacity, so a reused buffer stops allocating at steady state); the
 // decoder enforces minimal varints and strict tags so every decodable
 // value has exactly one byte form and encode(decode(x)) is byte-identical.
@@ -511,12 +24,12 @@ Result<WireSnapshot> DecodeSnapshot(const std::vector<uint8_t>& buffer) {
 
 namespace {
 
-constexpr int kV2ExpMin = -12;
-constexpr int kV2ExpMax = 13;
+constexpr int kExpMin = -12;
+constexpr int kExpMax = 13;
 
-// Exact double constants for 10^e, e in [kV2ExpMin, kV2ExpMax] — the same
-// span the quantizer's decade decomposition covers. Indexed by e - kV2ExpMin.
-constexpr double kV2Pow10[kV2ExpMax - kV2ExpMin + 1] = {
+// Exact double constants for 10^e, e in [kExpMin, kExpMax] — the same
+// span the quantizer's decade decomposition covers. Indexed by e - kExpMin.
+constexpr double kPow10[kExpMax - kExpMin + 1] = {
     1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4,
     1e-3,  1e-2,  1e-1,  1e0,  1e1,  1e2,  1e3,  1e4,  1e5,
     1e6,   1e7,   1e8,   1e9,  1e10, 1e11, 1e12, 1e13};
@@ -531,7 +44,7 @@ inline int64_t ZigzagDecode(uint64_t z) {
 }
 
 inline uint64_t BitsOf(double v) {
-  uint64_t bits;
+  uint64_t bits = 0;
   std::memcpy(&bits, &v, sizeof(bits));
   return bits;
 }
@@ -545,9 +58,9 @@ size_t VarUSize(uint64_t v) {
   return n;
 }
 
-class Writer2 {
+class Writer {
  public:
-  explicit Writer2(std::vector<uint8_t>* out) : out_(out) {}
+  explicit Writer(std::vector<uint8_t>* out) : out_(out) {}
 
   void U8(uint8_t v) { out_->push_back(v); }
   void U16(uint16_t v) {
@@ -582,12 +95,12 @@ class Writer2 {
 // header (top 2 bits free). Scans exponents high-to-low so the first match
 // has the smallest mantissa — both deterministic and cheapest.
 bool LogLinearDecompose(double v, int64_t* mantissa, int* exponent) {
-  for (int e = kV2ExpMax; e >= kV2ExpMin; --e) {
-    const double scaled = v / kV2Pow10[e - kV2ExpMin];
+  for (int e = kExpMax; e >= kExpMin; --e) {
+    const double scaled = v / kPow10[e - kExpMin];
     if (!(scaled > -9.2e18 && scaled < 9.2e18)) continue;  // llround UB guard
     const int64_t m = std::llround(scaled);
     if (ZigzagEncode(m) >> 62 != 0) continue;
-    if (BitsOf(static_cast<double>(m) * kV2Pow10[e - kV2ExpMin]) ==
+    if (BitsOf(static_cast<double>(m) * kPow10[e - kExpMin]) ==
         BitsOf(v)) {
       *mantissa = m;
       *exponent = e;
@@ -603,7 +116,7 @@ bool LogLinearDecompose(double v, int64_t* mantissa, int* exponent) {
 // cheapest valid tag wins, ties to the lower tag; everything is a pure
 // function of the double's bits, so re-encoding decoded values reproduces
 // the input bytes.
-void EncodeValue(double v, Writer2* w) {
+void EncodeValue(double v, Writer* w) {
   int best_tag = 2;
   size_t best_size = 9;
   int64_t integer = 0;
@@ -631,7 +144,7 @@ void EncodeValue(double v, Writer2* w) {
       break;
     case 1:
       w->VarU((ZigzagEncode(mantissa) << 2) | 1);
-      w->U8(static_cast<uint8_t>(exponent - kV2ExpMin));
+      w->U8(static_cast<uint8_t>(exponent - kExpMin));
       break;
     default:
       w->VarU(2);
@@ -640,61 +153,36 @@ void EncodeValue(double v, Writer2* w) {
   }
 }
 
-class Reader2 {
+class Reader {
  public:
-  Reader2(const uint8_t* data, size_t size, size_t pos)
-      : data_(data), size_(size), pos_(pos) {}
+  Reader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
 
   size_t remaining() const { return size_ - pos_; }
 
   Status U8(uint8_t* out) {
-    if (remaining() < 1) return Truncated();
+    if (remaining() < 1) return Fail(kTruncated);
     *out = data_[pos_++];
     return Status::OK();
   }
-  Status Raw64(uint64_t* out) {
-    if (remaining() < 8) return Truncated();
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(data_[pos_ + static_cast<size_t>(i)])
-           << (8 * i);
-    }
-    pos_ += 8;
-    *out = v;
+  Status U16(uint16_t* out) {
+    uint8_t lo = 0;
+    uint8_t hi = 0;
+    QLOVE_RETURN_NOT_OK(U8(&lo));
+    QLOVE_RETURN_NOT_OK(U8(&hi));
+    *out = static_cast<uint16_t>(lo | (hi << 8));
     return Status::OK();
   }
-  Status VarU(uint64_t* out) {
-    uint64_t v = 0;
-    const size_t start = pos_;
-    for (int shift = 0; shift < 64; shift += 7) {
-      if (pos_ >= size_) return Truncated();
-      const uint8_t byte = data_[pos_++];
-      const uint64_t payload = byte & 0x7F;
-      if (shift == 63 && payload > 1) {
-        return Status::InvalidArgument("wire: varint overflows 64 bits");
-      }
-      v |= payload << shift;
-      if ((byte & 0x80) == 0) {
-        // Minimal-encoding rule: a multi-byte varint may not end in an
-        // all-zero byte, so every value has exactly one encoding.
-        if (payload == 0 && pos_ - start > 1) {
-          return Status::InvalidArgument("wire: non-minimal varint");
-        }
-        *out = v;
-        return Status::OK();
-      }
-    }
-    return Status::InvalidArgument("wire: varint longer than 10 bytes");
-  }
+  Status Raw64(uint64_t* out) { return Check(ReadRaw64(out)); }
+  Status VarU(uint64_t* out) { return Check(ReadVarU(out)); }
   Status VarI(int64_t* out) {
-    uint64_t z;
+    uint64_t z = 0;
     QLOVE_RETURN_NOT_OK(VarU(&z));
     *out = ZigzagDecode(z);
     return Status::OK();
   }
   /// Unsigned varint that must fit a non-negative int64 (counts, epochs).
   Status NonNegVar(int64_t* out, const char* what) {
-    uint64_t v;
+    uint64_t v = 0;
     QLOVE_RETURN_NOT_OK(VarU(&v));
     if (v > static_cast<uint64_t>(INT64_MAX)) {
       return Status::InvalidArgument(std::string("wire: ") + what +
@@ -704,7 +192,8 @@ class Reader2 {
     return Status::OK();
   }
   /// Element count checked against the bytes that could possibly back it
-  /// BEFORE the caller allocates — the v2 twin of Reader::Length.
+  /// BEFORE the caller allocates: a hostile count fails here, not in a
+  /// multi-GB reserve.
   Status VarCount(uint64_t* out, size_t min_element_bytes, const char* what) {
     QLOVE_RETURN_NOT_OK(VarU(out));
     if (min_element_bytes > 0 && *out > remaining() / min_element_bytes) {
@@ -715,57 +204,107 @@ class Reader2 {
     return Status::OK();
   }
   Status Bool(bool* out) {
-    uint8_t v;
+    uint8_t v = 0;
     QLOVE_RETURN_NOT_OK(U8(&v));
     if (v > 1) return Status::InvalidArgument("wire: boolean byte not 0/1");
     *out = v == 1;
     return Status::OK();
   }
   Status Str(std::string* out) {
-    uint64_t n;
+    uint64_t n = 0;
     QLOVE_RETURN_NOT_OK(VarCount(&n, 1, "string"));
     out->assign(reinterpret_cast<const char*>(data_ + pos_),
                 static_cast<size_t>(n));
     pos_ += static_cast<size_t>(n);
     return Status::OK();
   }
-  Status Value(double* out) {
-    uint64_t header;
-    QLOVE_RETURN_NOT_OK(VarU(&header));
-    switch (header & 3) {
-      case 0:
-        *out = static_cast<double>(ZigzagDecode(header >> 2));
-        return Status::OK();
-      case 1: {
-        uint8_t biased;
-        QLOVE_RETURN_NOT_OK(U8(&biased));
-        if (biased > kV2ExpMax - kV2ExpMin) {
-          return Status::InvalidArgument("wire: value exponent out of range");
-        }
-        // The exact expression the encoder verified bit-equality against.
-        *out = static_cast<double>(ZigzagDecode(header >> 2)) *
-               kV2Pow10[biased];
-        return Status::OK();
-      }
-      case 2: {
-        if (header != 2) {
-          return Status::InvalidArgument("wire: raw value header has "
-                                         "payload bits");
-        }
-        uint64_t bits;
-        QLOVE_RETURN_NOT_OK(Raw64(&bits));
-        std::memcpy(out, &bits, sizeof(*out));
-        return Status::OK();
-      }
-      default:
-        return Status::InvalidArgument("wire: unknown value tag 3");
+  Status Value(double* out) { return Check(ReadValue(out)); }
+  /// Decodes \p n consecutive values (a quantile grid, a tail's samples):
+  /// the bulk of every frame, so the per-value path builds no Status.
+  Status Values(double* out, size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      if (const char* fault = ReadValue(&out[i])) return Fail(fault);
     }
+    return Status::OK();
   }
 
  private:
-  Status Truncated() const {
-    return Status::InvalidArgument("wire: truncated buffer at offset " +
-                                   std::to_string(pos_));
+  // The hot primitives return nullptr on success, or a static description
+  // of the malformation that Check/Fail turn into a Status — only failures
+  // pay for one.
+  static constexpr const char* kTruncated = "wire: truncated buffer";
+
+  const char* ReadRaw64(uint64_t* out) {
+    if (remaining() < 8) return kTruncated;
+    uint64_t v = 0;
+    for (int i = 0; i < 8; ++i) {
+      v |= static_cast<uint64_t>(data_[pos_ + static_cast<size_t>(i)])
+           << (8 * i);
+    }
+    pos_ += 8;
+    *out = v;
+    return nullptr;
+  }
+  const char* ReadVarU(uint64_t* out) {
+    uint64_t v = 0;
+    const size_t start = pos_;
+    for (int shift = 0; shift < 64; shift += 7) {
+      if (pos_ >= size_) return kTruncated;
+      const uint8_t byte = data_[pos_++];
+      const uint64_t payload = byte & 0x7F;
+      if (shift == 63 && payload > 1) return "wire: varint overflows 64 bits";
+      v |= payload << shift;
+      if ((byte & 0x80) == 0) {
+        // Minimal-encoding rule: a multi-byte varint may not end in an
+        // all-zero byte, so every value has exactly one encoding.
+        if (payload == 0 && pos_ - start > 1) {
+          return "wire: non-minimal varint";
+        }
+        *out = v;
+        return nullptr;
+      }
+    }
+    return "wire: varint longer than 10 bytes";
+  }
+  const char* ReadValue(double* out) {
+    uint64_t header = 0;
+    if (const char* fault = ReadVarU(&header)) return fault;
+    switch (header & 3) {
+      case 0:
+        *out = static_cast<double>(ZigzagDecode(header >> 2));
+        return nullptr;
+      case 1: {
+        if (remaining() < 1) return kTruncated;
+        const uint8_t biased = data_[pos_++];
+        if (biased > kExpMax - kExpMin) {
+          return "wire: value exponent out of range";
+        }
+        // The exact expression the encoder verified bit-equality against.
+        *out = static_cast<double>(ZigzagDecode(header >> 2)) *
+               kPow10[biased];
+        return nullptr;
+      }
+      case 2: {
+        if (header != 2) return "wire: raw value header has payload bits";
+        uint64_t bits = 0;
+        if (const char* fault = ReadRaw64(&bits)) return fault;
+        std::memcpy(out, &bits, sizeof(*out));
+        return nullptr;
+      }
+      default:
+        return "wire: unknown value tag 3";
+    }
+  }
+
+  Status Check(const char* fault) const {
+    return fault == nullptr ? Status::OK() : Fail(fault);
+  }
+  Status Fail(const char* fault) const {
+    if (fault == kTruncated) {
+      return Status::InvalidArgument(std::string(kTruncated) +
+                                     " at offset " + std::to_string(pos_));
+    }
+    return Status::InvalidArgument(fault);
   }
 
   const uint8_t* data_;
@@ -773,7 +312,7 @@ class Reader2 {
   size_t pos_ = 0;
 };
 
-void EncodeKeyV2(const MetricKey& key, Writer2* w) {
+void EncodeKey(const MetricKey& key, Writer* w) {
   w->Str(key.name());
   w->VarU(key.tag_count());
   for (size_t i = 0; i < key.tag_count(); ++i) {
@@ -783,27 +322,32 @@ void EncodeKeyV2(const MetricKey& key, Writer2* w) {
   }
 }
 
-Status DecodeKeyV2(Reader2* r, MetricKey* key) {
+Status DecodeKey(Reader* r, MetricKey* key) {
   std::string name;
   QLOVE_RETURN_NOT_OK(r->Str(&name));
-  uint64_t num_tags;
+  uint64_t num_tags = 0;
   QLOVE_RETURN_NOT_OK(r->VarCount(&num_tags, 2, "tag"));
   std::vector<MetricTag> tags(num_tags);
   for (MetricTag& tag : tags) {
     QLOVE_RETURN_NOT_OK(r->Str(&tag.first));
     QLOVE_RETURN_NOT_OK(r->Str(&tag.second));
   }
+  // MetricKey re-canonicalizes its tags. Encoded keys come from a
+  // MetricKey, so their tags arrive sorted and unique and survive a
+  // re-encode byte-identically; a corrupt buffer whose tags decode out of
+  // order is silently canonicalized, which is the safe direction. A
+  // duplicate tag name, though, would be silently *collapsed* (last wins)
+  // — reject it so the re-encode invariant holds.
   *key = MetricKey(std::move(name), std::move(tags));
-  // See DecodeKey: duplicate tag names would collapse (last wins) and break
-  // the re-encode invariant; reject them.
   if (key->tag_count() != num_tags) {
     return Status::InvalidArgument("duplicate tag name in encoded key");
   }
   return Status::OK();
 }
 
-// Same field order as v1's EncodeOptions, re-typed for the compact coders.
-void EncodeOptionsV2(const MetricOptions& options, Writer2* w) {
+// Window, phi grid, backend kind and knobs, always in this order (the
+// format IS this order; any change is a version bump).
+void EncodeOptions(const MetricOptions& options, Writer* w) {
   w->VarI(options.shard_window.size);
   w->VarI(options.shard_window.period);
   w->VarU(options.phis.size());
@@ -824,8 +368,8 @@ void EncodeOptionsV2(const MetricOptions& options, Writer2* w) {
   w->VarI(q.density_reservoir_capacity);
 }
 
-Status DecodeKindV2(Reader2* r, BackendKind* kind) {
-  uint8_t raw;
+Status DecodeKind(Reader* r, BackendKind* kind) {
+  uint8_t raw = 0;
   QLOVE_RETURN_NOT_OK(r->U8(&raw));
   if (raw > static_cast<uint8_t>(BackendKind::kExact)) {
     return Status::InvalidArgument("wire: unknown backend kind " +
@@ -835,18 +379,18 @@ Status DecodeKindV2(Reader2* r, BackendKind* kind) {
   return Status::OK();
 }
 
-Status DecodeOptionsV2(Reader2* r, MetricOptions* options) {
+Status DecodeOptions(Reader* r, MetricOptions* options) {
   QLOVE_RETURN_NOT_OK(r->VarI(&options->shard_window.size));
   QLOVE_RETURN_NOT_OK(r->VarI(&options->shard_window.period));
-  uint64_t num_phis;
+  uint64_t num_phis = 0;
   QLOVE_RETURN_NOT_OK(r->VarCount(&num_phis, 1, "phi grid"));
   options->phis.resize(num_phis);
-  for (double& phi : options->phis) QLOVE_RETURN_NOT_OK(r->Value(&phi));
+  QLOVE_RETURN_NOT_OK(r->Values(options->phis.data(), options->phis.size()));
   BackendOptions& backend = options->backend;
-  QLOVE_RETURN_NOT_OK(DecodeKindV2(r, &backend.kind));
+  QLOVE_RETURN_NOT_OK(DecodeKind(r, &backend.kind));
   QLOVE_RETURN_NOT_OK(r->Value(&backend.epsilon));
   core::QloveOptions& q = backend.qlove;
-  int64_t digits;
+  int64_t digits = 0;
   QLOVE_RETURN_NOT_OK(r->VarI(&digits));
   if (digits < INT32_MIN || digits > INT32_MAX) {
     return Status::InvalidArgument("wire: quantizer digits overflow int32");
@@ -867,8 +411,8 @@ Status DecodeOptionsV2(Reader2* r, MetricOptions* options) {
 // Sub-windows chain their epochs: the first is absolute, the rest are
 // non-negative deltas (epochs are non-decreasing by construction — the
 // operator stamps them from a monotone boundary counter).
-void EncodeSubWindowV2(const core::SubWindowSummary& sub, bool first,
-                       int64_t prev_epoch, Writer2* w) {
+void EncodeSubWindow(const core::SubWindowSummary& sub, bool first,
+                       int64_t prev_epoch, Writer* w) {
   w->VarU(static_cast<uint64_t>(sub.count));
   w->VarU(static_cast<uint64_t>(first ? sub.epoch : sub.epoch - prev_epoch));
   w->Bool(sub.bursty);
@@ -886,19 +430,19 @@ void EncodeSubWindowV2(const core::SubWindowSummary& sub, bool first,
   }
 }
 
-// Minimum encoded bytes per element under v2 (for VarCount pre-checks):
+// Minimum encoded bytes per element (for VarCount pre-checks):
 // every varint/Value is at least 1 byte.
-constexpr size_t kV2MinSubWindowBytes = 5;   // count+epoch+bursty+2 counts
-constexpr size_t kV2MinSummaryBytes = 7;     // kind..semantics+payload count
-constexpr size_t kV2MinMetricBytes = 16;     // key(2)+options(13)+shards(1)
+constexpr size_t kMinSubWindowBytes = 5;   // count+epoch+bursty+2 counts
+constexpr size_t kMinSummaryBytes = 7;     // kind..semantics+payload count
+constexpr size_t kMinMetricBytes = 16;     // key(2)+options(13)+shards(1)
 
-Status DecodeSubWindowV2(Reader2* r, bool first, int64_t prev_epoch,
+Status DecodeSubWindow(Reader* r, bool first, int64_t prev_epoch,
                          core::SubWindowSummary* sub) {
   QLOVE_RETURN_NOT_OK(r->NonNegVar(&sub->count, "sub-window count"));
   if (first) {
     QLOVE_RETURN_NOT_OK(r->NonNegVar(&sub->epoch, "sub-window epoch"));
   } else {
-    uint64_t delta;
+    uint64_t delta = 0;
     QLOVE_RETURN_NOT_OK(r->VarU(&delta));
     if (delta > static_cast<uint64_t>(INT64_MAX - prev_epoch)) {
       return Status::InvalidArgument("wire: sub-window epoch overflows");
@@ -906,34 +450,30 @@ Status DecodeSubWindowV2(Reader2* r, bool first, int64_t prev_epoch,
     sub->epoch = prev_epoch + static_cast<int64_t>(delta);
   }
   QLOVE_RETURN_NOT_OK(r->Bool(&sub->bursty));
-  uint64_t num_quantiles;
+  uint64_t num_quantiles = 0;
   QLOVE_RETURN_NOT_OK(r->VarCount(&num_quantiles, 1, "quantile"));
   sub->quantiles.resize(num_quantiles);
-  for (double& quantile : sub->quantiles) {
-    QLOVE_RETURN_NOT_OK(r->Value(&quantile));
-  }
-  uint64_t num_tails;
+  QLOVE_RETURN_NOT_OK(r->Values(sub->quantiles.data(), sub->quantiles.size()));
+  uint64_t num_tails = 0;
   QLOVE_RETURN_NOT_OK(r->VarCount(&num_tails, 2, "tail capture"));
   sub->tails.resize(num_tails);
   for (core::TailCapture& tail : sub->tails) {
-    uint64_t num_topk;
+    uint64_t num_topk = 0;
     QLOVE_RETURN_NOT_OK(r->VarCount(&num_topk, 2, "top-k entry"));
     tail.topk.resize(num_topk);
     for (auto& [value, count] : tail.topk) {
       QLOVE_RETURN_NOT_OK(r->Value(&value));
       QLOVE_RETURN_NOT_OK(r->NonNegVar(&count, "top-k multiplicity"));
     }
-    uint64_t num_samples;
+    uint64_t num_samples = 0;
     QLOVE_RETURN_NOT_OK(r->VarCount(&num_samples, 1, "tail sample"));
     tail.samples.resize(num_samples);
-    for (double& sample : tail.samples) {
-      QLOVE_RETURN_NOT_OK(r->Value(&sample));
-    }
+    QLOVE_RETURN_NOT_OK(r->Values(tail.samples.data(), tail.samples.size()));
   }
   return Status::OK();
 }
 
-void EncodeSummaryV2(const BackendSummary& summary, Writer2* w) {
+void EncodeSummary(const BackendSummary& summary, Writer* w) {
   w->U8(static_cast<uint8_t>(summary.kind));
   w->VarU(static_cast<uint64_t>(summary.count));
   w->VarU(static_cast<uint64_t>(summary.inflight));
@@ -945,7 +485,7 @@ void EncodeSummaryV2(const BackendSummary& summary, Writer2* w) {
     int64_t prev_epoch = 0;
     bool first = true;
     for (const core::SubWindowSummary& sub : summary.subwindows) {
-      EncodeSubWindowV2(sub, first, prev_epoch, w);
+      EncodeSubWindow(sub, first, prev_epoch, w);
       prev_epoch = sub.epoch;
       first = false;
     }
@@ -958,13 +498,13 @@ void EncodeSummaryV2(const BackendSummary& summary, Writer2* w) {
   }
 }
 
-Status DecodeSummaryV2(Reader2* r, BackendSummary* summary) {
-  QLOVE_RETURN_NOT_OK(DecodeKindV2(r, &summary->kind));
+Status DecodeSummary(Reader* r, BackendSummary* summary) {
+  QLOVE_RETURN_NOT_OK(DecodeKind(r, &summary->kind));
   QLOVE_RETURN_NOT_OK(r->NonNegVar(&summary->count, "summary count"));
   QLOVE_RETURN_NOT_OK(r->NonNegVar(&summary->inflight, "inflight count"));
   QLOVE_RETURN_NOT_OK(r->Bool(&summary->burst_active));
   QLOVE_RETURN_NOT_OK(r->Value(&summary->rank_error));
-  uint8_t semantics;
+  uint8_t semantics = 0;
   QLOVE_RETURN_NOT_OK(r->U8(&semantics));
   if (semantics > static_cast<uint8_t>(sketch::RankSemantics::kInterpolated)) {
     return Status::InvalidArgument("wire: unknown rank semantics " +
@@ -972,19 +512,19 @@ Status DecodeSummaryV2(Reader2* r, BackendSummary* summary) {
   }
   summary->semantics = static_cast<sketch::RankSemantics>(semantics);
   if (summary->kind == BackendKind::kQlove) {
-    uint64_t num_sub;
-    QLOVE_RETURN_NOT_OK(r->VarCount(&num_sub, kV2MinSubWindowBytes,
+    uint64_t num_sub = 0;
+    QLOVE_RETURN_NOT_OK(r->VarCount(&num_sub, kMinSubWindowBytes,
                                     "sub-window"));
     summary->subwindows.resize(num_sub);
     int64_t prev_epoch = 0;
     bool first = true;
     for (core::SubWindowSummary& sub : summary->subwindows) {
-      QLOVE_RETURN_NOT_OK(DecodeSubWindowV2(r, first, prev_epoch, &sub));
+      QLOVE_RETURN_NOT_OK(DecodeSubWindow(r, first, prev_epoch, &sub));
       prev_epoch = sub.epoch;
       first = false;
     }
   } else {
-    uint64_t num_entries;
+    uint64_t num_entries = 0;
     QLOVE_RETURN_NOT_OK(r->VarCount(&num_entries, 2, "weighted entry"));
     summary->entries.resize(num_entries);
     for (auto& [value, weight] : summary->entries) {
@@ -995,34 +535,34 @@ Status DecodeSummaryV2(Reader2* r, BackendSummary* summary) {
   return Status::OK();
 }
 
-void EncodeV2Header(uint8_t flags, Writer2* w) {
+void EncodeHeader(uint8_t flags, Writer* w) {
   for (uint8_t byte : kWireMagic) w->U8(byte);
   w->U16(kWireVersionV2);
   w->U8(flags);
 }
 
-Status DecodeV2SnapshotBody(Reader2* r, WireSnapshot* snapshot) {
+Status DecodeFullBody(Reader* r, WireSnapshot* snapshot) {
   QLOVE_RETURN_NOT_OK(r->Str(&snapshot->source));
   QLOVE_RETURN_NOT_OK(r->Raw64(&snapshot->sync_token));
   QLOVE_RETURN_NOT_OK(r->NonNegVar(&snapshot->epoch, "snapshot epoch"));
-  uint64_t num_metrics;
-  QLOVE_RETURN_NOT_OK(r->VarCount(&num_metrics, kV2MinMetricBytes, "metric"));
+  uint64_t num_metrics = 0;
+  QLOVE_RETURN_NOT_OK(r->VarCount(&num_metrics, kMinMetricBytes, "metric"));
   snapshot->metrics.resize(num_metrics);
   for (WireMetricSummary& metric : snapshot->metrics) {
-    QLOVE_RETURN_NOT_OK(DecodeKeyV2(r, &metric.key));
-    QLOVE_RETURN_NOT_OK(DecodeOptionsV2(r, &metric.options));
-    uint64_t num_shards;
-    QLOVE_RETURN_NOT_OK(r->VarCount(&num_shards, kV2MinSummaryBytes,
+    QLOVE_RETURN_NOT_OK(DecodeKey(r, &metric.key));
+    QLOVE_RETURN_NOT_OK(DecodeOptions(r, &metric.options));
+    uint64_t num_shards = 0;
+    QLOVE_RETURN_NOT_OK(r->VarCount(&num_shards, kMinSummaryBytes,
                                     "shard summary"));
     metric.shards.resize(num_shards);
     for (BackendSummary& shard : metric.shards) {
-      QLOVE_RETURN_NOT_OK(DecodeSummaryV2(r, &shard));
+      QLOVE_RETURN_NOT_OK(DecodeSummary(r, &shard));
     }
   }
   return Status::OK();
 }
 
-Status DecodeV2DeltaBody(Reader2* r, WireDelta* delta) {
+Status DecodeDeltaBody(Reader* r, WireDelta* delta) {
   QLOVE_RETURN_NOT_OK(r->Str(&delta->source));
   QLOVE_RETURN_NOT_OK(r->Raw64(&delta->sync_token));
   QLOVE_RETURN_NOT_OK(r->NonNegVar(&delta->epoch, "delta epoch"));
@@ -1031,12 +571,12 @@ Status DecodeV2DeltaBody(Reader2* r, WireDelta* delta) {
     return Status::InvalidArgument("wire: delta base epoch exceeds frame "
                                    "epoch");
   }
-  uint64_t num_metrics;
+  uint64_t num_metrics = 0;
   QLOVE_RETURN_NOT_OK(r->VarCount(&num_metrics, 3, "delta metric"));
   delta->metrics.resize(num_metrics);
   for (WireMetricDelta& metric : delta->metrics) {
-    QLOVE_RETURN_NOT_OK(DecodeKeyV2(r, &metric.key));
-    uint8_t mode;
+    QLOVE_RETURN_NOT_OK(DecodeKey(r, &metric.key));
+    uint8_t mode = 0;
     QLOVE_RETURN_NOT_OK(r->U8(&mode));
     if (mode > static_cast<uint8_t>(WireDeltaMode::kQloveDelta)) {
       return Status::InvalidArgument("wire: unknown delta mode " +
@@ -1044,13 +584,13 @@ Status DecodeV2DeltaBody(Reader2* r, WireDelta* delta) {
     }
     metric.mode = static_cast<WireDeltaMode>(mode);
     if (metric.mode == WireDeltaMode::kFull) {
-      QLOVE_RETURN_NOT_OK(DecodeOptionsV2(r, &metric.options));
-      uint64_t num_shards;
-      QLOVE_RETURN_NOT_OK(r->VarCount(&num_shards, kV2MinSummaryBytes,
+      QLOVE_RETURN_NOT_OK(DecodeOptions(r, &metric.options));
+      uint64_t num_shards = 0;
+      QLOVE_RETURN_NOT_OK(r->VarCount(&num_shards, kMinSummaryBytes,
                                       "shard summary"));
       metric.shards.resize(num_shards);
       for (BackendSummary& shard : metric.shards) {
-        QLOVE_RETURN_NOT_OK(DecodeSummaryV2(r, &shard));
+        QLOVE_RETURN_NOT_OK(DecodeSummary(r, &shard));
       }
     } else {
       QLOVE_RETURN_NOT_OK(
@@ -1059,14 +599,14 @@ Status DecodeV2DeltaBody(Reader2* r, WireDelta* delta) {
       QLOVE_RETURN_NOT_OK(r->NonNegVar(&metric.inflight, "inflight count"));
       QLOVE_RETURN_NOT_OK(r->Bool(&metric.burst_active));
       QLOVE_RETURN_NOT_OK(r->Value(&metric.rank_error));
-      uint64_t num_new;
-      QLOVE_RETURN_NOT_OK(r->VarCount(&num_new, kV2MinSubWindowBytes,
+      uint64_t num_new = 0;
+      QLOVE_RETURN_NOT_OK(r->VarCount(&num_new, kMinSubWindowBytes,
                                       "delta sub-window"));
       metric.new_subwindows.resize(num_new);
       int64_t prev_epoch = 0;
       bool first = true;
       for (core::SubWindowSummary& sub : metric.new_subwindows) {
-        QLOVE_RETURN_NOT_OK(DecodeSubWindowV2(r, first, prev_epoch, &sub));
+        QLOVE_RETURN_NOT_OK(DecodeSubWindow(r, first, prev_epoch, &sub));
         prev_epoch = sub.epoch;
         first = false;
       }
@@ -1079,18 +619,18 @@ Status DecodeV2DeltaBody(Reader2* r, WireDelta* delta) {
 
 void EncodeSnapshotV2(const WireSnapshot& snapshot, std::vector<uint8_t>* out) {
   out->clear();
-  Writer2 w(out);
-  EncodeV2Header(/*flags=*/0, &w);
+  Writer w(out);
+  EncodeHeader(/*flags=*/0, &w);
   w.Str(snapshot.source);
   w.Raw64(snapshot.sync_token);
   w.VarU(static_cast<uint64_t>(snapshot.epoch));
   w.VarU(snapshot.metrics.size());
   for (const WireMetricSummary& metric : snapshot.metrics) {
-    EncodeKeyV2(metric.key, &w);
-    EncodeOptionsV2(metric.options, &w);
+    EncodeKey(metric.key, &w);
+    EncodeOptions(metric.options, &w);
     w.VarU(metric.shards.size());
     for (const BackendSummary& shard : metric.shards) {
-      EncodeSummaryV2(shard, &w);
+      EncodeSummary(shard, &w);
     }
   }
 }
@@ -1103,21 +643,21 @@ std::vector<uint8_t> EncodeSnapshotV2(const WireSnapshot& snapshot) {
 
 void EncodeDelta(const WireDelta& delta, std::vector<uint8_t>* out) {
   out->clear();
-  Writer2 w(out);
-  EncodeV2Header(kWireFlagDelta, &w);
+  Writer w(out);
+  EncodeHeader(kWireFlagDelta, &w);
   w.Str(delta.source);
   w.Raw64(delta.sync_token);
   w.VarU(static_cast<uint64_t>(delta.epoch));
   w.VarU(static_cast<uint64_t>(delta.base_epoch));
   w.VarU(delta.metrics.size());
   for (const WireMetricDelta& metric : delta.metrics) {
-    EncodeKeyV2(metric.key, &w);
+    EncodeKey(metric.key, &w);
     w.U8(static_cast<uint8_t>(metric.mode));
     if (metric.mode == WireDeltaMode::kFull) {
-      EncodeOptionsV2(metric.options, &w);
+      EncodeOptions(metric.options, &w);
       w.VarU(metric.shards.size());
       for (const BackendSummary& shard : metric.shards) {
-        EncodeSummaryV2(shard, &w);
+        EncodeSummary(shard, &w);
       }
     } else {
       w.VarU(static_cast<uint64_t>(metric.first_live_epoch));
@@ -1129,7 +669,7 @@ void EncodeDelta(const WireDelta& delta, std::vector<uint8_t>* out) {
       int64_t prev_epoch = 0;
       bool first = true;
       for (const core::SubWindowSummary& sub : metric.new_subwindows) {
-        EncodeSubWindowV2(sub, first, prev_epoch, &w);
+        EncodeSubWindow(sub, first, prev_epoch, &w);
         prev_epoch = sub.epoch;
         first = false;
       }
@@ -1149,41 +689,36 @@ Result<WireFrame> DecodeFrame(const uint8_t* data, size_t size) {
   }
   Reader r(data, size);
   for (uint8_t expected : kWireMagic) {
-    uint8_t byte;
+    uint8_t byte = 0;
     QLOVE_RETURN_NOT_OK(r.U8(&byte));
     if (byte != expected) {
       return Status::InvalidArgument("wire: bad magic (not a QLWF snapshot)");
     }
   }
-  uint16_t version;
+  uint16_t version = 0;
   QLOVE_RETURN_NOT_OK(r.U16(&version));
-  WireFrame frame;
-  if (version == kWireVersion) {
-    QLOVE_RETURN_NOT_OK(DecodeV1Body(&r, &frame.snapshot));
-    return frame;
-  }
   if (version != kWireVersionV2) {
     return Status::InvalidArgument(
         "wire: unsupported version " + std::to_string(version) +
-        " (this build speaks versions " + std::to_string(kWireVersion) +
-        " and " + std::to_string(kWireVersionV2) + ")");
+        " (this build speaks version " + std::to_string(kWireVersionV2) +
+        " only)");
   }
-  Reader2 r2(data, size, r.pos());
-  uint8_t flags;
-  QLOVE_RETURN_NOT_OK(r2.U8(&flags));
+  WireFrame frame;
+  uint8_t flags = 0;
+  QLOVE_RETURN_NOT_OK(r.U8(&flags));
   if ((flags & ~kWireFlagDelta) != 0) {
     return Status::InvalidArgument("wire: unknown flag bits " +
                                    std::to_string(flags));
   }
   if ((flags & kWireFlagDelta) != 0) {
     frame.is_delta = true;
-    QLOVE_RETURN_NOT_OK(DecodeV2DeltaBody(&r2, &frame.delta));
+    QLOVE_RETURN_NOT_OK(DecodeDeltaBody(&r, &frame.delta));
   } else {
-    QLOVE_RETURN_NOT_OK(DecodeV2SnapshotBody(&r2, &frame.snapshot));
+    QLOVE_RETURN_NOT_OK(DecodeFullBody(&r, &frame.snapshot));
   }
-  if (r2.remaining() != 0) {
+  if (r.remaining() != 0) {
     return Status::InvalidArgument(
-        "wire: " + std::to_string(r2.remaining()) +
+        "wire: " + std::to_string(r.remaining()) +
         " trailing bytes after snapshot");
   }
   return frame;
@@ -1196,8 +731,8 @@ Result<WireFrame> DecodeFrame(const std::vector<uint8_t>& buffer) {
 uint64_t GenerateSyncToken() {
   // splitmix64 over a steady-clock draw plus a process-wide counter: two
   // tokens generated back to back (agent restarting within one clock tick)
-  // still differ, and zero — the "no token" sentinel v1 frames decode
-  // with — is never produced.
+  // still differ, and zero — the "no token" sentinel of hand-built
+  // snapshots — is never produced.
   static std::atomic<uint64_t> counter{0};
   uint64_t x =
       counter.fetch_add(1, std::memory_order_relaxed) ^

@@ -10,25 +10,14 @@
 // to rebuild the exact merge the agent's own Query layer would run, few-k
 // plan layout included, with no out-of-band configuration channel.
 //
-// Format rules (version 1):
-//  - Little-endian, fixed-width scalars; doubles as raw IEEE-754 bits
-//    (encode(decode(bytes)) is byte-identical, the round-trip the golden
-//    fixtures pin down).
-//  - Every variable-length count is a u32 checked against the remaining
-//    buffer before any allocation: a truncated or hostile buffer yields an
-//    error Status, never UB or an unbounded reserve.
-//  - Decoding is strict: unknown backend kinds, out-of-range enums, or
-//    non-0/1 booleans are InvalidArgument, so a corrupt byte cannot decode
-//    to a normalized-but-different re-encoding.
-//
-// Version 2 keeps the same magic and outer shape (magic, u16 version) but
-// compresses the body for the telemetry wire's actual payload mix:
-//  - One flags byte after the version; bit 0 marks a DELTA frame (below),
-//    all other bits must be zero.
+// Format rules (version 2):
+//  - Magic "QLWF", a little-endian u16 version, then one flags byte; bit 0
+//    marks a DELTA frame (below), all other bits must be zero.
 //  - Integers (counts, epochs, lengths, weights) are LEB128 varints —
 //    unsigned (VarU) or zigzag-signed (VarI) — with minimal encoding
 //    enforced on decode, so every value has exactly one byte form and
-//    encode(decode(x)) stays byte-identical.
+//    encode(decode(x)) is byte-identical (the round trip the golden
+//    fixtures pin down).
 //  - Doubles use a tagged coder keyed by the low 2 bits of a varint
 //    header. Tag 0: the value is a small integer, stored zigzag. Tag 1:
 //    circllhist-style log-linear — the value is mantissa * 10^exponent
@@ -39,17 +28,23 @@
 //    byte form is still a pure function of the double's bits.
 //  - Sub-window epochs are encoded as a first absolute value plus
 //    non-negative deltas (they are non-decreasing by construction).
-//  - Qlove summaries are expected to arrive shard-COALESCED (one summary
-//    per metric; see engine/coalesce.h) — v2 encodes any shard count, but
-//    the byte win assumes the export folded shards first.
+//  - Every variable-length count is checked against the remaining buffer
+//    before any allocation: a truncated or hostile buffer yields an error
+//    Status, never UB or an unbounded reserve.
+//  - Decoding is strict: unknown backend kinds, out-of-range enums, or
+//    non-0/1 booleans are InvalidArgument, so a corrupt byte cannot decode
+//    to a normalized-but-different re-encoding.
+//  - Engine exports are shard-COALESCED (one summary per metric; see
+//    engine/coalesce.h). The format encodes any shard count — aggregator
+//    re-exports carry one summary per contributing source.
 //
-// DELTA frames (v2, flags bit 0) carry only what the receiver has not
+// DELTA frames (flags bit 0) carry only what the receiver has not
 // seen: sub-window summaries are epoch-stamped and expire from the front,
 // so a delta against base_epoch B ships, per metric, the first live epoch
 // (the receiver trims older sub-windows) plus the sub-windows newer than
 // what B covered, and refreshed scalar state. The metric list is
 // authoritative: a held metric absent from the delta was unregistered.
-// Both v2 frame types carry an 8-byte engine-incarnation sync token
+// Both frame types carry an 8-byte engine-incarnation sync token
 // (after source): Tick epochs restart at 1 on agent restart, so base
 // epochs can collide numerically across incarnations — a delta applies
 // only when its token matches the one that established the held state.
@@ -57,12 +52,11 @@
 // disagreement, incompatible held state) is NOT an error — the receiver
 // NAKs and the agent falls back to a full frame (engine.h ExportCursor).
 //
-// Version negotiation: DecodeFrame accepts v1 and v2 (full or delta);
-// DecodeSnapshot accepts any full frame (v1 or v2) so a v2 aggregator
-// serves a mixed fleet with no flag day. Unknown versions are rejected
-// with an error Status outright (skew beyond one version is a config
-// error surfaced loudly, not silently misparsed). v1 encoding is
-// untouched: v1 frames stay byte-identical to their golden fixtures.
+// Versioning: DecodeFrame accepts version 2 only. Any other version —
+// including the retired fixed-width version 1 — is rejected with an
+// InvalidArgument Status before a single length field is read, so version
+// skew is a config error surfaced loudly, not silently misparsed. Agents
+// and aggregators deploy in lockstep.
 
 #ifndef QLOVE_ENGINE_WIRE_H_
 #define QLOVE_ENGINE_WIRE_H_
@@ -82,16 +76,12 @@ namespace engine {
 /// First 4 bytes of every encoded snapshot: "QLWF".
 inline constexpr uint8_t kWireMagic[4] = {'Q', 'L', 'W', 'F'};
 
-/// The original fixed-width layout. Still fully encodable and decodable;
-/// existing fixtures and deployments keep working unchanged.
-inline constexpr uint16_t kWireVersion = 1;
-
-/// The compact layout: varint/zigzag integers, tagged log-linear doubles,
-/// and the delta-frame flag. Decoders accept exactly versions 1 and 2.
+/// The wire version: varint/zigzag integers, tagged log-linear doubles,
+/// and the delta-frame flag. The only version DecodeFrame accepts.
 inline constexpr uint16_t kWireVersionV2 = 2;
 
-/// Flags byte (v2 only): bit 0 marks a delta frame; other bits reserved
-/// and must be zero.
+/// Flags byte: bit 0 marks a delta frame; other bits reserved and must be
+/// zero.
 inline constexpr uint8_t kWireFlagDelta = 0x01;
 
 /// Decoded frames larger than this are rejected before allocation (a
@@ -99,7 +89,7 @@ inline constexpr uint8_t kWireFlagDelta = 0x01;
 inline constexpr size_t kMaxWireBytes = size_t{64} << 20;
 
 /// \brief One metric's window state as shipped on the wire: identity, the
-/// full serving configuration, and every shard's mergeable summary.
+/// full serving configuration, and its mergeable summaries.
 struct WireMetricSummary {
   MetricKey key;
   /// The agent-side MetricOptions, verbatim: window spec, phi grid, and
@@ -107,7 +97,8 @@ struct WireMetricSummary {
   /// the agent's exact merge (few-k plan layout, epsilon budgets) without
   /// an out-of-band registry.
   MetricOptions options;
-  /// One mergeable summary per shard, in shard order.
+  /// The mergeable summaries: exactly one (shard-coalesced) in an engine
+  /// export, one per contributing source in an aggregator re-export.
   std::vector<BackendSummary> shards;
 };
 
@@ -124,39 +115,13 @@ struct WireSnapshot {
   /// never zero for engine exports). Deltas may only patch state
   /// established by a full frame with the same token: Tick epochs restart
   /// at 1 when an agent restarts, so an epoch match alone cannot prove
-  /// the receiver holds the state a delta was diffed against. Carried by
-  /// v2 frames only; v1 frames decode with 0 (so v1-established state
-  /// always NAKs deltas into a full resync, which is correct).
+  /// the receiver holds the state a delta was diffed against.
   uint64_t sync_token = 0;
   /// Every exported metric, in canonical key order.
   std::vector<WireMetricSummary> metrics;
 };
 
-/// \brief Exact encoded size of \p snapshot in bytes under the version-1
-/// layout — computed by walking the same field order the encoder writes,
-/// so the encoder can size its output buffer once, up front.
-size_t EncodedSnapshotSize(const WireSnapshot& snapshot);
-
-/// \brief Encodes \p snapshot into \p out (replacing its contents): the
-/// buffer is resized once to the exact EncodedSnapshotSize and filled with
-/// pointer-bump writes — no incremental growth, no reallocation churn. An
-/// agent loop that re-exports every Tick into the same buffer allocates
-/// nothing once the buffer has reached its steady-state size.
-void EncodeSnapshot(const WireSnapshot& snapshot, std::vector<uint8_t>* out);
-
-/// \brief Convenience overload allocating a fresh buffer.
-std::vector<uint8_t> EncodeSnapshot(const WireSnapshot& snapshot);
-
-/// \brief Decodes a FULL frame of either version (v1 or v2).
-/// InvalidArgument on bad magic, unknown version, truncation, out-of-range
-/// enums, hostile length prefixes, or a v2 DELTA frame (deltas only make
-/// sense against held state; use DecodeFrame) — decoding never reads past
-/// \p size and never trusts a length it has not checked against the
-/// remaining bytes.
-Result<WireSnapshot> DecodeSnapshot(const uint8_t* data, size_t size);
-Result<WireSnapshot> DecodeSnapshot(const std::vector<uint8_t>& buffer);
-
-/// \name Version 2: compact full frames and delta frames
+/// \name Full frames and delta frames
 /// @{
 
 /// How one metric rides in a delta frame.
@@ -214,31 +179,32 @@ struct WireDelta {
   std::vector<WireMetricDelta> metrics;
 };
 
-/// \brief One decoded frame of any version: either a full snapshot or a
-/// v2 delta.
+/// \brief One decoded frame: either a full snapshot or a delta.
 struct WireFrame {
   bool is_delta = false;
   WireSnapshot snapshot;  ///< Populated when !is_delta.
   WireDelta delta;        ///< Populated when is_delta.
 };
 
-/// \brief Encodes \p snapshot under the version-2 compact layout into
-/// \p out (replacing its contents). The buffer grows by appending but
-/// keeps its capacity across calls, so a per-Tick export loop reusing one
-/// buffer stops allocating once the steady-state size is reached.
+/// \brief Encodes \p snapshot as a full frame into \p out (replacing its
+/// contents). The buffer grows by appending but keeps its capacity across
+/// calls, so a per-Tick export loop reusing one buffer stops allocating
+/// once the steady-state size is reached.
 /// Sub-window epochs must be non-decreasing within each summary (true for
 /// every engine export; hand-built summaries must respect it too).
 void EncodeSnapshotV2(const WireSnapshot& snapshot, std::vector<uint8_t>* out);
 std::vector<uint8_t> EncodeSnapshotV2(const WireSnapshot& snapshot);
 
-/// \brief Encodes \p delta as a version-2 delta frame (flags bit 0 set).
+/// \brief Encodes \p delta as a delta frame (flags bit 0 set).
 /// Same buffer-reuse and epoch-ordering contract as EncodeSnapshotV2.
 void EncodeDelta(const WireDelta& delta, std::vector<uint8_t>* out);
 std::vector<uint8_t> EncodeDelta(const WireDelta& delta);
 
-/// \brief Decodes any supported frame: v1 full, v2 full, or v2 delta.
-/// InvalidArgument on unknown versions and on every malformation
-/// DecodeSnapshot rejects.
+/// \brief Decodes a full or delta frame. InvalidArgument on bad magic, any
+/// version but 2, unknown flag bits, truncation, out-of-range enums,
+/// hostile length prefixes, or trailing bytes — decoding never reads past
+/// \p size and never trusts a length it has not checked against the
+/// remaining bytes.
 Result<WireFrame> DecodeFrame(const uint8_t* data, size_t size);
 Result<WireFrame> DecodeFrame(const std::vector<uint8_t>& buffer);
 

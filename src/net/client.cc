@@ -52,7 +52,7 @@ AgentClient::FrameProducer AgentClient::ForEngine(
   return [engine, options, cursor](const std::string& source, bool force_full,
                                    std::vector<uint8_t>* out) {
     if (force_full) cursor->RequestResync();
-    return engine->ExportDeltaEncoded(source, cursor.get(), out, options);
+    return engine->Export(source, cursor.get(), out, options);
   };
 }
 

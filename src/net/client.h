@@ -84,13 +84,13 @@ class AgentClient {
   using FrameProducer = std::function<Status(
       const std::string& source, bool force_full, std::vector<uint8_t>* out)>;
 
-  /// The standard agent producer: ExportDeltaEncoded through an owned
+  /// The standard agent producer: TelemetryEngine::Export through an owned
   /// ExportCursor (full frame on force_full, delta otherwise). The engine
   /// must outlive the client.
   static FrameProducer ForEngine(const engine::TelemetryEngine* engine,
                                  engine::ExportOptions options = {});
 
-  /// The tree-tier producer: every frame is a full v2 re-export of the
+  /// The tree-tier producer: every frame is a full re-export of the
   /// aggregator's pooled fleet state (AggregatorEngine::ExportEncoded).
   /// Full frames are self-sufficient, so force_full changes nothing.
   static FrameProducer ForAggregator(

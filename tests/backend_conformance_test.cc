@@ -315,8 +315,11 @@ INSTANTIATE_TEST_SUITE_P(
 // QuantileOperator policies (the stream/ seam the backends wrap)
 // ---------------------------------------------------------------------------
 
+// GoogleTest prints the raw bytes of the parameter into the test name, so the
+// name is held inline: a `const char*` would put a load address there and
+// rename the test on every build and run.
 struct OperatorCase {
-  const char* name;
+  char name[8];
   double avg_rank_tol;  ///< Average rank-error budget on netmon.
 };
 

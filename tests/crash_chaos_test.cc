@@ -36,6 +36,7 @@
 #include "engine/engine.h"
 #include "engine/wal.h"
 #include "engine/wire.h"
+#include "export_util.h"
 
 namespace qlove {
 namespace engine {
@@ -120,7 +121,7 @@ void ApplyTick(TelemetryEngine* engine, uint64_t seed) {
 }
 
 std::vector<uint8_t> NormalizedExport(const TelemetryEngine& engine) {
-  WireSnapshot snapshot = engine.ExportSnapshot("normalized");
+  WireSnapshot snapshot = test_util::FullSnapshot(engine, "normalized");
   snapshot.sync_token = 0;
   return EncodeSnapshotV2(snapshot);
 }

@@ -3,9 +3,7 @@
 // `__qlove/` namespace enforcement, counter exactness under concurrent
 // writers, stage sketches served through the ordinary query surface,
 // wire export opt-in and fleet rollup, the slow-query log, and the
-// runtime/compile-time off switches. Every introspection-dependent test
-// skips itself when the layer reports disabled, so the suite passes
-// unchanged under -DQLOVE_INTROSPECTION=OFF.
+// runtime off switch.
 
 #include "engine/introspection.h"
 
@@ -23,6 +21,7 @@
 #include "engine/metric_key.h"
 #include "engine/query.h"
 #include "engine/wire.h"
+#include "export_util.h"
 
 namespace qlove {
 namespace engine {
@@ -72,7 +71,6 @@ TEST(IntrospectionNamespaceTest, StageMetricKeysAreStableAndReserved) {
 
 TEST(IntrospectionCountersTest, ExactAndMonotoneUnderConcurrentWriters) {
   TelemetryEngine engine;
-  if (!engine.Stats().enabled) GTEST_SKIP() << "introspection disabled";
   const MetricKey key = UserKey();
   constexpr int kWriters = 4;
   constexpr int kPerWriter = 10000;
@@ -124,7 +122,6 @@ TEST(IntrospectionCountersTest, ExactAndMonotoneUnderConcurrentWriters) {
 
 TEST(IntrospectionCountersTest, CorruptTelemetryCountsAsRejected) {
   TelemetryEngine engine;
-  if (!engine.Stats().enabled) GTEST_SKIP() << "introspection disabled";
   const MetricKey key = UserKey();
   std::vector<double> batch = {1.0, std::numeric_limits<double>::quiet_NaN(),
                                2.0, std::numeric_limits<double>::infinity(),
@@ -140,7 +137,6 @@ TEST(IntrospectionCountersTest, CorruptTelemetryCountsAsRejected) {
 
 TEST(IntrospectionQueryTest, StageSketchesServeThroughQuery) {
   TelemetryEngine engine;
-  if (!engine.Stats().enabled) GTEST_SKIP() << "introspection disabled";
   const MetricKey key = UserKey();
   std::vector<double> batch(1024);
   for (size_t i = 0; i < batch.size(); ++i) batch[i] = static_cast<double>(i);
@@ -210,7 +206,7 @@ TEST(IntrospectionQueryTest, UserSurfacesNeverSeeInternalMetrics) {
 
   // The default export excludes internals too (wire consumers pinning
   // exact bytes must opt in to nondeterministic timing sketches).
-  const WireSnapshot plain = engine.ExportSnapshot("host-1");
+  const WireSnapshot plain = test_util::FullSnapshot(engine, "host-1");
   for (const WireMetricSummary& metric : plain.metrics) {
     EXPECT_FALSE(IsReservedMetricName(metric.key.name()))
         << metric.key.ToString();
@@ -219,7 +215,6 @@ TEST(IntrospectionQueryTest, UserSurfacesNeverSeeInternalMetrics) {
 
 TEST(IntrospectionWireTest, SelfMetricsExportAndRollUpThroughAggregator) {
   TelemetryEngine engine;
-  if (!engine.Stats().enabled) GTEST_SKIP() << "introspection disabled";
   const MetricKey key = UserKey();
   std::vector<double> batch(512);
   for (size_t i = 0; i < batch.size(); ++i) batch[i] = static_cast<double>(i);
@@ -230,7 +225,18 @@ TEST(IntrospectionWireTest, SelfMetricsExportAndRollUpThroughAggregator) {
 
   ExportOptions with_self;
   with_self.include_self_metrics = true;
-  const WireSnapshot snapshot = engine.ExportSnapshot("host-1", with_self);
+  std::vector<uint8_t> encoded;
+  ExportCursor cursor;
+  ASSERT_TRUE(engine.Export("host-1", &cursor, &encoded, with_self).ok());
+
+  // Export feeds the wire counters of the exporting engine.
+  const CountersSnapshot counters = engine.Stats().counters;
+  EXPECT_EQ(counters.exports, 1);
+  EXPECT_EQ(counters.wire_bytes_encoded, static_cast<int64_t>(encoded.size()));
+
+  auto decoded = DecodeFrame(encoded);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  const WireSnapshot& snapshot = decoded.ValueOrDie().snapshot;
   size_t internal_metrics = 0;
   for (size_t i = 0; i < snapshot.metrics.size(); ++i) {
     if (IsReservedMetricName(snapshot.metrics[i].key.name())) {
@@ -242,23 +248,16 @@ TEST(IntrospectionWireTest, SelfMetricsExportAndRollUpThroughAggregator) {
   }
   EXPECT_GE(internal_metrics, 1u);
 
-  // Round-trip the encoded bytes into an aggregator and query the fleet's
-  // own health metric exactly like a user metric.
-  std::vector<uint8_t> encoded;
-  ASSERT_TRUE(engine.ExportEncoded("host-1", &encoded, with_self).ok());
+  // Ship the encoded bytes into an aggregator and query the fleet's own
+  // health metric exactly like a user metric.
   AggregatorEngine aggregator;
-  ASSERT_TRUE(aggregator.IngestEncoded(encoded).ok());
+  ASSERT_TRUE(aggregator.IngestFrame(encoded).ok());
   auto fleet = aggregator.Query(
       QuerySpec::ForKey(StageMetricKey(Stage::kQuantizeBatch))
           .With(QueryRequest::Quantile(0.99)));
   ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
   EXPECT_TRUE(fleet.ValueOrDie().outcomes[0].status.ok());
   EXPECT_GT(fleet.ValueOrDie().window_count, 0);
-
-  // ExportEncoded feeds the wire counters of the exporting engine.
-  const CountersSnapshot counters = engine.Stats().counters;
-  EXPECT_GT(counters.exports, 0);
-  EXPECT_EQ(counters.wire_bytes_encoded, static_cast<int64_t>(encoded.size()));
 }
 
 TEST(IntrospectionSlowQueryTest, LogAndHookCaptureOverThreshold) {
@@ -266,7 +265,6 @@ TEST(IntrospectionSlowQueryTest, LogAndHookCaptureOverThreshold) {
   options.slow_query_threshold_us = 1e-6;  // everything is "slow"
   options.slow_query_log_capacity = 2;
   TelemetryEngine engine(options);
-  if (!engine.Stats().enabled) GTEST_SKIP() << "introspection disabled";
   const MetricKey key = UserKey();
   std::vector<double> batch = {1.0, 2.0, 3.0};
   ASSERT_TRUE(engine.RecordBatch(key, batch).ok());
@@ -400,26 +398,25 @@ TEST(AggregatorFleetHealthTest, CountersStalenessAndRenderers) {
   ASSERT_TRUE(agent_b.RecordBatch(key, batch).ok());
 
   AggregatorEngine aggregator;
-  std::vector<uint8_t> encoded;
   // Agent A reports twice (epochs 1, 2); agent B reports once and then
   // falls behind as A keeps ticking past the staleness budget.
   agent_a.Tick();
   agent_b.Tick();
-  ASSERT_TRUE(agent_a.ExportEncoded("host-a", &encoded).ok());
-  ASSERT_TRUE(aggregator.IngestEncoded(encoded).ok());
-  ASSERT_TRUE(agent_b.ExportEncoded("host-b", &encoded).ok());
-  ASSERT_TRUE(aggregator.IngestEncoded(encoded).ok());
+  ASSERT_TRUE(
+      aggregator.IngestFrame(test_util::FullFrame(agent_a, "host-a")).ok());
+  ASSERT_TRUE(
+      aggregator.IngestFrame(test_util::FullFrame(agent_b, "host-b")).ok());
   for (int i = 0; i < 4; ++i) agent_a.Tick();
-  ASSERT_TRUE(agent_a.ExportEncoded("host-a", &encoded).ok());
-  ASSERT_TRUE(aggregator.IngestEncoded(encoded).ok());
+  ASSERT_TRUE(
+      aggregator.IngestFrame(test_util::FullFrame(agent_a, "host-a")).ok());
 
   // A decode failure and a reordered (stale-epoch) frame feed the reject
   // counters without disturbing held state.
   const std::vector<uint8_t> garbage = {0x00, 0x01, 0x02, 0x03};
-  EXPECT_FALSE(aggregator.IngestEncoded(garbage).ok());
-  WireSnapshot stale = agent_a.ExportSnapshot("host-a");
+  EXPECT_FALSE(aggregator.IngestFrame(garbage).ok());
+  WireSnapshot stale = test_util::FullSnapshot(agent_a, "host-a");
   stale.epoch = 4;  // held epoch is 5; regression of 1 <= budget 2
-  EXPECT_FALSE(aggregator.Ingest(std::move(stale)).ok());
+  EXPECT_FALSE(aggregator.IngestFrame(EncodeSnapshotV2(stale)).ok());
 
   const AggregatorEngine::FleetHealthSnapshot health =
       aggregator.FleetHealth();
@@ -438,7 +435,6 @@ TEST(AggregatorFleetHealthTest, CountersStalenessAndRenderers) {
   EXPECT_GT(health.sources[1].epochs_behind,
             aggregator.options().staleness_epochs);
 
-#if QLOVE_INTROSPECTION_ENABLED
   // The dogfooded decode/ingest sketches report latency aggregates.
   bool saw_ingest_stage = false;
   for (const StageStats& stage : health.stages) {
@@ -448,7 +444,6 @@ TEST(AggregatorFleetHealthTest, CountersStalenessAndRenderers) {
     EXPECT_GT(stage.samples, 0);
   }
   EXPECT_TRUE(saw_ingest_stage);
-#endif
 
   const std::string text = FormatFleetHealth(health);
   EXPECT_NE(text.find("host-a"), std::string::npos);

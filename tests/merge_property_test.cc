@@ -1,8 +1,9 @@
 // Randomized property harness for the distributed merge path: the
 // correctness contract the fleet deployment rests on is that merging is
 // (a) order-insensitive — commutative and associative over sources, (b)
-// transparent to serialization — shipping summaries through the wire
-// format then merging equals merging in process, bit for bit, and (c)
+// transparent to serialization — an aggregator answers bit for bit the
+// same whether it holds the shipped frame, that frame decoded and
+// re-encoded, or a parent tier's copy of its re-export, and (c)
 // accuracy-preserving — the fleet-merged answer stays within the
 // Theorem-1 rank budget of a union-stream Exact oracle.
 //
@@ -30,6 +31,7 @@
 #include "engine/aggregator.h"
 #include "engine/engine.h"
 #include "engine/wire.h"
+#include "export_util.h"
 #include "rank_error.h"
 #include "workload/generators.h"
 
@@ -37,6 +39,8 @@ namespace qlove {
 namespace engine {
 namespace {
 
+using test_util::FullFrame;
+using test_util::FullSnapshot;
 using test_util::RankError;
 
 #ifdef QLOVE_LONG_PROPERTY_TESTS
@@ -166,41 +170,60 @@ TEST(MergePropertyTest, SerializeThenMergeEqualsInProcessMerge) {
         FeedAgent(&engine, key, slice);
         const double probe = slice[slice.size() / 2];
 
-        auto local = engine.Query(ProbeSpec(key, probe));
-        if (!local.ok()) return "local query failed: " +
-                                local.status().ToString();
+        // Three receivers of the same shipped state: the frame itself, the
+        // frame decoded and re-encoded, and a cluster tier fed the host
+        // tier's re-export. (The agent's own in-process answer differs from
+        // these by the shard coalescing's FP reassociation; the fleet
+        // rank-budget property below bounds that.)
+        const std::vector<uint8_t> frame = FullFrame(engine, "agent-0");
+        auto decoded = DecodeFrame(frame);
+        if (!decoded.ok()) return "decode failed: " +
+                                  decoded.status().ToString();
+        const std::vector<uint8_t> reencoded =
+            EncodeSnapshotV2(decoded.ValueOrDie().snapshot);
+        AggregatorEngine host;
+        AggregatorEngine reencoded_host;
+        AggregatorEngine cluster;
+        std::vector<uint8_t> reexport;
+        auto ingested = host.IngestFrame(frame);
+        if (!ingested.ok()) return "ingest failed: " +
+                                   ingested.status().ToString();
+        ingested = reencoded_host.IngestFrame(reencoded);
+        if (!ingested.ok()) return "re-encoded ingest failed: " +
+                                   ingested.status().ToString();
+        const Status reexported = host.ExportEncoded("host-0", &reexport);
+        if (!reexported.ok()) return "re-export failed: " +
+                                     reexported.ToString();
+        ingested = cluster.IngestFrame(reexport);
+        if (!ingested.ok()) return "cluster ingest failed: " +
+                                   ingested.status().ToString();
 
-        // Ship the state through the full wire path. Coalescing is off:
-        // this property demands bit-identical evaluation, and the
-        // coalesced merge is equivalent only up to FP reassociation
-        // (its own tolerance property lives below).
-        ExportOptions uncoalesced;
-        uncoalesced.coalesce_shards = false;
-        AggregatorEngine aggregator;
-        const std::vector<uint8_t> encoded =
-            EncodeSnapshot(engine.ExportSnapshot("agent-0", uncoalesced));
-        const Status ingested = aggregator.IngestEncoded(encoded);
-        if (!ingested.ok()) return "ingest failed: " + ingested.ToString();
-        auto remote = aggregator.Query(ProbeSpec(key, probe));
-        if (!remote.ok()) return "remote query failed: " +
-                                 remote.status().ToString();
-
-        // Identical evaluation over identical summaries: exact equality,
-        // not a tolerance — serialization must be invisible.
-        const std::vector<double> local_values =
-            OutcomeValues(local.ValueOrDie());
-        const std::vector<double> remote_values =
-            OutcomeValues(remote.ValueOrDie());
-        for (size_t i = 0; i < local_values.size(); ++i) {
-          if (local_values[i] != remote_values[i]) {
-            return "request " + std::to_string(i) + ": local " +
-                   std::to_string(local_values[i]) + " != remote " +
-                   std::to_string(remote_values[i]);
+        auto reference = host.Query(ProbeSpec(key, probe));
+        if (!reference.ok()) return "host query failed: " +
+                                    reference.status().ToString();
+        const std::vector<double> reference_values =
+            OutcomeValues(reference.ValueOrDie());
+        const std::pair<const char*, const AggregatorEngine*> receivers[] = {
+            {"re-encoded", &reencoded_host}, {"cluster", &cluster}};
+        for (const auto& [name, receiver] : receivers) {
+          auto remote = receiver->Query(ProbeSpec(key, probe));
+          if (!remote.ok()) return std::string(name) + " query failed: " +
+                                   remote.status().ToString();
+          // Identical evaluation over identical summaries: exact equality,
+          // not a tolerance — serialization must be invisible.
+          const std::vector<double> remote_values =
+              OutcomeValues(remote.ValueOrDie());
+          for (size_t i = 0; i < reference_values.size(); ++i) {
+            if (reference_values[i] != remote_values[i]) {
+              return "request " + std::to_string(i) + ": host " +
+                     std::to_string(reference_values[i]) + " != " + name +
+                     " " + std::to_string(remote_values[i]);
+            }
           }
-        }
-        if (local.ValueOrDie().window_count !=
-            remote.ValueOrDie().window_count) {
-          return "window_count diverged";
+          if (reference.ValueOrDie().window_count !=
+              remote.ValueOrDie().window_count) {
+            return std::string(name) + " window_count diverged";
+          }
         }
         return "";
       };
@@ -241,8 +264,8 @@ TEST(MergePropertyTest, MergeIsCommutativeAndAssociativeOverSources) {
           std::vector<double> part(slice.begin() + begin,
                                    slice.begin() + end);
           FeedAgent(&engine, key, part);
-          frames.push_back(EncodeSnapshot(
-              engine.ExportSnapshot("agent-" + std::to_string(agent))));
+          frames.push_back(
+              FullFrame(engine, "agent-" + std::to_string(agent)));
         }
         const double probe = slice[slice.size() / 2];
 
@@ -265,8 +288,8 @@ TEST(MergePropertyTest, MergeIsCommutativeAndAssociativeOverSources) {
         for (const std::vector<size_t>& ingest_order : orders) {
           AggregatorEngine aggregator;
           for (size_t index : ingest_order) {
-            const Status status = aggregator.IngestEncoded(frames[index]);
-            if (!status.ok()) return "ingest failed: " + status.ToString();
+            auto ack = aggregator.IngestFrame(frames[index]);
+            if (!ack.ok()) return "ingest failed: " + ack.status().ToString();
           }
           auto result = aggregator.Query(ProbeSpec(key, probe));
           if (!result.ok()) return "query failed: " +
@@ -310,8 +333,8 @@ TEST(MergePropertyTest, FleetMergeStaysWithinTheoremOneRankBudget) {
         FeedAgent(&engine, key, data);
         window_union.insert(window_union.end(), data.begin(), data.end());
         ASSERT_TRUE(aggregator
-                        .IngestEncoded(EncodeSnapshot(engine.ExportSnapshot(
-                            "agent-" + std::to_string(agent))))
+                        .IngestFrame(FullFrame(
+                            engine, "agent-" + std::to_string(agent)))
                         .ok());
       }
       std::sort(window_union.begin(), window_union.end());
@@ -378,20 +401,20 @@ std::vector<uint8_t> AgentFrame(const std::string& source, BackendKind kind,
         engine.RecordBatch(key, workload::Materialize(&gen, kPerTick)).ok());
     engine.Tick();
   }
-  return EncodeSnapshot(engine.ExportSnapshot(source));
+  return FullFrame(engine, source);
 }
 
 TEST(AggregatorFleetTest, StaleSourceIsExcludedAndAccountedAsPartialFleet) {
   AggregatorEngine aggregator;  // staleness_epochs = 2
   // h0 stops reporting at epoch 4; h1 and h2 advance to epoch 8.
   ASSERT_TRUE(
-      aggregator.IngestEncoded(AgentFrame("h0", BackendKind::kExact, 1, 4))
+      aggregator.IngestFrame(AgentFrame("h0", BackendKind::kExact, 1, 4))
           .ok());
   ASSERT_TRUE(
-      aggregator.IngestEncoded(AgentFrame("h1", BackendKind::kExact, 2, 8))
+      aggregator.IngestFrame(AgentFrame("h1", BackendKind::kExact, 2, 8))
           .ok());
   ASSERT_TRUE(
-      aggregator.IngestEncoded(AgentFrame("h2", BackendKind::kExact, 3, 8))
+      aggregator.IngestFrame(AgentFrame("h2", BackendKind::kExact, 3, 8))
           .ok());
   EXPECT_EQ(aggregator.FleetEpoch(), 8);
 
@@ -427,7 +450,7 @@ TEST(AggregatorFleetTest, StaleSourceIsExcludedAndAccountedAsPartialFleet) {
 
   // A fully fresh fleet reports clean outcomes again.
   ASSERT_TRUE(
-      aggregator.IngestEncoded(AgentFrame("h0", BackendKind::kExact, 1, 8))
+      aggregator.IngestFrame(AgentFrame("h0", BackendKind::kExact, 1, 8))
           .ok());
   auto fresh = aggregator.Query(
       QuerySpec::ForSelector(TagSelector{"rtt_us", {}})
@@ -442,11 +465,11 @@ TEST(AggregatorFleetTest, ReorderedExportCannotRollASourceBackwards) {
   AggregatorEngine aggregator;
   const std::vector<uint8_t> late = AgentFrame("h0", BackendKind::kGk, 5, 6);
   const std::vector<uint8_t> early = AgentFrame("h0", BackendKind::kGk, 5, 4);
-  ASSERT_TRUE(aggregator.IngestEncoded(late).ok());
-  const Status rollback = aggregator.IngestEncoded(early);
+  ASSERT_TRUE(aggregator.IngestFrame(late).ok());
+  const Status rollback = aggregator.IngestFrame(early).status();
   EXPECT_EQ(rollback.code(), Status::Code::kFailedPrecondition);
   // Same-epoch re-send is idempotent.
-  EXPECT_TRUE(aggregator.IngestEncoded(late).ok());
+  EXPECT_TRUE(aggregator.IngestFrame(late).ok());
   EXPECT_EQ(aggregator.source_count(), 1u);
 }
 
@@ -465,8 +488,8 @@ TEST(AggregatorFleetTest, SameKeyAcrossSourcesPoolsIntoOneAnswer) {
       engine.Tick();
     }
     ASSERT_TRUE(aggregator
-                    .IngestEncoded(EncodeSnapshot(engine.ExportSnapshot(
-                        "host-" + std::to_string(agent))))
+                    .IngestFrame(
+                        FullFrame(engine, "host-" + std::to_string(agent)))
                     .ok());
   }
   auto result = aggregator.Query(
@@ -481,7 +504,7 @@ TEST(AggregatorFleetTest, SameKeyAcrossSourcesPoolsIntoOneAnswer) {
 TEST(AggregatorFleetTest, UnknownTargetsAndGridMismatchesFailLoudly) {
   AggregatorEngine aggregator;
   ASSERT_TRUE(
-      aggregator.IngestEncoded(AgentFrame("h0", BackendKind::kQlove, 9, 4))
+      aggregator.IngestFrame(AgentFrame("h0", BackendKind::kQlove, 9, 4))
           .ok());
   EXPECT_EQ(aggregator
                 .Query(QuerySpec::ForKey(MetricKey("nope"))
@@ -502,9 +525,7 @@ TEST(AggregatorFleetTest, UnknownTargetsAndGridMismatchesFailLoudly) {
         engine.RecordBatch(key, workload::Materialize(&gen, kPerTick)).ok());
     engine.Tick();
   }
-  ASSERT_TRUE(aggregator
-                  .IngestEncoded(EncodeSnapshot(engine.ExportSnapshot("h1")))
-                  .ok());
+  ASSERT_TRUE(aggregator.IngestFrame(FullFrame(engine, "h1")).ok());
   const Status mismatch =
       aggregator
           .Query(QuerySpec::ForKey(key).With(QueryRequest::Quantile(0.5)))
@@ -518,20 +539,20 @@ TEST(AggregatorFleetTest, RestartedAndLateJoiningAgentsServeImmediately) {
   // the fleet late must both serve as soon as their frames arrive.
   AggregatorEngine aggregator;
   ASSERT_TRUE(
-      aggregator.IngestEncoded(AgentFrame("h0", BackendKind::kExact, 1, 20))
+      aggregator.IngestFrame(AgentFrame("h0", BackendKind::kExact, 1, 20))
           .ok());
   ASSERT_TRUE(
-      aggregator.IngestEncoded(AgentFrame("h1", BackendKind::kExact, 2, 20))
+      aggregator.IngestFrame(AgentFrame("h1", BackendKind::kExact, 2, 20))
           .ok());
   EXPECT_EQ(aggregator.FleetEpoch(), 20);
 
   // h0 restarts: epoch regresses 20 -> 4, far beyond the reorder budget.
   ASSERT_TRUE(
-      aggregator.IngestEncoded(AgentFrame("h0", BackendKind::kExact, 3, 4))
+      aggregator.IngestFrame(AgentFrame("h0", BackendKind::kExact, 3, 4))
           .ok());
   // h2 joins late at epoch 4 against a fleet epoch of 20.
   ASSERT_TRUE(
-      aggregator.IngestEncoded(AgentFrame("h2", BackendKind::kExact, 4, 4))
+      aggregator.IngestFrame(AgentFrame("h2", BackendKind::kExact, 4, 4))
           .ok());
   for (const auto& source : aggregator.Sources()) {
     EXPECT_FALSE(source.stale) << source.source;
@@ -566,12 +587,9 @@ TEST(AggregatorFleetTest, MixedGridPoolLowersThroughTheQloveGrid) {
                       .ok());
       gk_engine.Tick();
     }
-    ASSERT_TRUE(aggregator
-                    .IngestEncoded(EncodeSnapshot(
-                        gk_engine.ExportSnapshot(gk_source)))
-                    .ok());
+    ASSERT_TRUE(aggregator.IngestFrame(FullFrame(gk_engine, gk_source)).ok());
     ASSERT_TRUE(
-        aggregator.IngestEncoded(AgentFrame("m", BackendKind::kQlove, 92, 4))
+        aggregator.IngestFrame(AgentFrame("m", BackendKind::kQlove, 92, 4))
             .ok());
 
     auto result = aggregator.Query(
@@ -588,19 +606,20 @@ TEST(AggregatorFleetTest, MixedGridPoolLowersThroughTheQloveGrid) {
 
 TEST(AggregatorFleetTest, RepeatedMetricKeyInOneSnapshotIsRejected) {
   // A frame repeating a key would double-count its population in every
-  // query that matches it; Ingest enforces the wire contract (metrics in
-  // strictly ascending canonical key order) instead.
+  // query that matches it; IngestFrame enforces the wire contract (metrics
+  // in strictly ascending canonical key order) instead.
   TelemetryEngine engine(MakeOptions(BackendKind::kExact));
   const MetricKey key("rtt_us");
   ASSERT_TRUE(
       engine.RecordBatch(key, std::vector<double>(kPerTick, 1.0)).ok());
   engine.Tick();
-  WireSnapshot snapshot = engine.ExportSnapshot("h0");
+  WireSnapshot snapshot = FullSnapshot(engine, "h0");
   ASSERT_EQ(snapshot.metrics.size(), 1u);
   snapshot.metrics.push_back(snapshot.metrics[0]);  // duplicate key
   AggregatorEngine aggregator;
-  EXPECT_EQ(aggregator.Ingest(std::move(snapshot)).code(),
-            Status::Code::kInvalidArgument);
+  EXPECT_EQ(
+      aggregator.IngestFrame(EncodeSnapshotV2(snapshot)).status().code(),
+      Status::Code::kInvalidArgument);
 }
 
 TEST(AggregatorFleetTest, NegativeEpochFailsDecode) {
@@ -609,10 +628,9 @@ TEST(AggregatorFleetTest, NegativeEpochFailsDecode) {
   ASSERT_TRUE(
       engine.RecordBatch(key, std::vector<double>(kPerTick, 1.0)).ok());
   engine.Tick();
-  WireSnapshot snapshot = engine.ExportSnapshot("h0");
+  WireSnapshot snapshot = FullSnapshot(engine, "h0");
   snapshot.epoch = -1;  // hostile: would overflow staleness arithmetic
-  const std::vector<uint8_t> encoded = EncodeSnapshot(snapshot);
-  EXPECT_FALSE(DecodeSnapshot(encoded).ok());
+  EXPECT_FALSE(DecodeFrame(EncodeSnapshotV2(snapshot)).ok());
 }
 
 TEST(AggregatorFleetTest, CorruptSelfDescriptionIsRejectedAtIngest) {
@@ -624,12 +642,13 @@ TEST(AggregatorFleetTest, CorruptSelfDescriptionIsRejectedAtIngest) {
         engine.RecordBatch(key, workload::Materialize(&gen, kPerTick)).ok());
     engine.Tick();
   }
-  WireSnapshot snapshot = engine.ExportSnapshot("h0");
+  WireSnapshot snapshot = FullSnapshot(engine, "h0");
   ASSERT_FALSE(snapshot.metrics.empty());
   snapshot.metrics[0].options.shard_window.period = 0;  // cannot serve
   AggregatorEngine aggregator;
-  EXPECT_EQ(aggregator.Ingest(std::move(snapshot)).code(),
-            Status::Code::kInvalidArgument);
+  EXPECT_EQ(
+      aggregator.IngestFrame(EncodeSnapshotV2(snapshot)).status().code(),
+      Status::Code::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------------------
@@ -637,9 +656,9 @@ TEST(AggregatorFleetTest, CorruptSelfDescriptionIsRejectedAtIngest) {
 // ---------------------------------------------------------------------------
 
 /// Runs the delta-sync protocol over \p slice against two aggregators — a
-/// lossy one fed ExportDeltaEncoded frames through seeded faults (drops,
-/// agent restarts, NAK-driven resyncs) and a reference one fed a full v2
-/// frame every round — and demands the held states end bit-identical.
+/// lossy one fed Export frames through seeded faults (drops, agent
+/// restarts, NAK-driven resyncs) and a reference one fed a full frame
+/// every round — and demands the held states end bit-identical.
 /// Deterministic in (slice, seed), so it shrinks by halving.
 std::string RunDeltaSyncTrial(BackendKind kind, uint64_t seed,
                               const std::vector<double>& slice) {
@@ -672,15 +691,14 @@ std::string RunDeltaSyncTrial(BackendKind kind, uint64_t seed,
     // FailedPrecondition is the reorder guard doing its declared job on a
     // post-restart epoch still inside the staleness window — the frame is
     // effectively dropped, and later epochs climb past the window.
-    auto ref = reference.IngestFrame(
-        EncodeSnapshotV2(engine->ExportSnapshot(source)));
+    auto ref = reference.IngestFrame(FullFrame(*engine, source));
     if (!ref.ok() &&
         ref.status().code() != Status::Code::kFailedPrecondition) {
       return "reference ingest failed: " + ref.status().ToString();
     }
 
     std::vector<uint8_t> frame;
-    const Status exported = engine->ExportDeltaEncoded(source, &cursor, &frame);
+    const Status exported = engine->Export(source, &cursor, &frame);
     if (!exported.ok()) return "export failed: " + exported.ToString();
 
     const uint64_t fault = faults.Next64() % 4;
@@ -714,8 +732,7 @@ std::string RunDeltaSyncTrial(BackendKind kind, uint64_t seed,
   for (int attempt = 0; attempt < 10 && !converged; ++attempt) {
     if (attempt > 0) engine->Tick();
     bool reference_applied = false;
-    auto ref = reference.IngestFrame(
-        EncodeSnapshotV2(engine->ExportSnapshot(source)));
+    auto ref = reference.IngestFrame(FullFrame(*engine, source));
     if (ref.ok()) {
       reference_applied = ref.ValueOrDie().applied;
     } else if (ref.status().code() != Status::Code::kFailedPrecondition) {
@@ -723,7 +740,7 @@ std::string RunDeltaSyncTrial(BackendKind kind, uint64_t seed,
     }
 
     std::vector<uint8_t> frame;
-    const Status exported = engine->ExportDeltaEncoded(source, &cursor, &frame);
+    const Status exported = engine->Export(source, &cursor, &frame);
     if (!exported.ok()) return "settlement export failed: " + exported.ToString();
     auto ack = lossy.IngestFrame(frame);
     bool lossy_applied = false;
@@ -784,7 +801,7 @@ TEST(DeltaSyncPropertyTest, SteadyStateDeltasStayWellUnderFullFrames) {
         engine.RecordBatch(key, workload::Materialize(&gen, kPerTick)).ok());
     engine.Tick();
     std::vector<uint8_t> frame;
-    ASSERT_TRUE(engine.ExportDeltaEncoded("agent-0", &cursor, &frame).ok());
+    ASSERT_TRUE(engine.Export("agent-0", &cursor, &frame).ok());
     auto ack = aggregator.IngestFrame(frame);
     ASSERT_TRUE(ack.ok()) << ack.status().ToString();
     ASSERT_TRUE(ack.ValueOrDie().applied);
@@ -792,8 +809,7 @@ TEST(DeltaSyncPropertyTest, SteadyStateDeltasStayWellUnderFullFrames) {
       // Steady state: the window is at capacity, every round evicts and
       // emits the same number of sub-windows — the delta ships the new
       // ones where a full frame re-ships the whole live window.
-      const size_t full_bytes =
-          EncodeSnapshotV2(engine.ExportSnapshot("agent-0")).size();
+      const size_t full_bytes = FullFrame(engine, "agent-0").size();
       EXPECT_LT(2 * frame.size(), full_bytes)
           << "steady-state delta frame is not well under the full frame "
           << "(round " << round << ")";
@@ -825,7 +841,7 @@ TEST(DeltaSyncPropertyTest, EvictedMetricForcesFullFrameAndPrunesCursor) {
 
   auto ship = [&]() -> bool {
     std::vector<uint8_t> frame;
-    EXPECT_TRUE(engine.ExportDeltaEncoded(source, &cursor, &frame).ok());
+    EXPECT_TRUE(engine.Export(source, &cursor, &frame).ok());
     auto ack = aggregator.IngestFrame(frame);
     EXPECT_TRUE(ack.ok()) << ack.status().ToString();
     EXPECT_TRUE(ack.ValueOrDie().applied);

@@ -33,6 +33,7 @@
 #include "engine/engine.h"
 #include "engine/query.h"
 #include "engine/wire.h"
+#include "export_util.h"
 #include "gtest/gtest.h"
 #include "net/client.h"
 #include "net/protocol.h"
@@ -239,8 +240,7 @@ TEST(NetProtocolTest, TruncationAndTrailingBytesRejected) {
 TEST(NetProtocolTest, ClassificationByLeadingMagic) {
   TelemetryEngine engine;
   ASSERT_TRUE(engine.RegisterMetric(MetricKey("m")).ok());
-  const std::vector<uint8_t> data =
-      engine::EncodeSnapshotV2(engine.ExportSnapshot("src"));
+  const std::vector<uint8_t> data = test_util::FullFrame(engine, "src");
   EXPECT_EQ(ClassifyFrame(data), FrameClass::kData);
 
   ControlFrame ack;
@@ -327,9 +327,7 @@ TEST(NetAuthTest, DataBeforeHelloIsRejected) {
   TelemetryEngine engine;
   ASSERT_TRUE(engine.RegisterMetric(MetricKey("m")).ok());
   ASSERT_TRUE(
-      engine::WriteFrame(
-          fd, engine::EncodeSnapshotV2(engine.ExportSnapshot("sneak")))
-          .ok());
+      engine::WriteFrame(fd, test_util::FullFrame(engine, "sneak")).ok());
 
   auto reply = engine::ReadFrame(fd);
   ASSERT_TRUE(reply.ok());

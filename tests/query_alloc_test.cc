@@ -29,6 +29,7 @@
 
 #include "engine/engine.h"
 #include "engine/query.h"
+#include "export_util.h"
 #include "workload/generators.h"
 
 namespace {
@@ -133,7 +134,7 @@ TEST_P(QueryAllocTest, CachedWindowEvaluateIsAllocationFree) {
   ASSERT_TRUE(resolved_probe.ok());
   // Build an equivalent view directly over exported state to probe
   // Evaluate in isolation (summaries + options outlive the view).
-  WireSnapshot exported = engine.ExportSnapshot("alloc-probe");
+  WireSnapshot exported = test_util::FullSnapshot(engine, "alloc-probe");
   ASSERT_EQ(exported.metrics.size(), 1u);
   const MetricOptions& metric_options = exported.metrics[0].options;
   const WindowView view(exported.metrics[0].shards, metric_options);
@@ -192,8 +193,8 @@ TEST(QueryAllocTest2, IntrospectionHotPathCountersAllocateNothing) {
   // buffer flush, OnDrain/RecordStage at every ring drain): once the TLS
   // buffer, the shard rings, and the preallocated stage-sample buffers
   // reach steady state, a full record -> flush -> drain cycle must not
-  // touch the heap at all. (With QLOVE_INTROSPECTION=OFF the same holds
-  // trivially; this test pins the ENABLED build to the same bar.)
+  // touch the heap at all. (With introspection switched off the same
+  // holds trivially; this test pins the enabled layer to the same bar.)
   EngineOptions options;
   options.num_shards = 4;
   TelemetryEngine engine(options);

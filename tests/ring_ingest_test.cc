@@ -28,6 +28,7 @@
 #include "engine/engine.h"
 #include "engine/shard.h"
 #include "engine/wire.h"
+#include "export_util.h"
 #include "workload/generators.h"
 
 namespace qlove {
@@ -71,7 +72,7 @@ std::vector<uint8_t> EncodeOne(const BackendSummary& summary,
   metric.options = options;
   metric.shards.push_back(summary);
   snapshot.metrics.push_back(std::move(metric));
-  return EncodeSnapshot(snapshot);
+  return EncodeSnapshotV2(snapshot);
 }
 
 class RingIngestEquivalenceTest
@@ -219,7 +220,7 @@ TEST(RingIngestStressTest, ConcurrentWritersAndTicksLoseNothing) {
               static_cast<double>(kWriters * kPerWriter));
 
     std::map<double, int64_t> merged;
-    WireSnapshot exported = engine.ExportSnapshot("stress");
+    WireSnapshot exported = test_util::FullSnapshot(engine, "stress");
     ASSERT_EQ(exported.metrics.size(), 1u);
     for (const BackendSummary& shard : exported.metrics[0].shards) {
       for (const auto& [value, weight] : shard.entries) {

@@ -26,6 +26,7 @@
 #include "engine/aggregator.h"
 #include "engine/engine.h"
 #include "engine/wire.h"
+#include "export_util.h"
 #include "workload/generators.h"
 
 namespace qlove {
@@ -77,7 +78,7 @@ EngineOptions TestEngineOptions(BackendKind kind = BackendKind::kQlove) {
 /// Re-encoded bytes with source/sync_token pinned, so two engines' exports
 /// compare on state alone (the token is a per-incarnation random).
 std::vector<uint8_t> NormalizedExport(const TelemetryEngine& engine) {
-  WireSnapshot snapshot = engine.ExportSnapshot("normalized");
+  WireSnapshot snapshot = test_util::FullSnapshot(engine, "normalized");
   snapshot.sync_token = 0;
   return EncodeSnapshotV2(snapshot);
 }
@@ -237,7 +238,9 @@ std::vector<uint8_t> ReadFile(const std::string& path) {
 void WriteFile(const std::string& path, const std::vector<uint8_t>& bytes) {
   FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  if (!bytes.empty()) {  // fwrite's buffer must be non-null even for 0 bytes
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  }
   std::fclose(f);
 }
 
@@ -416,6 +419,40 @@ TEST(EngineWalTest, EnospcSeamDegradesThenHeals) {
   EXPECT_EQ(NormalizedExport(recovered), NormalizedExport(engine));
 }
 
+// Regression: WAL records are encoded through the unmetered internal
+// path. They used to go through the public export call, so an agent with
+// a WAL and no network peer reported exports, wire bytes and wire_encode
+// latency for frames that never left the host.
+TEST(EngineWalTest, WalRecordsAreNotMeteredAsExports) {
+  ScopedWalDir dir;
+  TelemetryEngine engine(TestEngineOptions());
+  ASSERT_TRUE(engine.EnableWal(dir.path(), TestWalOptions()).ok());
+  DriveTicks(&engine, MetricKey("rtt_us", {}), /*seed=*/3, /*ticks=*/5);
+
+  EngineStats stats = engine.Stats();
+  ASSERT_TRUE(stats.enabled);
+  EXPECT_EQ(stats.wal_records, 5);
+  EXPECT_EQ(stats.counters.exports, 0);
+  EXPECT_EQ(stats.counters.wire_bytes_encoded, 0);
+  EXPECT_EQ(stats.counters.delta_exports, 0);
+  EXPECT_EQ(stats.counters.wire_bytes_delta, 0);
+  for (const StageStats& stage : stats.stages) {
+    if (stage.stage == Stage::kWireEncode) {
+      EXPECT_EQ(stage.samples, 0);
+    }
+  }
+
+  ExportCursor cursor;
+  std::vector<uint8_t> frame;
+  ASSERT_TRUE(engine.Export("host-a", &cursor, &frame).ok());
+  stats = engine.Stats();
+  EXPECT_EQ(stats.counters.exports, 1);
+  EXPECT_EQ(stats.counters.wire_bytes_encoded,
+            static_cast<int64_t>(frame.size()));
+  EXPECT_EQ(stats.counters.delta_exports, 0);
+  EXPECT_EQ(stats.counters.wire_bytes_delta, 0);
+}
+
 TEST(EngineWalTest, RecoverRoundTripsQloveAndGk) {
   for (BackendKind kind : {BackendKind::kQlove, BackendKind::kGk}) {
     SCOPED_TRACE(BackendKindName(kind));
@@ -537,9 +574,9 @@ TEST(EngineWalTest, ForeignTokenRecordIsRejectedNotFatal) {
   ExportCursor cursor;
   std::vector<uint8_t> frame;
   DriveTicks(&foreign, key, /*seed=*/9, /*ticks=*/1);
-  ASSERT_TRUE(foreign.ExportDeltaEncoded("wal", &cursor, &frame).ok());  // full
+  ASSERT_TRUE(foreign.Export("wal", &cursor, &frame).ok());  // full
   DriveTicks(&foreign, key, /*seed=*/10, /*ticks=*/1);
-  ASSERT_TRUE(foreign.ExportDeltaEncoded("wal", &cursor, &frame).ok());  // delta
+  ASSERT_TRUE(foreign.Export("wal", &cursor, &frame).ok());  // delta
 
   auto segments = ListWalSegments(dir.path());
   ASSERT_TRUE(segments.ok());
@@ -593,7 +630,7 @@ TEST(AggregatorWalTest, RecoverRestoresHeldSources) {
           pair->RecordBatch(key, workload::Materialize(&gen, 96)).ok());
       pair->Flush();
       pair->Tick();
-      ASSERT_TRUE(pair->ExportDeltaEncoded(name, &cursor, &frame).ok());
+      ASSERT_TRUE(pair->Export(name, &cursor, &frame).ok());
       auto ack = aggregator.IngestFrame(frame);
       ASSERT_TRUE(ack.ok());
       ASSERT_TRUE(ack.ValueOrDie().applied);
@@ -634,9 +671,8 @@ TEST(AggregatorWalTest, RecoverRequiresFreshAggregator) {
   AggregatorEngine aggregator;
   TelemetryEngine agent(TestEngineOptions());
   DriveTicks(&agent, MetricKey("rtt_us", {}), 1, 1);
-  std::vector<uint8_t> frame;
-  ASSERT_TRUE(agent.ExportEncoded("host-a", &frame).ok());
-  ASSERT_TRUE(aggregator.IngestFrame(frame).ok());
+  ASSERT_TRUE(
+      aggregator.IngestFrame(test_util::FullFrame(agent, "host-a")).ok());
   EXPECT_EQ(aggregator.RecoverFromWal(dir.path()).status().code(),
             Status::Code::kFailedPrecondition);
 }

@@ -1,21 +1,23 @@
 // The wire format (engine/wire.h): encode -> decode -> re-encode must be
 // byte-identical for every backend kind (the property the aggregator's
 // replay/dedup logic and the golden fixtures rely on); truncated or
-// corrupted buffers must decode to an error Status, never UB (this suite
-// runs under the ASan/UBSan CI job); and the checked-in golden fixtures
-// pin the version-1 layout so any format change shows up as an explicit
-// kWireVersion bump plus regenerated fixtures, not a silent skew.
+// corrupted buffers must decode — and ingest — to an error Status, never
+// UB (this suite runs under the ASan/UBSan CI job); and the checked-in
+// golden fixtures pin the layout so any format change shows up as an
+// explicit wire version bump plus regenerated fixtures, not a silent skew.
 //
 // Golden fixtures live in tests/golden/ (path baked in via
 // QLOVE_GOLDEN_DIR); regenerate with
 //   QLOVE_REGEN_GOLDEN=1 ./qlove_tests --gtest_filter='*Golden*'
-// after bumping kWireVersion — never to paper over an unintended change.
+// after bumping the wire version — never to paper over an unintended
+// change.
 
 #include "engine/wire.h"
 
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -29,11 +31,15 @@
 
 #include "engine/aggregator.h"
 #include "engine/engine.h"
+#include "export_util.h"
 #include "workload/generators.h"
 
 namespace qlove {
 namespace engine {
 namespace {
+
+using test_util::FullFrame;
+using test_util::FullSnapshot;
 
 std::string ToHex(const std::vector<uint8_t>& bytes) {
   static const char* digits = "0123456789abcdef";
@@ -70,22 +76,31 @@ BackendOptions MakeBackendOptions(BackendKind kind) {
   return backend;
 }
 
-/// An engine-driven snapshot: real sketch state for \p kind, exported the
-/// way an agent would export it.
-WireSnapshot AgentSnapshot(BackendKind kind, uint64_t seed) {
+/// An agent engine holding real sketch state for \p kind: two shards, six
+/// Ticks of seeded traffic.
+std::unique_ptr<TelemetryEngine> AgentEngine(BackendKind kind, uint64_t seed) {
   EngineOptions options;
   options.num_shards = 2;
   options.shard_window = WindowSpec(512, 128);
   options.default_backend = MakeBackendOptions(kind);
-  TelemetryEngine engine(options);
+  auto engine = std::make_unique<TelemetryEngine>(options);
   const MetricKey key("rtt_us", {{"host", "h0"}, {"service", "netmon"}});
   workload::NetMonGenerator gen(seed);
   for (int tick = 0; tick < 6; ++tick) {
     EXPECT_TRUE(
-        engine.RecordBatch(key, workload::Materialize(&gen, 256)).ok());
-    engine.Tick();
+        engine->RecordBatch(key, workload::Materialize(&gen, 256)).ok());
+    engine->Tick();
   }
-  return engine.ExportSnapshot("agent-" + std::string(BackendKindName(kind)));
+  return engine;
+}
+
+std::string AgentSource(BackendKind kind) {
+  return "agent-" + std::string(BackendKindName(kind));
+}
+
+/// The agent engine's export, decoded: what an aggregator would hold.
+WireSnapshot AgentSnapshot(BackendKind kind, uint64_t seed) {
+  return FullSnapshot(*AgentEngine(kind, seed), AgentSource(kind));
 }
 
 /// A hand-built snapshot with literal values only: golden bytes must not
@@ -135,9 +150,9 @@ WireSnapshot LiteralSnapshot(BackendKind kind) {
   return snapshot;
 }
 
-std::string GoldenPath(uint16_t version, const std::string& name) {
-  return std::string(QLOVE_GOLDEN_DIR) + "/wire_v" + std::to_string(version) +
-         "_" + name + ".hex";
+std::string GoldenPath(const std::string& name) {
+  return std::string(QLOVE_GOLDEN_DIR) + "/wire_v" +
+         std::to_string(kWireVersionV2) + "_" + name + ".hex";
 }
 
 /// Shared golden-fixture body: regenerate under QLOVE_REGEN_GOLDEN=1,
@@ -164,59 +179,57 @@ void CheckGolden(const std::vector<uint8_t>& encoded, const std::string& path,
   EXPECT_EQ(reencode(golden), golden);
 }
 
+// ---------------------------------------------------------------------------
+// The frames an engine ships: decode -> re-encode is byte-identical, the
+// export buffer is reused, and the ingest path refuses every damaged frame
+// ---------------------------------------------------------------------------
+
 class WireRoundTripTest : public ::testing::TestWithParam<BackendKind> {};
 
-// ---------------------------------------------------------------------------
-// encode -> decode -> re-encode is byte-identical (engine-driven state)
-// ---------------------------------------------------------------------------
-
 TEST_P(WireRoundTripTest, ReencodeIsByteIdentical) {
-  const WireSnapshot original = AgentSnapshot(GetParam(), 42);
-  ASSERT_FALSE(original.metrics.empty());
-  const std::vector<uint8_t> encoded = EncodeSnapshot(original);
+  const std::string source = AgentSource(GetParam());
+  const std::vector<uint8_t> frame =
+      FullFrame(*AgentEngine(GetParam(), 42), source);
 
-  auto decoded = DecodeSnapshot(encoded);
+  auto decoded = DecodeFrame(frame);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  const WireSnapshot& snapshot = decoded.ValueOrDie();
-  EXPECT_EQ(snapshot.source, original.source);
-  EXPECT_EQ(snapshot.epoch, original.epoch);
-  ASSERT_EQ(snapshot.metrics.size(), original.metrics.size());
-  EXPECT_EQ(snapshot.metrics[0].key, original.metrics[0].key);
-  EXPECT_EQ(snapshot.metrics[0].options.phis, original.metrics[0].options.phis);
+  ASSERT_FALSE(decoded.ValueOrDie().is_delta);
+  const WireSnapshot& snapshot = decoded.ValueOrDie().snapshot;
+  EXPECT_EQ(snapshot.source, source);
+  EXPECT_EQ(snapshot.epoch, 6);
+  EXPECT_NE(snapshot.sync_token, 0u);
+  ASSERT_EQ(snapshot.metrics.size(), 1u);
   EXPECT_EQ(snapshot.metrics[0].options.backend.kind, GetParam());
-  ASSERT_EQ(snapshot.metrics[0].shards.size(),
-            original.metrics[0].shards.size());
-  for (size_t shard = 0; shard < snapshot.metrics[0].shards.size(); ++shard) {
-    EXPECT_EQ(snapshot.metrics[0].shards[shard],
-              original.metrics[0].shards[shard])
-        << "shard " << shard << " summary diverged across the round trip";
-  }
+  // Exports are shard-coalesced: two engine shards ship as one summary.
+  EXPECT_EQ(snapshot.metrics[0].shards.size(), 1u);
+  EXPECT_EQ(EncodeSnapshotV2(snapshot), frame);
 
-  const std::vector<uint8_t> reencoded = EncodeSnapshot(snapshot);
-  EXPECT_EQ(encoded, reencoded);
+  // The aggregator holds exactly what was shipped.
+  AggregatorEngine aggregator;
+  auto ack = aggregator.IngestFrame(frame);
+  ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+  EXPECT_TRUE(ack.ValueOrDie().applied);
+  auto held = aggregator.SourceSnapshot(source);
+  ASSERT_TRUE(held.ok());
+  EXPECT_EQ(EncodeSnapshotV2(held.ValueOrDie()), frame);
 }
 
-// ---------------------------------------------------------------------------
-// Caller-buffer encoding: exact pre-sized, byte-identical, reusable
-// ---------------------------------------------------------------------------
-
 TEST_P(WireRoundTripTest, CallerBufferEncodeIsExactSizedAndReusable) {
-  const WireSnapshot snapshot = AgentSnapshot(GetParam(), 43);
-  const std::vector<uint8_t> reference = EncodeSnapshot(snapshot);
-  // The size walk must agree with the writer exactly: the encoder resizes
-  // once up front and never grows mid-write.
-  EXPECT_EQ(EncodedSnapshotSize(snapshot), reference.size());
+  auto engine = AgentEngine(GetParam(), 43);
+  const std::vector<uint8_t> reference = FullFrame(*engine, "agent-0");
 
+  // Steady-state agent loop: re-exporting unchanged state into the same
+  // buffer produces the same bytes without reallocating (same capacity,
+  // same storage).
+  ExportCursor cursor;
   std::vector<uint8_t> buffer;
-  EncodeSnapshot(snapshot, &buffer);
+  ASSERT_TRUE(engine->Export("agent-0", &cursor, &buffer).ok());
   EXPECT_EQ(buffer, reference);
-
-  // Steady-state agent loop: re-encoding into the same buffer produces the
-  // same bytes without reallocating (same capacity, same storage).
   const size_t capacity = buffer.capacity();
   const uint8_t* storage = buffer.data();
   for (int i = 0; i < 5; ++i) {
-    EncodeSnapshot(snapshot, &buffer);
+    cursor.RequestResync();  // full frame again
+    ASSERT_TRUE(engine->Export("agent-0", &cursor, &buffer).ok());
     EXPECT_EQ(buffer, reference);
   }
   EXPECT_EQ(buffer.capacity(), capacity);
@@ -224,82 +237,78 @@ TEST_P(WireRoundTripTest, CallerBufferEncodeIsExactSizedAndReusable) {
 }
 
 // ---------------------------------------------------------------------------
-// Golden fixtures: the v1 layout is pinned byte for byte
-// ---------------------------------------------------------------------------
-
-TEST_P(WireRoundTripTest, GoldenBytesMatchCheckedInFixture) {
-  const WireSnapshot fixture = LiteralSnapshot(GetParam());
-  CheckGolden(EncodeSnapshot(fixture),
-              GoldenPath(kWireVersion, BackendKindName(GetParam())),
-              [](const std::vector<uint8_t>& golden) {
-                auto decoded = DecodeSnapshot(golden);
-                EXPECT_TRUE(decoded.ok()) << decoded.status().ToString();
-                return EncodeSnapshot(decoded.ValueOrDie());
-              });
-}
-
-// ---------------------------------------------------------------------------
-// Truncation and corruption: error Status, never UB
+// Truncation and corruption at ingest: error Status, never UB
 // ---------------------------------------------------------------------------
 
 TEST_P(WireRoundTripTest, EveryTruncationReturnsErrorStatus) {
-  const std::vector<uint8_t> encoded =
-      EncodeSnapshot(AgentSnapshot(GetParam(), 7));
-  ASSERT_GT(encoded.size(), 16u);
-  for (size_t length = 0; length < encoded.size(); ++length) {
-    auto decoded = DecodeSnapshot(encoded.data(), length);
-    EXPECT_FALSE(decoded.ok()) << "prefix of " << length << " bytes decoded";
+  const std::vector<uint8_t> frame =
+      FullFrame(*AgentEngine(GetParam(), 7), "agent-0");
+  ASSERT_GT(frame.size(), 16u);
+  AggregatorEngine aggregator;
+  for (size_t length = 0; length < frame.size(); ++length) {
+    auto ack = aggregator.IngestFrame(frame.data(), length);
+    EXPECT_FALSE(ack.ok()) << "prefix of " << length << " bytes ingested";
   }
+  EXPECT_EQ(aggregator.source_count(), 0u);
+  EXPECT_EQ(aggregator.FleetHealth().decode_failures,
+            static_cast<int64_t>(frame.size()));
 }
 
 TEST_P(WireRoundTripTest, ByteFlipsNeverCrashAndUsuallyFailCleanly) {
-  // Flipping any single byte must yield either a clean error Status or a
-  // decodable (possibly semantically different) snapshot — never UB. Runs
-  // under the ASan/UBSan job, where an out-of-bounds read would abort.
-  std::vector<uint8_t> encoded = EncodeSnapshot(AgentSnapshot(GetParam(), 9));
-  for (size_t i = 0; i < encoded.size(); ++i) {
-    const uint8_t saved = encoded[i];
-    encoded[i] = static_cast<uint8_t>(~saved);
-    auto decoded = DecodeSnapshot(encoded);
-    if (decoded.ok()) {
-      // A surviving flip (e.g. inside a double payload) must still
-      // re-encode without reading out of bounds.
-      EncodeSnapshot(decoded.ValueOrDie());
+  // Flipping any single byte of a shipped frame must yield either a clean
+  // error Status or an applied (possibly semantically different) frame —
+  // never UB, in the decoder or in the aggregator's validation. Runs under
+  // the ASan/UBSan job, where an out-of-bounds read would abort.
+  std::vector<uint8_t> frame =
+      FullFrame(*AgentEngine(GetParam(), 9), "agent-0");
+  AggregatorEngine aggregator;
+  for (size_t i = 0; i < frame.size(); ++i) {
+    const uint8_t saved = frame[i];
+    frame[i] = static_cast<uint8_t>(~saved);
+    auto ack = aggregator.IngestFrame(frame);
+    if (ack.ok() && ack.ValueOrDie().applied) {
+      // A surviving flip (e.g. inside a value payload) must still
+      // re-encode from held state without reading out of bounds.
+      for (const auto& source : aggregator.Sources()) {
+        auto held = aggregator.SourceSnapshot(source.source);
+        ASSERT_TRUE(held.ok());
+        EncodeSnapshotV2(held.ValueOrDie());
+      }
     }
-    encoded[i] = saved;
+    frame[i] = saved;
   }
 }
 
 TEST(WireFormatTest, RejectsBadMagicVersionAndHostileLengths) {
   const std::vector<uint8_t> encoded =
-      EncodeSnapshot(AgentSnapshot(BackendKind::kExact, 3));
+      EncodeSnapshotV2(AgentSnapshot(BackendKind::kExact, 3));
 
   std::vector<uint8_t> bad_magic = encoded;
   bad_magic[0] = 'X';
-  EXPECT_FALSE(DecodeSnapshot(bad_magic).ok());
+  EXPECT_FALSE(DecodeFrame(bad_magic).ok());
 
-  // Version 2 is live (see the V2/interop suites below), so an unknown
-  // version must be one this build does not speak at all.
   std::vector<uint8_t> bad_version = encoded;
   bad_version[4] = 99;
-  auto version_result = DecodeSnapshot(bad_version);
+  auto version_result = DecodeFrame(bad_version);
   ASSERT_FALSE(version_result.ok());
   EXPECT_NE(version_result.status().message().find("version"),
             std::string::npos);
 
-  // Hostile length: patch the source-string length (offset 6) to u32 max.
-  // The decoder must fail on the bounds check, not attempt the allocation.
+  // Hostile length: patch the source-string length (the varint after
+  // magic, version and flags, offset 7) to u32 max. The decoder must fail
+  // on the bounds check, not attempt the allocation.
   std::vector<uint8_t> hostile = encoded;
-  hostile[6] = hostile[7] = hostile[8] = hostile[9] = 0xFF;
-  EXPECT_FALSE(DecodeSnapshot(hostile).ok());
+  const uint8_t u32_max[5] = {0xFF, 0xFF, 0xFF, 0xFF, 0x0F};
+  std::copy(u32_max, u32_max + 5, hostile.begin() + 7);
+  EXPECT_FALSE(DecodeFrame(hostile).ok());
 
-  EXPECT_FALSE(DecodeSnapshot(nullptr, 8).ok());
-  EXPECT_FALSE(DecodeSnapshot(std::vector<uint8_t>{}).ok());
+  EXPECT_FALSE(DecodeFrame(nullptr, 8).ok());
+  EXPECT_FALSE(DecodeFrame(std::vector<uint8_t>{}).ok());
 
   // Trailing garbage after a valid snapshot is corruption, not padding.
   std::vector<uint8_t> trailing = encoded;
   trailing.push_back(0);
-  EXPECT_FALSE(DecodeSnapshot(trailing).ok());
+  EXPECT_FALSE(DecodeFrame(trailing).ok());
 }
 
 // Regression: an encoded key carrying the same tag name twice must be
@@ -318,27 +327,22 @@ TEST(WireFormatTest, RejectsDuplicateTagNameInEncodedKey) {
   const MetricKey key("dup_metric", {{"qq", "aa"}, {"qz", "bb"}});
   ASSERT_TRUE(engine.RecordBatch(key, {1.0, 2.0, 3.0}).ok());
   engine.Tick();
-  const WireSnapshot snapshot = engine.ExportSnapshot("agent-dup");
+  std::vector<uint8_t> encoded = FullFrame(engine, "agent-dup");
 
-  for (const bool v2 : {false, true}) {
-    SCOPED_TRACE(v2 ? "v2" : "v1");
-    std::vector<uint8_t> encoded =
-        v2 ? EncodeSnapshotV2(snapshot) : EncodeSnapshot(snapshot);
-    size_t patched = 0;
-    for (size_t i = 0; i + 1 < encoded.size(); ++i) {
-      if (encoded[i] == 'q' && encoded[i + 1] == 'z') {
-        encoded[i + 1] = 'q';
-        ++patched;
-      }
+  size_t patched = 0;
+  for (size_t i = 0; i + 1 < encoded.size(); ++i) {
+    if (encoded[i] == 'q' && encoded[i + 1] == 'z') {
+      encoded[i + 1] = 'q';
+      ++patched;
     }
-    ASSERT_EQ(patched, 1u);
-    auto decoded = DecodeSnapshot(encoded);
-    ASSERT_FALSE(decoded.ok());
-    EXPECT_EQ(decoded.status().code(), Status::Code::kInvalidArgument);
-    EXPECT_NE(decoded.status().message().find("duplicate tag"),
-              std::string::npos)
-        << decoded.status().message();
   }
+  ASSERT_EQ(patched, 1u);
+  auto decoded = DecodeFrame(encoded);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), Status::Code::kInvalidArgument);
+  EXPECT_NE(decoded.status().message().find("duplicate tag"),
+            std::string::npos)
+      << decoded.status().message();
 }
 
 // ---------------------------------------------------------------------------
@@ -349,7 +353,7 @@ TEST(WireFrameTest, FramesRoundTripOverAPipe) {
   int fds[2];
   ASSERT_EQ(::pipe(fds), 0);
   const std::vector<uint8_t> payload =
-      EncodeSnapshot(AgentSnapshot(BackendKind::kGk, 11));
+      FullFrame(*AgentEngine(BackendKind::kGk, 11), "agent-gk");
   ASSERT_TRUE(WriteFrame(fds[1], payload).ok());
   ASSERT_TRUE(WriteFrame(fds[1], payload).ok());
   ::close(fds[1]);
@@ -392,7 +396,7 @@ TEST(WireFrameTest, MidFrameEofIsAnError) {
 }
 
 // ---------------------------------------------------------------------------
-// Version 2: compact full frames
+// Full frames: the codec itself
 // ---------------------------------------------------------------------------
 
 class WireV2RoundTripTest : public ::testing::TestWithParam<BackendKind> {};
@@ -425,18 +429,10 @@ TEST_P(WireV2RoundTripTest, ReencodeIsByteIdentical) {
   EXPECT_EQ(EncodeSnapshotV2(snapshot), encoded);
 }
 
-TEST_P(WireV2RoundTripTest, CompactsRelativeToV1) {
-  // The point of v2: the same snapshot in strictly fewer bytes. Engine
-  // state exercises the tagged value coder on real sketch output.
-  const WireSnapshot snapshot = AgentSnapshot(GetParam(), 42);
-  EXPECT_LT(EncodeSnapshotV2(snapshot).size(),
-            EncodeSnapshot(snapshot).size());
-}
-
 TEST_P(WireV2RoundTripTest, GoldenBytesMatchCheckedInFixture) {
   const WireSnapshot fixture = LiteralSnapshot(GetParam());
   CheckGolden(EncodeSnapshotV2(fixture),
-              GoldenPath(kWireVersionV2, BackendKindName(GetParam())),
+              GoldenPath(BackendKindName(GetParam())),
               [](const std::vector<uint8_t>& golden) {
                 auto frame = DecodeFrame(golden);
                 EXPECT_TRUE(frame.ok()) << frame.status().ToString();
@@ -456,9 +452,9 @@ TEST_P(WireV2RoundTripTest, EveryTruncationReturnsErrorStatus) {
 }
 
 TEST_P(WireV2RoundTripTest, ByteFlipsNeverCrashAndUsuallyFailCleanly) {
-  // Same contract as v1: every single-byte flip yields a clean error or a
-  // decodable frame that re-encodes without reading out of bounds. Runs
-  // under the ASan/UBSan job.
+  // Every single-byte flip yields a clean error or a decodable frame that
+  // re-encodes without reading out of bounds. Runs under the ASan/UBSan
+  // job.
   std::vector<uint8_t> encoded =
       EncodeSnapshotV2(AgentSnapshot(GetParam(), 9));
   for (size_t i = 0; i < encoded.size(); ++i) {
@@ -486,7 +482,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// Version 2: delta frames
+// Delta frames
 // ---------------------------------------------------------------------------
 
 /// A hand-built delta: one qlove patch and one full-mode metric, literal
@@ -558,7 +554,7 @@ TEST(WireDeltaTest, ReencodeIsByteIdentical) {
 
 TEST(WireDeltaTest, GoldenBytesMatchCheckedInFixture) {
   CheckGolden(EncodeDelta(LiteralDelta()),
-              GoldenPath(kWireVersionV2, "delta"),
+              GoldenPath("delta"),
               [](const std::vector<uint8_t>& golden) {
                 auto frame = DecodeFrame(golden);
                 EXPECT_TRUE(frame.ok()) << frame.status().ToString();
@@ -594,46 +590,39 @@ TEST(WireDeltaTest, ByteFlipsNeverCrashAndUsuallyFailCleanly) {
 }
 
 // ---------------------------------------------------------------------------
-// Version interop: v1 and v2 coexist, unknown versions are rejected
+// Versioning: only version 2 decodes
 // ---------------------------------------------------------------------------
 
-TEST(WireInteropTest, V1FramesDecodeThroughBothApis) {
-  const WireSnapshot original = AgentSnapshot(BackendKind::kQlove, 17);
-  const std::vector<uint8_t> v1 = EncodeSnapshot(original);
+TEST(WireInteropTest, V1FramesAreRejectedThroughBothApis) {
+  // A frame in the retired fixed-width layout: valid magic, version 1,
+  // then length fields claiming a 4 GiB source string and 4 Gi metrics.
+  // Both entry points must refuse it at the version check — before any
+  // length field is read, so nothing is allocated from them (a 4 GiB
+  // request would abort the ASan/UBSan job).
+  std::vector<uint8_t> v1(kWireMagic, kWireMagic + sizeof(kWireMagic));
+  v1.insert(v1.end(), {0x01, 0x00});              // u16 version 1
+  v1.insert(v1.end(), {0xFF, 0xFF, 0xFF, 0xFF});  // u32 source length
+  v1.insert(v1.end(), 8, 0x00);                   // i64 epoch
+  v1.insert(v1.end(), {0xFF, 0xFF, 0xFF, 0xFF});  // u32 metric count
 
   auto frame = DecodeFrame(v1);
-  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
-  EXPECT_FALSE(frame.ValueOrDie().is_delta);
-  // DecodeFrame on a v1 buffer must agree with the legacy decoder exactly
-  // (no flag-day: old senders keep working against new receivers).
-  EXPECT_EQ(EncodeSnapshot(frame.ValueOrDie().snapshot), v1);
+  ASSERT_FALSE(frame.ok());
+  EXPECT_EQ(frame.status().code(), Status::Code::kInvalidArgument);
+  EXPECT_NE(frame.status().message().find("version 1"), std::string::npos)
+      << frame.status().message();
 
-  auto legacy = DecodeSnapshot(v1);
-  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
-  EXPECT_EQ(EncodeSnapshot(legacy.ValueOrDie()), v1);
-}
-
-TEST(WireInteropTest, V2FullFramesDecodeThroughDecodeSnapshot) {
-  const WireSnapshot original = AgentSnapshot(BackendKind::kGk, 18);
-  const std::vector<uint8_t> v2 = EncodeSnapshotV2(original);
-  auto decoded = DecodeSnapshot(v2);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(EncodeSnapshotV2(decoded.ValueOrDie()), v2);
-}
-
-TEST(WireInteropTest, DeltaFramesAreRejectedByDecodeSnapshot) {
-  // A delta applies against held state DecodeSnapshot does not have; it
-  // must refuse loudly and point at the frame-aware path.
-  const std::vector<uint8_t> encoded = EncodeDelta(LiteralDelta());
-  auto decoded = DecodeSnapshot(encoded);
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_NE(decoded.status().message().find("delta"), std::string::npos);
+  AggregatorEngine aggregator;
+  auto ack = aggregator.IngestFrame(v1);
+  ASSERT_FALSE(ack.ok());
+  EXPECT_EQ(ack.status().code(), Status::Code::kInvalidArgument);
+  EXPECT_EQ(aggregator.source_count(), 0u);
+  EXPECT_EQ(aggregator.FleetHealth().decode_failures, 1);
 }
 
 TEST(WireInteropTest, UnknownVersionsAndFlagsAreRejected) {
   const std::vector<uint8_t> encoded =
       EncodeSnapshotV2(AgentSnapshot(BackendKind::kExact, 19));
-  for (uint8_t version : {0, 3, 99}) {
+  for (uint8_t version : {0, 1, 3, 99}) {
     std::vector<uint8_t> bad = encoded;
     bad[4] = version;
     bad[5] = 0;
@@ -652,11 +641,11 @@ TEST(WireInteropTest, UnknownVersionsAndFlagsAreRejected) {
 // ---------------------------------------------------------------------------
 
 TEST(WireCoalesceTest, CoalescedExportShedsTheShardMultiplier) {
-  // An 8-shard engine's coalesced export ships one summary per metric:
-  // the per-shard framing and quantile multiplier disappears. (The tail
-  // caches cannot shrink — an 8-shard window legitimately holds 8x the
-  // samples — so the bound is against the uncoalesced export, not the
-  // 1-shard engine.)
+  // An 8-shard engine's export ships one summary per metric: one
+  // sub-window per Tick epoch with one quantile grid each, instead of
+  // eight of each. (The tail caches cannot shrink — an 8-shard window
+  // legitimately holds 8x the samples — so they ride as the union.) The
+  // bench gate pins the end-to-end byte size.
   EngineOptions options;
   options.num_shards = 8;
   options.shard_window = WindowSpec(512, 128);
@@ -664,44 +653,43 @@ TEST(WireCoalesceTest, CoalescedExportShedsTheShardMultiplier) {
   TelemetryEngine engine(options);
   const MetricKey key("rtt_us", {{"host", "h0"}});
   workload::NetMonGenerator gen(21);
-  for (int tick = 0; tick < 6; ++tick) {
+  constexpr int kTicks = 6;
+  for (int tick = 0; tick < kTicks; ++tick) {
     ASSERT_TRUE(
         engine.RecordBatch(key, workload::Materialize(&gen, 512)).ok());
     engine.Tick();
   }
 
-  ExportOptions uncoalesced_opts;
-  uncoalesced_opts.coalesce_shards = false;
-  const WireSnapshot raw = engine.ExportSnapshot("a", uncoalesced_opts);
-  const WireSnapshot coalesced = engine.ExportSnapshot("a");
-  const size_t bytes_raw = EncodeSnapshot(raw).size();
-  const size_t bytes_coalesced = EncodeSnapshot(coalesced).size();
-
+  const std::vector<uint8_t> frame = FullFrame(engine, "a");
+  auto decoded = DecodeFrame(frame);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  const WireSnapshot& coalesced = decoded.ValueOrDie().snapshot;
   ASSERT_EQ(coalesced.metrics.size(), 1u);
-  EXPECT_EQ(coalesced.metrics[0].shards.size(), 1u);
-  ASSERT_EQ(raw.metrics.size(), 1u);
-  EXPECT_EQ(raw.metrics[0].shards.size(), 8u);
-  // The framing/quantile multiplier is gone; the concatenated tail caches
-  // remain (they carry irreducible few-k state for 8 shards' samples), so
-  // the guaranteed floor here is a constant-fraction shed. The full v1
-  // fixed-width overhead disappears in v2 (see CompactsRelativeToV1) and
-  // the bench gate pins the end-to-end byte reduction.
-  EXPECT_LT(4 * bytes_coalesced, 3 * bytes_raw);
-
-  // Coalescing must preserve the window population and remain a valid,
-  // ingestible v1 snapshot (old aggregators keep working).
-  auto population = [](const WireMetricSummary& metric) {
-    int64_t total = 0;
-    for (const BackendSummary& shard : metric.shards) {
-      for (const core::SubWindowSummary& sub : shard.subwindows) {
-        total += sub.count;
-      }
+  ASSERT_EQ(coalesced.metrics[0].shards.size(), 1u);
+  const BackendSummary& summary = coalesced.metrics[0].shards[0];
+  ASSERT_FALSE(summary.subwindows.empty());
+  EXPECT_LE(summary.subwindows.size(), static_cast<size_t>(kTicks));
+  int64_t population = 0;
+  for (size_t i = 0; i < summary.subwindows.size(); ++i) {
+    const core::SubWindowSummary& sub = summary.subwindows[i];
+    if (i > 0) {
+      EXPECT_LT(summary.subwindows[i - 1].epoch, sub.epoch);
     }
-    return total;
-  };
-  EXPECT_EQ(population(coalesced.metrics[0]), population(raw.metrics[0]));
+    EXPECT_EQ(sub.quantiles.size(), summary.subwindows[0].quantiles.size());
+    population += sub.count;
+  }
+
+  // Coalescing preserves the window population, and the frame ingests.
+  auto local = engine.Query(QuerySpec::ForKey(key).With(QueryRequest::Count()));
+  ASSERT_TRUE(local.ok()) << local.status().ToString();
+  EXPECT_EQ(population, local.ValueOrDie().window_count);
   AggregatorEngine aggregator;
-  EXPECT_TRUE(aggregator.IngestEncoded(EncodeSnapshot(coalesced)).ok());
+  auto ack = aggregator.IngestFrame(frame);
+  ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+  auto remote =
+      aggregator.Query(QuerySpec::ForKey(key).With(QueryRequest::Count()));
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  EXPECT_EQ(remote.ValueOrDie().window_count, population);
 }
 
 INSTANTIATE_TEST_SUITE_P(
