@@ -46,6 +46,16 @@ bool SameServingConfiguration(const MetricOptions& a, const MetricOptions& b) {
          a.shard_window == b.shard_window;
 }
 
+/// The position of \p key in \p metrics (canonical key order, enforced on
+/// every ingest), or metrics.end() when it is not held.
+std::vector<WireMetricSummary>::const_iterator FindMetric(
+    const std::vector<WireMetricSummary>& metrics, const MetricKey& key) {
+  auto it = std::lower_bound(metrics.begin(), metrics.end(), key,
+                             [](const WireMetricSummary& m,
+                                const MetricKey& k) { return m.key < k; });
+  return it != metrics.end() && it->key == key ? it : metrics.end();
+}
+
 }  // namespace
 
 AggregatorEngine::AggregatorEngine(AggregatorOptions options)
@@ -164,6 +174,9 @@ Status AggregatorEngine::IngestImpl(WireSnapshot snapshot) {
     state.delta_frames = it->second.delta_frames;
   }
   state.full_frames += 1;
+  // A full frame replaces every held summary: none continues what this
+  // aggregator may have re-exported before.
+  state.lineage.assign(snapshot.metrics.size(), ++last_lineage_);
   state.snapshot = std::move(snapshot);
   state.fleet_epoch_at_ingest = fleet_epoch_;
   state.last_ingest_unix_s = WallUnixSeconds();
@@ -409,30 +422,19 @@ Result<AggregatorEngine::IngestAck> AggregatorEngine::ApplyDelta(
     return nak;
   }
 
-  // Validate-then-swap: assemble the replacement metric list fully before
-  // touching held state, so a NAK mid-way leaves the source intact. The
-  // delta's metric list is authoritative — held metrics it omits were
+  // Validate-then-swap, in two passes. The first checks every NAK
+  // condition without touching held state, so a NAK on any metric leaves
+  // the source intact; the second moves each held summary into the
+  // replacement list and patches it there (no copy of the held window).
+  // The delta's metric list is authoritative — held metrics it omits were
   // deregistered on the agent and are dropped here.
-  std::vector<WireMetricSummary> metrics;
-  metrics.reserve(delta.metrics.size());
-  for (WireMetricDelta& metric : delta.metrics) {
-    if (metric.mode == WireDeltaMode::kFull) {
-      WireMetricSummary out;
-      out.key = metric.key;
-      out.options = std::move(metric.options);
-      out.shards = std::move(metric.shards);
-      metrics.push_back(std::move(out));
-      continue;
-    }
-    // kQloveDelta patches the held summary: trim sub-windows the agent's
-    // window has evicted, append the ones it has emitted since base_epoch.
-    auto held_it = std::lower_bound(
-        held.snapshot.metrics.begin(), held.snapshot.metrics.end(), metric.key,
-        [](const WireMetricSummary& m, const MetricKey& key) {
-          return m.key < key;
-        });
-    if (held_it == held.snapshot.metrics.end() ||
-        !(held_it->key == metric.key)) {
+  std::vector<WireMetricSummary>& held_metrics = held.snapshot.metrics;
+  std::vector<size_t> patch_targets(delta.metrics.size());
+  for (size_t i = 0; i < delta.metrics.size(); ++i) {
+    const WireMetricDelta& metric = delta.metrics[i];
+    if (metric.mode == WireDeltaMode::kFull) continue;
+    const auto held_it = FindMetric(held_metrics, metric.key);
+    if (held_it == held_metrics.end()) {
       return nak;  // patch target unknown — agent and aggregator disagree
     }
     if (held_it->shards.size() != 1 ||
@@ -441,35 +443,63 @@ Result<AggregatorEngine::IngestAck> AggregatorEngine::ApplyDelta(
       // Held state is not the coalesced qlove shape deltas patch.
       return nak;
     }
-    WireMetricSummary merged = *held_it;
-    BackendSummary& summary = merged.shards[0];
-    auto& subs = summary.subwindows;
-    auto live = std::lower_bound(
-        subs.begin(), subs.end(), metric.first_live_epoch,
-        [](const core::SubWindowSummary& sub, int64_t epoch) {
-          return sub.epoch < epoch;
-        });
-    subs.erase(subs.begin(), live);
-    if (!metric.new_subwindows.empty()) {
-      const int64_t held_max = subs.empty() ? -1 : subs.back().epoch;
-      if (metric.new_subwindows.front().epoch <= held_max) {
-        // The "new" sub-windows overlap what we hold: the agent's view of
-        // our state has diverged. Applying would double-count.
-        return nak;
-      }
-      subs.insert(subs.end(),
-                  std::make_move_iterator(metric.new_subwindows.begin()),
-                  std::make_move_iterator(metric.new_subwindows.end()));
+    // kQloveDelta trims held sub-windows older than first_live_epoch and
+    // appends the new ones; the trim only removes from the front, so the
+    // newest held epoch survives it unless everything goes.
+    const auto& subs = held_it->shards[0].subwindows;
+    const int64_t held_max =
+        !subs.empty() && subs.back().epoch >= metric.first_live_epoch
+            ? subs.back().epoch
+            : -1;
+    if (!metric.new_subwindows.empty() &&
+        metric.new_subwindows.front().epoch <= held_max) {
+      // The "new" sub-windows overlap what we hold: the agent's view of
+      // our state has diverged. Applying would double-count.
+      return nak;
     }
+    patch_targets[i] = static_cast<size_t>(held_it - held_metrics.begin());
+  }
+
+  std::vector<WireMetricSummary> metrics;
+  std::vector<uint64_t> lineage;
+  metrics.reserve(delta.metrics.size());
+  lineage.reserve(delta.metrics.size());
+  for (size_t i = 0; i < delta.metrics.size(); ++i) {
+    WireMetricDelta& metric = delta.metrics[i];
+    if (metric.mode == WireDeltaMode::kFull) {
+      WireMetricSummary out;
+      out.key = metric.key;
+      out.options = std::move(metric.options);
+      out.shards = std::move(metric.shards);
+      metrics.push_back(std::move(out));
+      lineage.push_back(++last_lineage_);  // replaced, not patched
+      continue;
+    }
+    const size_t target = patch_targets[i];
+    WireMetricSummary& patched = held_metrics[target];
+    BackendSummary& summary = patched.shards[0];
+    auto& subs = summary.subwindows;
+    subs.erase(subs.begin(),
+               std::lower_bound(subs.begin(), subs.end(),
+                                metric.first_live_epoch,
+                                [](const core::SubWindowSummary& sub,
+                                   int64_t epoch) {
+                                  return sub.epoch < epoch;
+                                }));
+    subs.insert(subs.end(),
+                std::make_move_iterator(metric.new_subwindows.begin()),
+                std::make_move_iterator(metric.new_subwindows.end()));
     summary.count = metric.count;
     summary.inflight = metric.inflight;
     summary.burst_active = metric.burst_active;
     summary.rank_error = metric.rank_error;
-    metrics.push_back(std::move(merged));
+    metrics.push_back(std::move(patched));
+    lineage.push_back(held.lineage[target]);
   }
 
   held.snapshot.epoch = delta.epoch;
   held.snapshot.metrics = std::move(metrics);
+  held.lineage = std::move(lineage);
   held.delta_frames += 1;
   fleet_epoch_ = std::max(fleet_epoch_, delta.epoch);
   held.fleet_epoch_at_ingest = fleet_epoch_;
@@ -481,8 +511,8 @@ Result<AggregatorEngine::IngestAck> AggregatorEngine::ApplyDelta(
 }
 
 WireSnapshot AggregatorEngine::ExportSnapshot(
-    std::string source, const ExportOptions& export_options) const {
-  reexports_.fetch_add(1, std::memory_order_relaxed);
+    std::string source, const ExportOptions& export_options,
+    std::vector<uint64_t>* lineage) const {
   WireSnapshot out;
   out.source = std::move(source);
   out.sync_token = sync_token_;
@@ -492,47 +522,67 @@ WireSnapshot AggregatorEngine::ExportSnapshot(
   // Merge by key across fresh sources. sources_ is name-ordered, so "the
   // first source in name order" for each key falls out of iteration order;
   // the map keeps the re-export in canonical key order for free.
-  std::map<MetricKey, WireMetricSummary> merged;
+  struct Pooled {
+    WireMetricSummary metric;
+    uint64_t lineage = 0;
+  };
+  std::map<MetricKey, Pooled> merged;
   for (const auto& [name, state] : sources_) {
     (void)name;
     if (IsStale(state, fleet_epoch_)) continue;
-    for (const WireMetricSummary& metric : state.snapshot.metrics) {
+    for (size_t i = 0; i < state.snapshot.metrics.size(); ++i) {
+      const WireMetricSummary& metric = state.snapshot.metrics[i];
       if (!export_options.include_self_metrics &&
           IsReservedMetricName(metric.key.name())) {
         continue;
       }
       auto it = merged.find(metric.key);
       if (it == merged.end()) {
-        merged.emplace(metric.key, metric);
+        merged.emplace(metric.key, Pooled{metric, state.lineage[i]});
         continue;
       }
-      if (!SameServingConfiguration(it->second.options, metric.options)) {
+      if (!SameServingConfiguration(it->second.metric.options,
+                                    metric.options)) {
         // Per-metric options are singular on the wire; pooling disagreeing
         // configurations is what Query() itself refuses. Drop and count.
         reexport_dropped_.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
-      it->second.shards.insert(it->second.shards.end(),
-                               metric.shards.begin(), metric.shards.end());
+      auto& shards = it->second.metric.shards;
+      shards.insert(shards.end(), metric.shards.begin(), metric.shards.end());
     }
   }
   out.metrics.reserve(merged.size());
-  for (auto& [key, metric] : merged) {
+  lineage->clear();
+  lineage->reserve(merged.size());
+  for (auto& [key, pooled] : merged) {
     (void)key;
-    out.metrics.push_back(std::move(metric));
+    out.metrics.push_back(std::move(pooled.metric));
+    lineage->push_back(pooled.lineage);
   }
   return out;
 }
 
-Status AggregatorEngine::ExportEncoded(
-    std::string source, std::vector<uint8_t>* out,
-    const ExportOptions& export_options) const {
-  if (out == nullptr) {
-    return Status::InvalidArgument("ExportEncoded: out buffer is null");
+Status AggregatorEngine::Export(std::string source, ExportCursor* cursor,
+                                std::vector<uint8_t>* out,
+                                const ExportOptions& export_options) const {
+  if (cursor == nullptr) {
+    return Status::InvalidArgument("null export cursor");
   }
-  EncodeSnapshotV2(ExportSnapshot(std::move(source), export_options), out);
-  wire_bytes_reexported_.fetch_add(static_cast<int64_t>(out->size()),
-                                   std::memory_order_relaxed);
+  if (out == nullptr) {
+    return Status::InvalidArgument("null output buffer");
+  }
+  std::vector<uint64_t> lineage;
+  const WireSnapshot snapshot =
+      ExportSnapshot(std::move(source), export_options, &lineage);
+  const bool delta = cursor->Encode(snapshot, &lineage, out);
+  const auto bytes = static_cast<int64_t>(out->size());
+  reexports_.fetch_add(1, std::memory_order_relaxed);
+  wire_bytes_reexported_.fetch_add(bytes, std::memory_order_relaxed);
+  if (delta) {
+    delta_reexports_.fetch_add(1, std::memory_order_relaxed);
+    wire_bytes_delta_reexported_.fetch_add(bytes, std::memory_order_relaxed);
+  }
   return Status::OK();
 }
 
@@ -592,10 +642,19 @@ Result<QueryResult> AggregatorEngine::Query(const QuerySpec& spec) const {
   std::set<std::string> stale_sources;
   for (const auto& [name, state] : sources_) {
     const bool is_stale = IsStale(state, fleet_epoch_);
-    for (const WireMetricSummary& metric : state.snapshot.metrics) {
-      if (!matches(metric.key)) continue;
+    auto take = [&](const WireMetricSummary& metric) {
       (is_stale ? stale : fresh).push_back(&metric);
       (is_stale ? stale_sources : fresh_sources).insert(name);
+    };
+    const std::vector<WireMetricSummary>& metrics = state.snapshot.metrics;
+    if (spec.target == QuerySpec::TargetKind::kKey) {
+      // A point lookup: each held list is in canonical key order.
+      const auto it = FindMetric(metrics, spec.key);
+      if (it != metrics.end()) take(*it);
+      continue;
+    }
+    for (const WireMetricSummary& metric : metrics) {
+      if (matches(metric.key)) take(metric);
     }
   }
   if (fresh.empty()) {
@@ -791,6 +850,9 @@ AggregatorEngine::FleetHealthSnapshot AggregatorEngine::FleetHealth() const {
   health.reexports = reexports_.load(std::memory_order_relaxed);
   health.wire_bytes_reexported =
       wire_bytes_reexported_.load(std::memory_order_relaxed);
+  health.delta_reexports = delta_reexports_.load(std::memory_order_relaxed);
+  health.wire_bytes_delta_reexported =
+      wire_bytes_delta_reexported_.load(std::memory_order_relaxed);
   health.reexport_dropped = reexport_dropped_.load(std::memory_order_relaxed);
   health.metrics_retired = metrics_retired_.load(std::memory_order_relaxed);
   health.interned_strings = StringInterner::Global().size();
@@ -902,9 +964,12 @@ std::string FormatFleetHealth(
                 health.interned_strings);
   if (health.reexports > 0) {
     AppendHealthF(&out,
-                  "  reexports=%lld reexport_bytes=%lld reexport_dropped=%lld\n",
+                  "  reexports=%lld reexport_bytes=%lld (delta_reexports=%lld "
+                  "delta_bytes=%lld) reexport_dropped=%lld\n",
                   static_cast<long long>(health.reexports),
                   static_cast<long long>(health.wire_bytes_reexported),
+                  static_cast<long long>(health.delta_reexports),
+                  static_cast<long long>(health.wire_bytes_delta_reexported),
                   static_cast<long long>(health.reexport_dropped));
   }
   if (health.wal_enabled || health.wal_recovered_epoch > 0 ||
@@ -1001,9 +1066,13 @@ std::string FleetHealthToJson(
                 static_cast<long long>(health.queries));
   AppendHealthF(&out,
                 "\"reexports\": %lld, \"wire_bytes_reexported\": %lld, "
+                "\"delta_reexports\": %lld, "
+                "\"wire_bytes_delta_reexported\": %lld, "
                 "\"reexport_dropped\": %lld, ",
                 static_cast<long long>(health.reexports),
                 static_cast<long long>(health.wire_bytes_reexported),
+                static_cast<long long>(health.delta_reexports),
+                static_cast<long long>(health.wire_bytes_delta_reexported),
                 static_cast<long long>(health.reexport_dropped));
   AppendHealthF(&out,
                 "\"metrics_retired\": %lld, \"interned_strings\": %zu, ",

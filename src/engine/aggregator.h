@@ -79,9 +79,10 @@ struct AggregatorOptions {
 
 /// \brief Pools remote agents' summaries and serves fleet-wide queries.
 ///
-/// Thread-safe: IngestFrame and Query may be called concurrently (one mutex —
-/// the aggregator is read-mostly between Ticks and ingest is a pointer
-/// swap per source, so a finer scheme has nothing to win yet).
+/// Thread-safe: IngestFrame, Export and Query may be called concurrently
+/// (one mutex — the aggregator is read-mostly between Ticks, and ingest
+/// patches or swaps one source's held list in place, so a finer scheme
+/// has nothing to win yet).
 class AggregatorEngine {
  public:
   explicit AggregatorEngine(AggregatorOptions options = {});
@@ -134,22 +135,22 @@ class AggregatorEngine {
   /// \name Re-export: the hierarchical aggregation tree
   ///
   /// An aggregator's pooled fleet state serialized back through the same
-  /// wire format its agents ship, so an aggregator is itself an agent to
-  /// its parent — host-tier aggregators feed rack-tier ones feed a
-  /// cluster tier, and every tier serves the same query surface over the
-  /// same summaries. Semantics: metrics from every FRESH source, merged by
-  /// key — the same key reported by several sources re-exports as one
-  /// WireMetricSummary whose summary list is the concatenation of the
-  /// sources' summaries (options taken from the first source in name
-  /// order). That is exactly the multiset Query() pools, so a parent
-  /// ingesting the re-export answers bit-identically to this aggregator.
-  /// A same-key source whose self-described options disagree with the
-  /// first reporter's is dropped from the re-export and counted
+  /// wire format and the same cursor protocol its agents use, so an
+  /// aggregator is itself an agent to its parent — host-tier aggregators
+  /// feed rack-tier ones feed a cluster tier, and every tier serves the
+  /// same query surface over the same summaries. Semantics: metrics from
+  /// every FRESH source, merged by key — the same key reported by several
+  /// sources re-exports as one WireMetricSummary whose summary list is the
+  /// concatenation of the sources' summaries (options taken from the first
+  /// source in name order). That is exactly the multiset Query() pools, so
+  /// a parent ingesting the re-export answers bit-identically to this
+  /// aggregator. A same-key source whose self-described options disagree
+  /// with the first reporter's is dropped from the re-export and counted
   /// (FleetHealthSnapshot::reexport_dropped) — per-metric options are
   /// singular on the wire, and silently pooling disagreeing
   /// configurations is what Query() itself refuses.
   ///
-  /// The frame is stamped with the fleet epoch and this aggregator's own
+  /// Frames are stamped with the fleet epoch and this aggregator's own
   /// sync token. ExportOptions::include_self_metrics gates whether
   /// `__qlove/` metrics held from the children ride along (fleet-health
   /// rollup across tiers). Re-exports ship the per-source summaries
@@ -158,11 +159,24 @@ class AggregatorEngine {
   /// summary would risk merging different wall-clock windows.
   /// @{
 
-  /// Encodes the pooled fleet state as one full frame named \p source
-  /// into \p out (buffer reused), with re-export bytes counted into
-  /// FleetHealth.
-  Status ExportEncoded(std::string source, std::vector<uint8_t>* out,
-                       const ExportOptions& export_options = {}) const;
+  /// Encodes the pooled fleet state named \p source into \p out (buffer
+  /// reused) through \p cursor, exactly as TelemetryEngine::Export does
+  /// for an agent: a full frame on the cursor's first export or after
+  /// RequestResync(), otherwise a DELTA frame that patches, per key held
+  /// from a single source as one qlove summary, only the sub-windows the
+  /// parent has not acked. Keys pooled from several sources and non-qlove
+  /// metrics ride kFull inside the delta. So does a key whose held
+  /// summary was REPLACED rather than patched since the cursor last
+  /// shipped it — a full frame from its source (the source restarted, its
+  /// sync token changed, or it resynced), a kFull inside a child's delta,
+  /// or a different source now reporting the key — because sub-window
+  /// epochs alone cannot prove the parent's copy continues it. A source
+  /// going stale drops its keys from the export, which forces a full frame
+  /// (the parent must retire them). Re-export calls and bytes, split into
+  /// full and delta, are counted into FleetHealth.
+  Status Export(std::string source, ExportCursor* cursor,
+                std::vector<uint8_t>* out,
+                const ExportOptions& export_options = {}) const;
 
   /// @}
 
@@ -305,8 +319,10 @@ class AggregatorEngine {
     int64_t delta_ingests = 0;       ///< Delta frames applied.
     int64_t resyncs_requested = 0;   ///< Delta NAKs (resync_required acks).
     int64_t wire_bytes_delta_ingested = 0;  ///< Bytes of applied deltas.
-    int64_t reexports = 0;           ///< ExportEncoded calls.
+    int64_t reexports = 0;           ///< Export calls (full + delta).
     int64_t wire_bytes_reexported = 0;  ///< Encoded re-export bytes.
+    int64_t delta_reexports = 0;     ///< Re-exports encoded as deltas.
+    int64_t wire_bytes_delta_reexported = 0;  ///< Bytes of delta re-exports.
     int64_t reexport_dropped = 0;    ///< Same-key summaries dropped from
                                      ///< re-exports over disagreeing
                                      ///< self-described options.
@@ -357,6 +373,11 @@ class AggregatorEngine {
   /// is therefore about reporting recency, not absolute Tick counts).
   struct SourceState {
     WireSnapshot snapshot;
+    /// Parallel to snapshot.metrics: the stamp of the full frame or kFull
+    /// metric that established each held summary (kQloveDelta patches
+    /// keep it). Export hands these to ExportCursor::Encode, so a summary
+    /// that was replaced since it was last re-exported rides kFull.
+    std::vector<uint64_t> lineage;
     int64_t fleet_epoch_at_ingest = 0;
     int64_t full_frames = 0;   ///< Full snapshots applied.
     int64_t delta_frames = 0;  ///< Delta frames applied.
@@ -405,9 +426,12 @@ class AggregatorEngine {
   /// mismatches) that no resync would fix differently.
   Result<IngestAck> ApplyDelta(WireDelta delta);
   /// The pooled fleet state as one WireSnapshot named \p source (see the
-  /// re-export section).
+  /// re-export section), with each metric's lineage stamp in \p lineage
+  /// (a pooled key takes its first source's; pooled keys ride kFull
+  /// regardless).
   WireSnapshot ExportSnapshot(std::string source,
-                              const ExportOptions& export_options) const;
+                              const ExportOptions& export_options,
+                              std::vector<uint64_t>* lineage) const;
   /// The self-metrics engine's stage sink; null when introspection is off.
   Introspection* SelfIntrospection() const;
 
@@ -422,6 +446,8 @@ class AggregatorEngine {
   /// Transport sessions per source, merged into Sources() by name.
   std::map<std::string, ConnectionState> connections_;
   int64_t fleet_epoch_ = 0;
+  /// Last lineage stamp handed out (SourceState::lineage); guarded by mu_.
+  uint64_t last_lineage_ = 0;
 
   /// Transport stats provider (net/server.h); own lock so FleetHealth can
   /// poll it without holding mu_.
@@ -441,6 +467,8 @@ class AggregatorEngine {
   std::atomic<int64_t> wire_bytes_delta_ingested_{0};
   mutable std::atomic<int64_t> reexports_{0};
   mutable std::atomic<int64_t> wire_bytes_reexported_{0};
+  mutable std::atomic<int64_t> delta_reexports_{0};
+  mutable std::atomic<int64_t> wire_bytes_delta_reexported_{0};
   mutable std::atomic<int64_t> reexport_dropped_{0};
   std::atomic<int64_t> metrics_retired_{0};
 

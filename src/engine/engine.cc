@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
@@ -756,8 +757,16 @@ Status TelemetryEngine::Export(std::string source, ExportCursor* cursor,
 bool TelemetryEngine::EncodeExport(std::string source, ExportCursor* cursor,
                                    std::vector<uint8_t>* out,
                                    const ExportOptions& export_options) const {
-  const WireSnapshot snapshot =
-      ExportSnapshot(std::move(source), export_options);
+  return cursor->Encode(ExportSnapshot(std::move(source), export_options),
+                        /*lineage=*/nullptr, out);
+}
+
+bool ExportCursor::Encode(const WireSnapshot& snapshot,
+                          const std::vector<uint64_t>* lineage,
+                          std::vector<uint8_t>* out) {
+  auto lineage_of = [lineage](size_t i) -> uint64_t {
+    return lineage != nullptr ? (*lineage)[i] : 0;
+  };
   // A tracked metric absent from this snapshot vanished (evicted or
   // otherwise retired). A delta frame can only describe metrics it
   // carries, so the receiver would keep serving the stale key forever;
@@ -766,9 +775,9 @@ bool TelemetryEngine::EncodeExport(std::string source, ExportCursor* cursor,
   // canonical key order, so one merge scan decides.
   bool tracked_metric_vanished = false;
   {
-    auto tracked = cursor->sent_.cbegin();
+    auto tracked = sent_.cbegin();
     auto present = snapshot.metrics.cbegin();
-    while (tracked != cursor->sent_.cend()) {
+    while (tracked != sent_.cend()) {
       while (present != snapshot.metrics.cend() &&
              present->key < tracked->first) {
         ++present;
@@ -783,40 +792,44 @@ bool TelemetryEngine::EncodeExport(std::string source, ExportCursor* cursor,
     }
   }
   bool encoded_delta = false;
-  if (cursor->force_full_ || cursor->last_epoch_ < 0 ||
-      tracked_metric_vanished) {
+  if (force_full_ || last_epoch_ < 0 || tracked_metric_vanished) {
     EncodeSnapshotV2(snapshot, out);
   } else {
     WireDelta delta;
     delta.source = snapshot.source;
     delta.epoch = snapshot.epoch;
-    delta.base_epoch = cursor->last_epoch_;
+    delta.base_epoch = last_epoch_;
     delta.sync_token = snapshot.sync_token;
     delta.metrics.reserve(snapshot.metrics.size());
-    for (const WireMetricSummary& metric : snapshot.metrics) {
+    for (size_t i = 0; i < snapshot.metrics.size(); ++i) {
+      const WireMetricSummary& metric = snapshot.metrics[i];
       WireMetricDelta md;
       md.key = metric.key;
-      const auto sent = cursor->sent_.find(metric.key);
+      const auto sent = sent_.find(metric.key);
       // Incremental shipping needs sub-window-addressable state on both
-      // ends: a coalesced qlove summary here, and a prior frame that
-      // shipped this metric the same way (sent marker >= 0). Everything
-      // else rides as a full replacement inside the delta.
-      if (sent != cursor->sent_.end() && sent->second >= 0 &&
+      // ends: a single qlove summary here, and a prior frame that shipped
+      // this metric the same way from the same lineage. Everything else
+      // rides as a full replacement inside the delta.
+      if (sent != sent_.end() && sent->second.patchable &&
+          sent->second.lineage == lineage_of(i) &&
           metric.shards.size() == 1 &&
           metric.shards[0].kind == BackendKind::kQlove) {
         const BackendSummary& summary = metric.shards[0];
         md.mode = WireDeltaMode::kQloveDelta;
-        // An empty window trims everything the receiver holds (held
-        // epochs never exceed the snapshot epoch).
-        md.first_live_epoch = summary.subwindows.empty()
-                                  ? snapshot.epoch + 1
-                                  : summary.subwindows.front().epoch;
+        // An empty window trims everything the receiver holds, whose
+        // newest epoch is the newest this cursor shipped.
+        md.first_live_epoch =
+            summary.subwindows.empty()
+                ? std::max(snapshot.epoch, sent->second.newest_epoch) + 1
+                : summary.subwindows.front().epoch;
         md.count = summary.count;
         md.inflight = summary.inflight;
         md.burst_active = summary.burst_active;
         md.rank_error = summary.rank_error;
         for (const core::SubWindowSummary& sub : summary.subwindows) {
-          if (sub.epoch > sent->second) md.new_subwindows.push_back(sub);
+          if (sub.epoch > sent->second.newest_epoch) {
+            md.new_subwindows.push_back(sub);
+          }
         }
       } else {
         md.mode = WireDeltaMode::kFull;
@@ -834,30 +847,34 @@ bool TelemetryEngine::EncodeExport(std::string source, ExportCursor* cursor,
   // present entries, insert new ones, and PRUNE entries for metrics no
   // longer exported, so a long-lived cursor's footprint follows the live
   // metric count instead of growing one node per key ever retired.
-  cursor->force_full_ = false;
-  cursor->last_epoch_ = snapshot.epoch;
-  auto tracked = cursor->sent_.begin();
-  for (const WireMetricSummary& metric : snapshot.metrics) {
-    int64_t newest = -1;  // -1: shipped whole, not delta-eligible
+  force_full_ = false;
+  last_epoch_ = snapshot.epoch;
+  auto tracked = sent_.begin();
+  for (size_t i = 0; i < snapshot.metrics.size(); ++i) {
+    const WireMetricSummary& metric = snapshot.metrics[i];
+    Sent sent;
+    sent.lineage = lineage_of(i);
     if (metric.shards.size() == 1 &&
         metric.shards[0].kind == BackendKind::kQlove) {
       const auto& subs = metric.shards[0].subwindows;
-      // With no live sub-windows the snapshot epoch is a safe high-water
-      // mark: future sub-windows are stamped past it.
-      newest = subs.empty() ? snapshot.epoch : subs.back().epoch;
+      sent.patchable = true;
+      // Sub-window epochs count the metric's own boundaries, not the
+      // exporter's epoch, so after an empty window only "everything is
+      // new" is a safe high-water mark.
+      sent.newest_epoch = subs.empty() ? std::numeric_limits<int64_t>::min()
+                                       : subs.back().epoch;
     }
-    while (tracked != cursor->sent_.end() && tracked->first < metric.key) {
-      tracked = cursor->sent_.erase(tracked);  // vanished: prune
+    while (tracked != sent_.end() && tracked->first < metric.key) {
+      tracked = sent_.erase(tracked);  // vanished: prune
     }
-    if (tracked != cursor->sent_.end() && tracked->first == metric.key) {
-      tracked->second = newest;
+    if (tracked != sent_.end() && tracked->first == metric.key) {
+      tracked->second = sent;
       ++tracked;
     } else {
-      tracked = std::next(
-          cursor->sent_.emplace_hint(tracked, metric.key, newest));
+      tracked = std::next(sent_.emplace_hint(tracked, metric.key, sent));
     }
   }
-  cursor->sent_.erase(tracked, cursor->sent_.end());
+  sent_.erase(tracked, sent_.end());
   return encoded_delta;
 }
 

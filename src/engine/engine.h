@@ -141,26 +141,35 @@ struct EngineOptions {
   Status Validate() const;
 };
 
-/// \brief Knobs for TelemetryEngine::Export and
-/// AggregatorEngine::ExportEncoded.
+/// \brief Knobs for TelemetryEngine::Export and AggregatorEngine::Export.
 struct ExportOptions {
-  /// Include the engine's own `__qlove/` self-metrics in the export so
-  /// they roll up across the fleet like any other metric. Default OFF:
-  /// wire consumers that pin exact export bytes (golden fixtures) must
-  /// not absorb nondeterministic timing sketches unasked.
+  /// Include the `__qlove/` self-metrics in the export so they roll up
+  /// across the fleet like any other metric: the engine's own, or the
+  /// ones an aggregator holds from its children. Default OFF: wire
+  /// consumers that pin exact export bytes (golden fixtures) must not
+  /// absorb nondeterministic timing sketches unasked.
   bool include_self_metrics = false;
 };
 
-/// \brief Per-receiver delta-sync state for TelemetryEngine::Export: which
-/// epoch and which qlove sub-windows the receiving aggregator is believed
-/// to hold, so the next export ships only what it has not seen.
+/// \brief Per-receiver delta-sync state for one export stream —
+/// TelemetryEngine::Export from an agent, or AggregatorEngine::Export from
+/// an aggregator to its parent: which epoch and which qlove sub-windows
+/// the receiver is believed to hold, so the next export ships only what
+/// it has not seen.
 ///
-/// One cursor per (engine, receiver) stream, owned by the caller and used
-/// from one exporting thread at a time. The protocol is optimistic: the
-/// cursor advances as frames are produced, and when the receiver disagrees
-/// (it NAKed, it restarted, frames were dropped in transit) the caller
-/// invokes RequestResync() and the next export is a full frame. A fresh
-/// cursor's first export is always a full frame.
+/// One cursor per (exporter, receiver) stream, owned by the caller and
+/// used from one exporting thread at a time. The protocol is optimistic:
+/// the cursor advances as frames are produced, and when the receiver
+/// disagrees (it NAKed, it restarted, frames were dropped in transit) the
+/// caller invokes RequestResync() and the next export is a full frame. A
+/// fresh cursor's first export is always a full frame.
+///
+/// A frame the receiver did not apply must be followed by RequestResync().
+/// The receiver's base-epoch check also NAKs the delta after a lost frame
+/// whenever the exporter's epoch advanced in between — always for an
+/// agent, whose epoch advances with every sub-window it closes, but not
+/// for an aggregator, whose fleet epoch stands still while lagging
+/// sources report.
 class ExportCursor {
  public:
   /// Force the next export to be a full frame (initial state). Call on
@@ -172,22 +181,50 @@ class ExportCursor {
   /// delta declares as its base), or -1 before the first export.
   int64_t last_epoch() const { return last_epoch_; }
 
-  /// Metrics the cursor currently tracks. Bounded by the engine's live
-  /// metric count: entries for evicted/unregistered metrics are pruned on
-  /// every export (a vanished tracked metric also forces that export to a
-  /// full frame, so the receiver retires it too).
+  /// Metrics the cursor currently tracks. Bounded by the exporter's live
+  /// metric count: entries for evicted/unregistered metrics (or, at an
+  /// aggregator, keys whose sources went stale) are pruned on every
+  /// export (a vanished tracked metric also forces that export to a full
+  /// frame, so the receiver retires it too).
   size_t tracked_metrics() const { return sent_.size(); }
 
  private:
   friend class TelemetryEngine;
+  friend class AggregatorEngine;
+
+  /// The one snapshot->frame diff behind both engines' Export: encodes
+  /// \p snapshot into \p out as a full frame or as a delta against what
+  /// this cursor says the receiver holds, then advances the cursor.
+  /// Returns true when it wrote a delta.
+  ///
+  /// \p lineage (null, or parallel to snapshot.metrics) stamps where each
+  /// metric's summary comes from; a metric whose stamp changed since it
+  /// was last shipped rides kFull. Sub-window epochs cannot prove that a
+  /// summary continues the one the receiver holds — an aggregator's
+  /// contributing source may have restarted (epochs begin again) or been
+  /// replaced by another source reporting the same key — so the exporter
+  /// must say so. Null means one lineage throughout: an agent's metrics
+  /// only ever continue themselves within one engine incarnation.
+  bool Encode(const WireSnapshot& snapshot,
+              const std::vector<uint64_t>* lineage,
+              std::vector<uint8_t>* out);
+
+  /// What the receiver holds of one metric, as of the last frame.
+  struct Sent {
+    /// Shipped as a single qlove summary: the next export may patch it
+    /// with kQloveDelta. False for metrics shipped whole (non-qlove, or
+    /// pooled from several sources: no sub-window state to diff).
+    bool patchable = false;
+    /// Newest sub-window epoch shipped; INT64_MIN when the shipped window
+    /// was empty, so every later sub-window is new to the receiver.
+    int64_t newest_epoch = 0;
+    uint64_t lineage = 0;
+  };
 
   bool force_full_ = true;
   int64_t last_epoch_ = -1;
-  /// Per metric: newest sub-window epoch already shipped (kQloveDelta
-  /// candidates), or -1 for metrics shipped whole (non-qlove, no
-  /// sub-window state to diff). Keys are kept in lockstep with the
-  /// engine's exports — see tracked_metrics().
-  std::map<MetricKey, int64_t> sent_;
+  /// Keys are kept in lockstep with the exports — see tracked_metrics().
+  std::map<MetricKey, Sent> sent_;
 };
 
 /// \brief Sharded, thread-safe, multi-metric quantile engine.
@@ -418,7 +455,8 @@ class TelemetryEngine {
   WireSnapshot ExportSnapshot(std::string source,
                               const ExportOptions& export_options) const;
   /// The unmetered encode behind Export (and the WAL): full frame or delta
-  /// per \p cursor, which it advances. Returns true when it wrote a delta.
+  /// per \p cursor (ExportCursor::Encode), which it advances. Returns true
+  /// when it wrote a delta.
   bool EncodeExport(std::string source, ExportCursor* cursor,
                     std::vector<uint8_t>* out,
                     const ExportOptions& export_options) const;

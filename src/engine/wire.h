@@ -124,7 +124,8 @@ struct WireSnapshot {
 /// \name Full frames and delta frames
 /// @{
 
-/// How one metric rides in a delta frame.
+/// How one metric rides in a delta frame (agent exports and aggregator
+/// re-exports alike: both run ExportCursor's one diff, engine/engine.h).
 enum class WireDeltaMode : uint8_t {
   /// Full replacement: options + every shard summary, exactly as in a
   /// full frame. Used for non-qlove backends (their entry payloads are
@@ -133,8 +134,10 @@ enum class WireDeltaMode : uint8_t {
   kFull = 0,
   /// Qlove incremental: the receiver trims held sub-windows older than
   /// first_live_epoch, appends the new sub-windows, and refreshes the
-  /// scalar fields. Requires the held metric to be a single coalesced
-  /// qlove summary.
+  /// scalar fields. Per single-summary metric only: the held metric must
+  /// be one qlove summary (an agent's coalesced export, or a key an
+  /// aggregator holds from one source). Keys an aggregator pools from
+  /// several sources carry one summary per source and ride kFull.
   kQloveDelta = 1,
 };
 

@@ -43,26 +43,31 @@ Status PollFor(int fd, short events, int timeout_ms) {
   }
 }
 
+/// The delta-sync producer over either engine's Export: the cursor lives
+/// with the producer, one delta stream per client.
+template <typename Exporter>
+AgentClient::FrameProducer CursorProducer(const Exporter* exporter,
+                                          engine::ExportOptions options) {
+  auto cursor = std::make_shared<engine::ExportCursor>();
+  return [exporter, options, cursor](const std::string& source,
+                                     bool force_full,
+                                     std::vector<uint8_t>* out) {
+    if (force_full) cursor->RequestResync();
+    return exporter->Export(source, cursor.get(), out, options);
+  };
+}
+
 }  // namespace
 
 AgentClient::FrameProducer AgentClient::ForEngine(
     const engine::TelemetryEngine* engine, engine::ExportOptions options) {
-  // The cursor lives with the producer: one delta stream per client.
-  auto cursor = std::make_shared<engine::ExportCursor>();
-  return [engine, options, cursor](const std::string& source, bool force_full,
-                                   std::vector<uint8_t>* out) {
-    if (force_full) cursor->RequestResync();
-    return engine->Export(source, cursor.get(), out, options);
-  };
+  return CursorProducer(engine, options);
 }
 
 AgentClient::FrameProducer AgentClient::ForAggregator(
     const engine::AggregatorEngine* aggregator,
     engine::ExportOptions options) {
-  return [aggregator, options](const std::string& source, bool /*force_full*/,
-                               std::vector<uint8_t>* out) {
-    return aggregator->ExportEncoded(source, out, options);
-  };
+  return CursorProducer(aggregator, options);
 }
 
 AgentClient::AgentClient(ClientOptions options, FrameProducer producer)

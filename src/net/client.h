@@ -14,8 +14,9 @@
 // thread wedged in write().
 //
 // The same client ships aggregator re-exports up the tree: a host-tier
-// daemon is just an AgentClient whose FrameProducer serializes
-// AggregatorEngine::ExportEncoded — see ForAggregator().
+// daemon is just an AgentClient whose FrameProducer runs
+// AggregatorEngine::Export through the same cursor protocol — see
+// ForAggregator().
 
 #ifndef QLOVE_NET_CLIENT_H_
 #define QLOVE_NET_CLIENT_H_
@@ -90,9 +91,10 @@ class AgentClient {
   static FrameProducer ForEngine(const engine::TelemetryEngine* engine,
                                  engine::ExportOptions options = {});
 
-  /// The tree-tier producer: every frame is a full re-export of the
-  /// aggregator's pooled fleet state (AggregatorEngine::ExportEncoded).
-  /// Full frames are self-sufficient, so force_full changes nothing.
+  /// The tree-tier producer: AggregatorEngine::Export of the aggregator's
+  /// pooled fleet state through an owned ExportCursor — full frame on
+  /// force_full, delta otherwise, exactly like ForEngine. The aggregator
+  /// must outlive the client.
   static FrameProducer ForAggregator(
       const engine::AggregatorEngine* aggregator,
       engine::ExportOptions options = {});
@@ -115,7 +117,9 @@ class AgentClient {
   /// still runs, so an ExportCursor advances past the frame). This is the
   /// fault injection for the delta protocol: the aggregator never sees
   /// the frame, so the NEXT delta's base epoch disagrees and NAKs into a
-  /// resync — exactly a frame lost in transit.
+  /// resync — exactly a frame lost in transit. With ForAggregator that
+  /// holds when the fleet epoch advanced in between (engine.h
+  /// ExportCursor).
   void set_testing_drop_next_frame() { testing_drop_next_frame_ = true; }
 
   /// Closes the current session (next DeliverOnce reconnects).

@@ -1,0 +1,483 @@
+// Copyright 2026 The QLOVE Reproduction Authors
+// Delta re-export: an aggregator ships its pooled state to a parent tier
+// through the same cursor protocol agents use (AggregatorEngine::Export).
+// The invariant every case checks after every tick: what the parent holds
+// for the child aggregator is byte-identical to a fresh-cursor (full)
+// export of that child right now — deltas add nothing and lose nothing,
+// across backends, pooled keys, stale and restarted sources, lost frames
+// and NAKs.
+
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "engine/aggregator.h"
+#include "engine/engine.h"
+#include "engine/wal.h"
+#include "engine/wire.h"
+#include "net/client.h"
+#include "net/server.h"
+#include "wal_util.h"
+#include "workload/generators.h"
+
+namespace qlove {
+namespace engine {
+namespace {
+
+using test_util::ScopedWalDir;
+
+constexpr int64_t kPerTick = 256;
+
+EngineOptions AgentOptions() {
+  EngineOptions options;
+  options.num_shards = 2;
+  // Four sub-windows per window: within a dozen ticks every case sees
+  // sub-windows both emitted and expired.
+  options.shard_window = WindowSpec(4 * kPerTick / 2, kPerTick / 2);
+  return options;
+}
+
+BackendOptions Backend(BackendKind kind) {
+  BackendOptions backend;
+  backend.kind = kind;
+  backend.epsilon = 0.0005;
+  return backend;
+}
+
+/// Records one tick's worth of values for \p key.
+void Feed(TelemetryEngine* agent, const MetricKey& key,
+          workload::Generator* gen) {
+  ASSERT_TRUE(agent->RecordBatch(key, workload::Materialize(gen, kPerTick))
+                  .ok());
+}
+
+/// Ships one agent frame to \p host; the frame must apply.
+void ShipAgent(const TelemetryEngine& agent, const std::string& source,
+               ExportCursor* cursor, AggregatorEngine* host) {
+  std::vector<uint8_t> frame;
+  ASSERT_TRUE(agent.Export(source, cursor, &frame).ok());
+  auto ack = host->IngestFrame(frame);
+  ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+  ASSERT_TRUE(ack.ValueOrDie().applied) << source << " frame NAKed";
+}
+
+/// Re-exports \p child through \p cursor into \p parent; the frame must
+/// apply. Returns it decoded, for mode assertions.
+WireFrame ShipReexport(const AggregatorEngine& child, const std::string& source,
+                       ExportCursor* cursor, AggregatorEngine* parent) {
+  std::vector<uint8_t> frame;
+  EXPECT_TRUE(child.Export(source, cursor, &frame).ok());
+  auto ack = parent->IngestFrame(frame);
+  EXPECT_TRUE(ack.ok()) << ack.status().ToString();
+  if (ack.ok()) {
+    EXPECT_TRUE(ack.ValueOrDie().applied) << source << " re-export NAKed";
+  }
+  auto decoded = DecodeFrame(frame);
+  EXPECT_TRUE(decoded.ok()) << decoded.status().ToString();
+  return decoded.ok() ? decoded.TakeValue() : WireFrame();
+}
+
+/// A fresh-cursor export of \p child: its full frame.
+std::vector<uint8_t> FullReexport(const AggregatorEngine& child,
+                                  const std::string& source) {
+  ExportCursor fresh;
+  std::vector<uint8_t> frame;
+  EXPECT_TRUE(child.Export(source, &fresh, &frame).ok());
+  return frame;
+}
+
+/// The invariant: \p parent's held copy of \p source is byte-identical to
+/// \p child's full frame.
+void ExpectConverged(const AggregatorEngine& child, const std::string& source,
+                     const AggregatorEngine& parent, int tick) {
+  auto held = parent.SourceSnapshot(source);
+  ASSERT_TRUE(held.ok()) << held.status().ToString();
+  EXPECT_EQ(EncodeSnapshotV2(held.ValueOrDie()), FullReexport(child, source))
+      << source << " diverged from its full re-export after tick " << tick;
+}
+
+/// How \p key rides in delta \p frame; fails the test when absent.
+WireDeltaMode ModeOf(const WireFrame& frame, const MetricKey& key) {
+  EXPECT_TRUE(frame.is_delta);
+  for (const WireMetricDelta& metric : frame.delta.metrics) {
+    if (metric.key == key) return metric.mode;
+  }
+  ADD_FAILURE() << key.ToString() << " missing from the delta";
+  return WireDeltaMode::kFull;
+}
+
+bool Carries(const WireSnapshot& snapshot, const MetricKey& key) {
+  for (const WireMetricSummary& metric : snapshot.metrics) {
+    if (metric.key == key) return true;
+  }
+  return false;
+}
+
+TEST(DeltaReexportTest, EveryBackendConvergesTickByTick) {
+  TelemetryEngine agent(AgentOptions());
+  const BackendKind kinds[] = {BackendKind::kQlove, BackendKind::kGk,
+                               BackendKind::kCmqs, BackendKind::kExact};
+  std::vector<MetricKey> keys;
+  for (BackendKind kind : kinds) {
+    keys.push_back(MetricKey("rtt_us", {{"backend", BackendKindName(kind)}}));
+    ASSERT_TRUE(agent.RegisterMetric(keys.back(), Backend(kind)).ok());
+  }
+  AggregatorEngine host;
+  AggregatorEngine cluster;
+  ExportCursor agent_cursor;
+  ExportCursor host_cursor;
+  workload::NetMonGenerator gen(11);
+  for (int tick = 0; tick < 10; ++tick) {
+    for (const MetricKey& key : keys) Feed(&agent, key, &gen);
+    agent.Tick();
+    ShipAgent(agent, "agent-0", &agent_cursor, &host);
+    const WireFrame frame = ShipReexport(host, "host", &host_cursor, &cluster);
+    ExpectConverged(host, "host", cluster, tick);
+    EXPECT_EQ(frame.is_delta, tick > 0);
+    if (tick == 0) continue;
+    for (size_t k = 0; k < keys.size(); ++k) {
+      // Only qlove summaries are sub-window addressable; the entry kinds
+      // ride whole inside the delta, as they do from the agent.
+      EXPECT_EQ(ModeOf(frame, keys[k]), kinds[k] == BackendKind::kQlove
+                                            ? WireDeltaMode::kQloveDelta
+                                            : WireDeltaMode::kFull)
+          << keys[k].ToString() << " at tick " << tick;
+    }
+  }
+}
+
+TEST(DeltaReexportTest, KeyPooledFromTwoSourcesRidesFull) {
+  TelemetryEngine agents[2] = {TelemetryEngine(AgentOptions()),
+                               TelemetryEngine(AgentOptions())};
+  ExportCursor agent_cursors[2];
+  const MetricKey shared("rtt_us", {{"service", "web"}});
+  const MetricKey own[2] = {MetricKey("rtt_us", {{"host", "a"}}),
+                            MetricKey("rtt_us", {{"host", "b"}})};
+  AggregatorEngine host;
+  AggregatorEngine cluster;
+  ExportCursor host_cursor;
+  workload::NetMonGenerator gen(12);
+  for (int tick = 0; tick < 8; ++tick) {
+    for (int a = 0; a < 2; ++a) {
+      Feed(&agents[a], shared, &gen);
+      Feed(&agents[a], own[a], &gen);
+      agents[a].Tick();
+      ShipAgent(agents[a], "agent-" + std::to_string(a), &agent_cursors[a],
+                &host);
+    }
+    const WireFrame frame = ShipReexport(host, "host", &host_cursor, &cluster);
+    ExpectConverged(host, "host", cluster, tick);
+    if (tick == 0) continue;
+    EXPECT_EQ(ModeOf(frame, shared), WireDeltaMode::kFull);
+    EXPECT_EQ(ModeOf(frame, own[0]), WireDeltaMode::kQloveDelta);
+    EXPECT_EQ(ModeOf(frame, own[1]), WireDeltaMode::kQloveDelta);
+  }
+}
+
+TEST(DeltaReexportTest, StaleChildIsRetiredThenReturns) {
+  TelemetryEngine agents[2] = {TelemetryEngine(AgentOptions()),
+                               TelemetryEngine(AgentOptions())};
+  ExportCursor agent_cursors[2];
+  const MetricKey keys[2] = {MetricKey("rtt_us", {{"host", "a"}}),
+                             MetricKey("rtt_us", {{"host", "b"}})};
+  AggregatorEngine host;  // staleness_epochs = 2
+  AggregatorEngine cluster;
+  ExportCursor host_cursor;
+  workload::NetMonGenerator gen(13);
+  bool saw_retired = false;
+  for (int tick = 0; tick < 14; ++tick) {
+    // agent-1 keeps recording and ticking but delivers nothing for five
+    // ticks: its host state goes stale, then its next delta applies.
+    const bool quiet = tick >= 3 && tick < 8;
+    for (int a = 0; a < 2; ++a) {
+      Feed(&agents[a], keys[a], &gen);
+      agents[a].Tick();
+      if (a == 1 && quiet) continue;
+      ShipAgent(agents[a], "agent-" + std::to_string(a), &agent_cursors[a],
+                &host);
+    }
+    const WireFrame frame = ShipReexport(host, "host", &host_cursor, &cluster);
+    ExpectConverged(host, "host", cluster, tick);
+    auto held = cluster.SourceSnapshot("host");
+    ASSERT_TRUE(held.ok());
+    if (!Carries(held.ValueOrDie(), keys[1])) {
+      saw_retired = true;
+      EXPECT_TRUE(quiet) << "agent-1's key missing at tick " << tick;
+    }
+    if (tick == 8) {
+      // agent-1 is fresh again: its key re-enters, whole.
+      EXPECT_EQ(ModeOf(frame, keys[1]), WireDeltaMode::kFull);
+    }
+  }
+  EXPECT_TRUE(saw_retired) << "agent-1 never went stale at the host";
+  auto held = cluster.SourceSnapshot("host");
+  ASSERT_TRUE(held.ok());
+  EXPECT_TRUE(Carries(held.ValueOrDie(), keys[1]));
+}
+
+TEST(DeltaReexportTest, ChildRestartedWithoutWalRidesFull) {
+  auto restarting = std::make_unique<TelemetryEngine>(AgentOptions());
+  TelemetryEngine steady(AgentOptions());
+  auto restarting_cursor = std::make_unique<ExportCursor>();
+  ExportCursor steady_cursor;
+  const MetricKey restarted_key("rtt_us", {{"host", "a"}});
+  const MetricKey steady_key("rtt_us", {{"host", "b"}});
+  AggregatorEngine host;
+  AggregatorEngine cluster;
+  ExportCursor host_cursor;
+  workload::NetMonGenerator gen(14);
+  constexpr int kRestartTick = 6;
+  for (int tick = 0; tick < 12; ++tick) {
+    if (tick == kRestartTick) {
+      // A new incarnation under the same source name: Tick epochs and
+      // sub-window epochs begin again at 1, the sync token changes, and
+      // the host holds nothing it could patch.
+      restarting = std::make_unique<TelemetryEngine>(AgentOptions());
+      restarting_cursor = std::make_unique<ExportCursor>();
+    }
+    Feed(restarting.get(), restarted_key, &gen);
+    restarting->Tick();
+    ShipAgent(*restarting, "agent-a", restarting_cursor.get(), &host);
+    Feed(&steady, steady_key, &gen);
+    steady.Tick();
+    ShipAgent(steady, "agent-b", &steady_cursor, &host);
+
+    const WireFrame frame = ShipReexport(host, "host", &host_cursor, &cluster);
+    ExpectConverged(host, "host", cluster, tick);
+    if (tick == 0) continue;
+    // The host's own token is unchanged, so only the continuity rule
+    // keeps the restarted source's epochs from being diffed against the
+    // old incarnation's.
+    EXPECT_EQ(ModeOf(frame, restarted_key), tick == kRestartTick
+                                                ? WireDeltaMode::kFull
+                                                : WireDeltaMode::kQloveDelta)
+        << "tick " << tick;
+    EXPECT_EQ(ModeOf(frame, steady_key), WireDeltaMode::kQloveDelta);
+  }
+}
+
+TEST(DeltaReexportTest, ChildRestartedThroughRecoverFromWalRidesFull) {
+  ScopedWalDir dir;
+  WalOptions wal_options;
+  wal_options.fsync = WalFsyncPolicy::kOs;
+  EngineOptions options = AgentOptions();
+  options.num_shards = 1;  // recovery restores one coalesced summary
+  auto agent = std::make_unique<TelemetryEngine>(options);
+  ASSERT_TRUE(agent->EnableWal(dir.path(), wal_options).ok());
+  auto agent_cursor = std::make_unique<ExportCursor>();
+  const MetricKey key("rtt_us", {{"host", "a"}});
+  AggregatorEngine host;
+  AggregatorEngine cluster;
+  ExportCursor host_cursor;
+  workload::NetMonGenerator gen(15);
+  constexpr int kRestartTick = 6;
+  for (int tick = 0; tick < 12; ++tick) {
+    if (tick == kRestartTick) {
+      // Crash and recover: the new incarnation resumes the durable window
+      // and epoch under a new sync token, so its first frame is full.
+      ASSERT_TRUE(agent->FlushWal().ok());
+      agent = std::make_unique<TelemetryEngine>(options);
+      auto info = agent->RecoverFromWal(dir.path());
+      ASSERT_TRUE(info.ok()) << info.status().ToString();
+      ASSERT_EQ(info.ValueOrDie().metrics, 1);
+      ASSERT_TRUE(agent->EnableWal(dir.path(), wal_options).ok());
+      agent_cursor = std::make_unique<ExportCursor>();
+    }
+    Feed(agent.get(), key, &gen);
+    agent->Tick();
+    ShipAgent(*agent, "agent-a", agent_cursor.get(), &host);
+    const WireFrame frame = ShipReexport(host, "host", &host_cursor, &cluster);
+    ExpectConverged(host, "host", cluster, tick);
+    if (tick == 0) continue;
+    EXPECT_EQ(ModeOf(frame, key), tick == kRestartTick
+                                      ? WireDeltaMode::kFull
+                                      : WireDeltaMode::kQloveDelta)
+        << "tick " << tick;
+  }
+}
+
+TEST(DeltaReexportTest, KeyHandedToAnotherSourceRidesFullUpEveryTier) {
+  // agent-a reports `moving` until it goes quiet; agent-b starts reporting
+  // the same key exactly when agent-a turns stale at the host. The host's
+  // re-export then carries agent-b's summary under a key that never
+  // vanished, and the rack above must not diff it against agent-a's
+  // epochs either: the rack received it as a kFull, not as a patch.
+  TelemetryEngine agent_a(AgentOptions());
+  TelemetryEngine agent_b(AgentOptions());
+  ExportCursor cursor_a;
+  ExportCursor cursor_b;
+  const MetricKey moving("rtt_us", {{"service", "web"}});
+  const MetricKey anchor("rtt_us", {{"host", "b"}});
+  AggregatorEngine host;
+  AggregatorEngine rack;
+  AggregatorEngine cluster;
+  ExportCursor host_cursor;
+  ExportCursor rack_cursor;
+  workload::NetMonGenerator gen(16);
+  // agent-a's last frame lands at fleet epoch kQuietFrom; it is stale
+  // (more than staleness_epochs = 2 behind) once the fleet epoch reaches
+  // kQuietFrom + 3, which agent-b's frame of tick kQuietFrom + 2 brings.
+  constexpr int kQuietFrom = 4;
+  constexpr int kHandover = kQuietFrom + 2;
+  for (int tick = 0; tick < 12; ++tick) {
+    if (tick < kQuietFrom) {
+      Feed(&agent_a, moving, &gen);
+      agent_a.Tick();
+      ShipAgent(agent_a, "agent-a", &cursor_a, &host);
+    }
+    if (tick >= kHandover) Feed(&agent_b, moving, &gen);
+    Feed(&agent_b, anchor, &gen);
+    agent_b.Tick();
+    ShipAgent(agent_b, "agent-b", &cursor_b, &host);
+
+    const WireFrame host_frame =
+        ShipReexport(host, "host", &host_cursor, &rack);
+    ExpectConverged(host, "host", rack, tick);
+    const WireFrame rack_frame =
+        ShipReexport(rack, "rack", &rack_cursor, &cluster);
+    ExpectConverged(rack, "rack", cluster, tick);
+    if (tick == kHandover) {
+      // The key never left the export, so both frames are deltas.
+      EXPECT_EQ(ModeOf(host_frame, moving), WireDeltaMode::kFull);
+      EXPECT_EQ(ModeOf(rack_frame, moving), WireDeltaMode::kFull);
+    }
+  }
+}
+
+TEST(DeltaReexportTest, DroppedHostFrameCostsOneNakAndOneResync) {
+  AggregatorEngine cluster;
+  net::ServerOptions server_options;
+  server_options.auth_token = "cluster-token";
+  net::AggregatorServer server(&cluster, server_options);
+  ASSERT_TRUE(server.Start().ok());
+
+  TelemetryEngine agent(AgentOptions());
+  ExportCursor agent_cursor;
+  AggregatorEngine host;
+  net::ClientOptions client_options;
+  client_options.port = server.port();
+  client_options.auth_token = "cluster-token";
+  client_options.source = "host";
+  net::AgentClient uplink(client_options,
+                          net::AgentClient::ForAggregator(&host));
+  const MetricKey key("rtt_us", {{"host", "a"}});
+  workload::NetMonGenerator gen(18);
+  constexpr int kDropTick = 4;
+  for (int tick = 0; tick < 10; ++tick) {
+    Feed(&agent, key, &gen);
+    agent.Tick();
+    ShipAgent(agent, "agent-a", &agent_cursor, &host);
+    if (tick == kDropTick) uplink.set_testing_drop_next_frame();
+    ASSERT_TRUE(uplink.DeliverOnce().ok()) << "tick " << tick;
+    if (tick != kDropTick) ExpectConverged(host, "host", cluster, tick);
+  }
+  const net::AgentClient::Counters counters = uplink.counters();
+  EXPECT_EQ(counters.frames_dropped, 1);
+  EXPECT_EQ(counters.naks, 1);
+  // The opening full frame plus the one the NAK demanded.
+  EXPECT_EQ(counters.resyncs, 2);
+  EXPECT_EQ(counters.connects, 1);
+  const AggregatorEngine::FleetHealthSnapshot health = cluster.FleetHealth();
+  EXPECT_EQ(health.resyncs_requested, 1);
+  server.Stop();
+}
+
+TEST(DeltaReexportTest, NakOnTheLastMetricLeavesHeldStateByteIdentical) {
+  TelemetryEngine agent(AgentOptions());
+  ExportCursor agent_cursor;
+  const MetricKey keys[3] = {MetricKey("rtt_us", {{"host", "a"}}),
+                             MetricKey("rtt_us", {{"host", "b"}}),
+                             MetricKey("rtt_us", {{"host", "c"}})};
+  AggregatorEngine host;
+  AggregatorEngine cluster;
+  ExportCursor host_cursor;
+  workload::NetMonGenerator gen(19);
+  for (int tick = 0; tick < 6; ++tick) {
+    for (const MetricKey& key : keys) Feed(&agent, key, &gen);
+    agent.Tick();
+    ShipAgent(agent, "agent-a", &agent_cursor, &host);
+    ShipReexport(host, "host", &host_cursor, &cluster);
+  }
+  for (const MetricKey& key : keys) Feed(&agent, key, &gen);
+  agent.Tick();
+  ShipAgent(agent, "agent-a", &agent_cursor, &host);
+  std::vector<uint8_t> frame;
+  ASSERT_TRUE(host.Export("host", &host_cursor, &frame).ok());
+  auto decoded = DecodeFrame(frame);
+  ASSERT_TRUE(decoded.ok());
+  ASSERT_TRUE(decoded.ValueOrDie().is_delta);
+
+  // Every metric but the last would patch cleanly; the last one claims a
+  // "new" sub-window the cluster already holds.
+  WireDelta tampered = decoded.ValueOrDie().delta;
+  WireMetricDelta& last = tampered.metrics.back();
+  ASSERT_EQ(last.mode, WireDeltaMode::kQloveDelta);
+  ASSERT_FALSE(last.new_subwindows.empty());
+  last.new_subwindows.front().epoch -= 1;
+
+  auto before = cluster.SourceSnapshot("host");
+  ASSERT_TRUE(before.ok());
+  auto ack = cluster.IngestFrame(EncodeDelta(tampered));
+  ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+  EXPECT_TRUE(ack.ValueOrDie().resync_required);
+  EXPECT_FALSE(ack.ValueOrDie().applied);
+  auto after = cluster.SourceSnapshot("host");
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(EncodeSnapshotV2(after.ValueOrDie()),
+            EncodeSnapshotV2(before.ValueOrDie()));
+
+  // The untampered frame still applies on top of the untouched state.
+  ack = cluster.IngestFrame(frame);
+  ASSERT_TRUE(ack.ok());
+  EXPECT_TRUE(ack.ValueOrDie().applied);
+  ExpectConverged(host, "host", cluster, 7);
+}
+
+TEST(DeltaReexportTest, FleetHealthSplitsFullAndDeltaReexports) {
+  TelemetryEngine agent(AgentOptions());
+  ExportCursor agent_cursor;
+  const MetricKey key("rtt_us", {{"host", "a"}});
+  AggregatorEngine host;
+  AggregatorEngine cluster;
+  ExportCursor host_cursor;
+  workload::NetMonGenerator gen(20);
+  constexpr int kTicks = 9;
+  int64_t bytes = 0;
+  for (int tick = 0; tick < kTicks; ++tick) {
+    Feed(&agent, key, &gen);
+    agent.Tick();
+    ShipAgent(agent, "agent-a", &agent_cursor, &host);
+    std::vector<uint8_t> frame;
+    ASSERT_TRUE(host.Export("host", &host_cursor, &frame).ok());
+    bytes += static_cast<int64_t>(frame.size());
+    auto ack = cluster.IngestFrame(frame);
+    ASSERT_TRUE(ack.ok() && ack.ValueOrDie().applied);
+  }
+  const AggregatorEngine::FleetHealthSnapshot health = host.FleetHealth();
+  EXPECT_EQ(health.reexports, kTicks);
+  EXPECT_EQ(health.delta_reexports, kTicks - 1);
+  EXPECT_EQ(health.wire_bytes_reexported, bytes);
+  EXPECT_GT(health.wire_bytes_delta_reexported, 0);
+  EXPECT_LT(health.wire_bytes_delta_reexported, bytes);
+  EXPECT_EQ(cluster.FleetHealth().delta_ingests, kTicks - 1);
+
+  const std::string text = FormatFleetHealth(health);
+  EXPECT_NE(text.find("delta_reexports=" + std::to_string(kTicks - 1)),
+            std::string::npos)
+      << text;
+  const std::string json = FleetHealthToJson(health);
+  EXPECT_NE(json.find("\"delta_reexports\": " + std::to_string(kTicks - 1)),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"wire_bytes_delta_reexported\": " +
+                      std::to_string(health.wire_bytes_delta_reexported)),
+            std::string::npos)
+      << json;
+}
+
+}  // namespace
+}  // namespace engine
+}  // namespace qlove

@@ -191,7 +191,9 @@ TEST(MergePropertyTest, SerializeThenMergeEqualsInProcessMerge) {
         ingested = reencoded_host.IngestFrame(reencoded);
         if (!ingested.ok()) return "re-encoded ingest failed: " +
                                    ingested.status().ToString();
-        const Status reexported = host.ExportEncoded("host-0", &reexport);
+        ExportCursor reexport_cursor;  // fresh: the full frame
+        const Status reexported =
+            host.Export("host-0", &reexport_cursor, &reexport);
         if (!reexported.ok()) return "re-export failed: " +
                                      reexported.ToString();
         ingested = cluster.IngestFrame(reexport);
@@ -890,6 +892,47 @@ TEST(DeltaSyncPropertyTest, EvictedMetricForcesFullFrameAndPrunesCursor) {
   ASSERT_TRUE(ship());
   EXPECT_EQ(cursor.tracked_metrics(), 1u);
   EXPECT_GT(aggregator.FleetHealth().delta_ingests, 0);
+}
+
+// Regression: sub-window epochs count a metric's own boundaries, not the
+// engine's Tick epoch. The cursor used to mark a metric whose window had
+// emptied with the export epoch, so a metric registered after the
+// engine's first Tick resumed with sub-windows numbered below that mark,
+// and they were never shipped: the receiver held the refreshed count over
+// no sub-windows at all.
+TEST(DeltaSyncPropertyTest, LateMetricResumingAfterAnEmptyWindowConverges) {
+  TelemetryEngine engine(MakeOptions(BackendKind::kQlove));
+  AggregatorEngine aggregator;
+  ExportCursor cursor;
+  const std::string source = "agent-0";
+  const MetricKey early("rtt_us", {{"state", "early"}});
+  const MetricKey late("rtt_us", {{"state", "late"}});
+  workload::NetMonGenerator gen(93);
+  auto round = [&](bool feed_late, int n) {
+    ASSERT_TRUE(
+        engine.RecordBatch(early, workload::Materialize(&gen, kPerTick)).ok());
+    if (feed_late) {
+      ASSERT_TRUE(
+          engine.RecordBatch(late, workload::Materialize(&gen, kPerTick)).ok());
+    }
+    engine.Tick();
+    std::vector<uint8_t> frame;
+    ASSERT_TRUE(engine.Export(source, &cursor, &frame).ok());
+    auto ack = aggregator.IngestFrame(frame);
+    ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+    ASSERT_TRUE(ack.ValueOrDie().applied);
+    auto held = aggregator.SourceSnapshot(source);
+    ASSERT_TRUE(held.ok());
+    EXPECT_EQ(EncodeSnapshotV2(held.ValueOrDie()), FullFrame(engine, source))
+        << "delta stream diverged from the full frame in round " << n;
+  };
+  int n = 0;
+  for (int i = 0; i < 6; ++i) round(false, n++);
+  round(true, n++);  // `late` registers at engine epoch 7: sub-window 1
+  // Idle past the window (four sub-windows): `late` ships empty.
+  for (int i = 0; i < 6; ++i) round(false, n++);
+  for (int i = 0; i < 3; ++i) round(true, n++);
+  EXPECT_EQ(aggregator.FleetHealth().resyncs_requested, 0);
 }
 
 }  // namespace

@@ -578,7 +578,8 @@ TEST(NetTreeTest, ThreeTierChainMatchesUnionStreamOracle) {
     auto held = cluster.SourceSnapshot(host_source);
     ASSERT_TRUE(held.ok());
     std::vector<uint8_t> direct;
-    ASSERT_TRUE(hosts[h].ExportEncoded(host_source, &direct).ok());
+    engine::ExportCursor fresh_cursor;  // first export: the full frame
+    ASSERT_TRUE(hosts[h].Export(host_source, &fresh_cursor, &direct).ok());
     EXPECT_EQ(engine::EncodeSnapshotV2(held.ValueOrDie()), direct)
         << host_source << " diverged between the wire and the oracle";
   }

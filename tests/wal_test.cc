@@ -27,35 +27,14 @@
 #include "engine/engine.h"
 #include "engine/wire.h"
 #include "export_util.h"
+#include "wal_util.h"
 #include "workload/generators.h"
 
 namespace qlove {
 namespace engine {
 namespace {
 
-/// A fresh WAL directory under TMPDIR, removed (best-effort) at scope end.
-class ScopedWalDir {
- public:
-  ScopedWalDir() {
-    char tmpl[] = "/tmp/qlove_wal_XXXXXX";
-    const char* made = mkdtemp(tmpl);
-    EXPECT_NE(made, nullptr);
-    path_ = made != nullptr ? made : "/tmp/qlove_wal_fallback";
-  }
-  ~ScopedWalDir() {
-    auto segments = ListWalSegments(path_);
-    if (segments.ok()) {
-      for (const std::string& file : segments.ValueOrDie()) {
-        ::unlink(file.c_str());
-      }
-    }
-    ::rmdir(path_.c_str());
-  }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
+using test_util::ScopedWalDir;
 
 WalOptions TestWalOptions() {
   WalOptions options;

@@ -4,7 +4,10 @@
 # processes: an aggregatord and an agentd run with --wal-dir, the agent is
 # SIGKILLed mid-stream and must log a recovery on restart; the aggregator
 # is SIGKILLed and must recover its held sources; and both daemons must
-# exit 0 with a graceful drain on SIGTERM. Usage:
+# exit 0 with a graceful drain on SIGTERM. The aggregator re-exports to a
+# parent-tier aggregatord throughout, and its kill/restart must cost the
+# parent exactly one resync: one more full frame (the new incarnation's
+# first), no NAK, and delta frames otherwise. Usage:
 #   wal_daemon_smoke.sh <qlove_agentd> <qlove_aggregatord>
 set -u
 
@@ -15,8 +18,10 @@ WORK="$(mktemp -d /tmp/qlove_wal_smoke_XXXXXX)"
 AGENT_WAL="$WORK/agent-wal"
 AGG_WAL="$WORK/agg-wal"
 PORT=$((20000 + RANDOM % 20000))
+PARENT_PORT=$((PORT + 1))
 TOKEN=smoke-$$
 
+PARENT_PID=""
 AGG_PID=""
 AGENT_PID=""
 
@@ -24,7 +29,9 @@ fail() {
   echo "FAIL: $*" >&2
   [ -n "$AGENT_PID" ] && kill -9 "$AGENT_PID" 2>/dev/null
   [ -n "$AGG_PID" ] && kill -9 "$AGG_PID" 2>/dev/null
-  echo "--- aggregator log ---" >&2; cat "$WORK/agg.log" >&2 2>/dev/null
+  [ -n "$PARENT_PID" ] && kill -9 "$PARENT_PID" 2>/dev/null
+  echo "--- parent log ---" >&2; cat "$WORK/parent.log" >&2 2>/dev/null
+  echo "--- aggregator log ---" >&2; cat "$WORK"/agg*.log >&2 2>/dev/null
   echo "--- agent logs ---" >&2; cat "$WORK"/agent*.log >&2 2>/dev/null
   rm -rf "$WORK"
   exit 1
@@ -38,9 +45,16 @@ wait_for() { # wait_for <pattern> <file> <seconds>
   return 1
 }
 
+# --- parent tier up: receives the aggregator's re-exports -----------------
+"$AGGD" --listen=127.0.0.1:$PARENT_PORT --token="$TOKEN" --json-health \
+  >"$WORK/parent.log" 2>&1 &
+PARENT_PID=$!
+wait_for "serving on" "$WORK/parent.log" 5 || fail "parent did not start"
+UPLINK="--parent=127.0.0.1:$PARENT_PORT --source=smoke-rack --export-every=1"
+
 # --- aggregator up, with its own WAL --------------------------------------
 "$AGGD" --listen=127.0.0.1:$PORT --token="$TOKEN" --wal-dir="$AGG_WAL" \
-  >"$WORK/agg.log" 2>&1 &
+  $UPLINK >"$WORK/agg.log" 2>&1 &
 AGG_PID=$!
 wait_for "serving on" "$WORK/agg.log" 5 || fail "aggregator did not start"
 
@@ -73,11 +87,13 @@ kill -9 "$AGG_PID" 2>/dev/null || fail "aggregator died early"
 wait "$AGG_PID" 2>/dev/null
 AGG_PID=""
 "$AGGD" --listen=127.0.0.1:$PORT --token="$TOKEN" --wal-dir="$AGG_WAL" \
-  --json-health >"$WORK/agg2.log" 2>&1 &
+  $UPLINK --json-health >"$WORK/agg2.log" 2>&1 &
 AGG_PID=$!
 wait_for "recovered .* sources" "$WORK/agg2.log" 5 \
   || fail "restarted aggregator logged no wal recovery"
 wait_for "serving on" "$WORK/agg2.log" 5 || fail "restarted aggregator not up"
+# Let the new incarnation re-export a few times (one per second).
+sleep 3.5
 
 # --- aggregator graceful drain on SIGTERM ---------------------------------
 kill -TERM "$AGG_PID"
@@ -89,6 +105,23 @@ grep -q '"wal": {"enabled": true' "$WORK/agg2.log" \
   || fail "aggregator json health missing wal block"
 grep -q '"recovered_sources": 1' "$WORK/agg2.log" \
   || fail "aggregator json health missing recovered source"
+
+# --- parent: the aggregator restart cost exactly one resync ---------------
+kill -TERM "$PARENT_PID"
+wait "$PARENT_PID"
+PARENT_RC=$?
+PARENT_PID=""
+[ "$PARENT_RC" -eq 0 ] || fail "parent SIGTERM exit was $PARENT_RC, want 0"
+RACK="$(grep -o '"source": "smoke-rack"[^}]*' "$WORK/parent.log")"
+[ -n "$RACK" ] || fail "parent json health has no smoke-rack source"
+echo "$RACK" | grep -q '"connects": 2,' \
+  || fail "parent saw other than two aggregator sessions: $RACK"
+echo "$RACK" | grep -q '"full_frames": 2,' \
+  || fail "aggregator restart cost the parent other than one resync: $RACK"
+echo "$RACK" | grep -q '"delta_frames": [1-9]' \
+  || fail "parent received no delta re-exports: $RACK"
+grep -q '"resyncs_requested": 0,' "$WORK/parent.log" \
+  || fail "parent NAKed a re-export"
 
 rm -rf "$WORK"
 echo "OK"
