@@ -397,6 +397,20 @@ Result<AggregatorEngine::IngestAck> AggregatorEngine::ApplyDelta(
     }
   }
 
+  // Allocated before the lock; the two graveyards are declared before it
+  // too, so what the patch retires — the replaced metric list (with every
+  // summary of an omitted or kFull-replaced key) and the trimmed
+  // sub-windows — is freed after mu_ is released, not under it.
+  std::vector<size_t> patch_targets(delta.metrics.size());
+  std::vector<WireMetricSummary> metrics;
+  std::vector<uint64_t> lineage;
+  metrics.reserve(delta.metrics.size());
+  lineage.reserve(delta.metrics.size());
+  std::vector<WireMetricSummary> retired_metrics;
+  std::vector<uint64_t> retired_lineage;
+  std::vector<core::SubWindowSummary> trimmed;
+  trimmed.reserve(delta.metrics.size());  // steady state: one per metric
+
   std::lock_guard<std::mutex> lock(mu_);
   IngestAck nak;
   nak.resync_required = true;
@@ -429,14 +443,22 @@ Result<AggregatorEngine::IngestAck> AggregatorEngine::ApplyDelta(
   // The delta's metric list is authoritative — held metrics it omits were
   // deregistered on the agent and are dropped here.
   std::vector<WireMetricSummary>& held_metrics = held.snapshot.metrics;
-  std::vector<size_t> patch_targets(delta.metrics.size());
+  // Both lists are in canonical key order (enforced on every ingest), so
+  // one merge walk finds every patch target.
+  size_t held_index = 0;
   for (size_t i = 0; i < delta.metrics.size(); ++i) {
     const WireMetricDelta& metric = delta.metrics[i];
+    while (held_index < held_metrics.size() &&
+           held_metrics[held_index].key < metric.key) {
+      ++held_index;
+    }
     if (metric.mode == WireDeltaMode::kFull) continue;
-    const auto held_it = FindMetric(held_metrics, metric.key);
-    if (held_it == held_metrics.end()) {
+    if (held_index == held_metrics.size() ||
+        !(held_metrics[held_index].key == metric.key)) {
       return nak;  // patch target unknown — agent and aggregator disagree
     }
+    const auto held_it = held_metrics.begin() +
+                         static_cast<ptrdiff_t>(held_index);
     if (held_it->shards.size() != 1 ||
         held_it->shards[0].kind != BackendKind::kQlove ||
         held_it->options.backend.kind != BackendKind::kQlove) {
@@ -457,13 +479,9 @@ Result<AggregatorEngine::IngestAck> AggregatorEngine::ApplyDelta(
       // our state has diverged. Applying would double-count.
       return nak;
     }
-    patch_targets[i] = static_cast<size_t>(held_it - held_metrics.begin());
+    patch_targets[i] = held_index;
   }
 
-  std::vector<WireMetricSummary> metrics;
-  std::vector<uint64_t> lineage;
-  metrics.reserve(delta.metrics.size());
-  lineage.reserve(delta.metrics.size());
   for (size_t i = 0; i < delta.metrics.size(); ++i) {
     WireMetricDelta& metric = delta.metrics[i];
     if (metric.mode == WireDeltaMode::kFull) {
@@ -479,13 +497,14 @@ Result<AggregatorEngine::IngestAck> AggregatorEngine::ApplyDelta(
     WireMetricSummary& patched = held_metrics[target];
     BackendSummary& summary = patched.shards[0];
     auto& subs = summary.subwindows;
-    subs.erase(subs.begin(),
-               std::lower_bound(subs.begin(), subs.end(),
-                                metric.first_live_epoch,
-                                [](const core::SubWindowSummary& sub,
-                                   int64_t epoch) {
-                                  return sub.epoch < epoch;
-                                }));
+    const auto live = std::lower_bound(
+        subs.begin(), subs.end(), metric.first_live_epoch,
+        [](const core::SubWindowSummary& sub, int64_t epoch) {
+          return sub.epoch < epoch;
+        });
+    trimmed.insert(trimmed.end(), std::make_move_iterator(subs.begin()),
+                   std::make_move_iterator(live));
+    subs.erase(subs.begin(), live);
     subs.insert(subs.end(),
                 std::make_move_iterator(metric.new_subwindows.begin()),
                 std::make_move_iterator(metric.new_subwindows.end()));
@@ -498,7 +517,9 @@ Result<AggregatorEngine::IngestAck> AggregatorEngine::ApplyDelta(
   }
 
   held.snapshot.epoch = delta.epoch;
+  retired_metrics.swap(held.snapshot.metrics);
   held.snapshot.metrics = std::move(metrics);
+  retired_lineage.swap(held.lineage);
   held.lineage = std::move(lineage);
   held.delta_frames += 1;
   fleet_epoch_ = std::max(fleet_epoch_, delta.epoch);

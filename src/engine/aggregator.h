@@ -424,6 +424,16 @@ class AggregatorEngine {
   /// untouched. OK acks carry the protocol verdict; error Statuses are
   /// reserved for malformed frame CONTENT (negative counts, grid-size
   /// mismatches) that no resync would fix differently.
+  ///
+  /// Queries wait on mu_, so only the held-state work runs under it:
+  /// frame content is validated and the replacement lists are allocated
+  /// before the lock; under it, one merge walk over the delta's and the
+  /// held key lists (both canonical order) checks every NAK condition,
+  /// then each patched summary moves into the replacement list, drops
+  /// its trimmed sub-windows and appends the new ones, and the lists are
+  /// swapped. The retired list and the trimmed sub-windows are destroyed
+  /// after the unlock. Held keys the delta omits are dropped; a kFull
+  /// metric replaces its key's summary under a new lineage stamp.
   Result<IngestAck> ApplyDelta(WireDelta delta);
   /// The pooled fleet state as one WireSnapshot named \p source (see the
   /// re-export section), with each metric's lineage stamp in \p lineage

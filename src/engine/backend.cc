@@ -208,6 +208,11 @@ class QloveBackend final : public ShardBackend {
     out->burst_active = op_.BurstActiveInWindow();
   }
 
+  const std::deque<core::SubWindowSummary>* ClosedSubWindows()
+      const override {
+    return &op_.SubWindowSummaries();
+  }
+
   int64_t InflightCount() const override { return op_.InflightCount(); }
 
   int64_t QueryRank(double value) const override {

@@ -22,6 +22,7 @@
 #define QLOVE_ENGINE_BACKEND_H_
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -115,6 +116,16 @@ struct BackendSummary {
   /// names the diverging field instead of a byte offset.
   bool operator==(const BackendSummary&) const = default;
 
+  /// Scalars the payload stores (space accounting, 8 bytes each): every
+  /// sub-window's SpaceVariables for kQlove, two per entry otherwise.
+  int64_t SpaceVariables() const {
+    int64_t space = static_cast<int64_t>(entries.size()) * 2;
+    for (const core::SubWindowSummary& sub : subwindows) {
+      space += sub.SpaceVariables();
+    }
+    return space;
+  }
+
   /// Resets the scalar fields for reuse as a \p new_kind summary and clears
   /// the payload the kind does not use. The kind's own payload vector is
   /// deliberately NOT cleared here: SummaryInto implementations overwrite
@@ -198,6 +209,15 @@ class ShardBackend {
     BackendSummary summary;
     SummaryInto(&summary);
     return summary;
+  }
+
+  /// kQlove: the closed sub-window summaries SummaryInto would copy,
+  /// oldest first, read in place. A closed sub-window never changes, so
+  /// the metric's export window merges each one once instead of copying
+  /// the whole window per export (engine/registry.h). nullptr for the
+  /// entry kinds, whose windows are not epoch-decomposable.
+  virtual const std::deque<core::SubWindowSummary>* ClosedSubWindows() const {
+    return nullptr;
   }
 
   /// Values accepted but not yet visible to queries (they surface at the

@@ -3,7 +3,7 @@
 #include "engine/coalesce.h"
 
 #include <algorithm>
-#include <map>
+#include <cstddef>
 #include <utility>
 
 namespace qlove {
@@ -98,33 +98,14 @@ core::SubWindowSummary MergeSubWindowGroup(
 
 void CoalesceQlove(const std::vector<BackendSummary>& shards,
                    BackendSummary* out) {
-  // Shards tick together (the engine's Tick closes every shard's
-  // sub-window under one epoch), so equal epochs cover the same
-  // wall-clock sub-window. std::map keeps the output epoch-ascending,
-  // matching the per-shard oldest-first invariant.
-  std::map<int64_t, std::vector<const core::SubWindowSummary*>> by_epoch;
+  std::vector<const core::SubWindowSummary*> subs;
   for (const BackendSummary& shard : shards) {
     for (const core::SubWindowSummary& sub : shard.subwindows) {
-      by_epoch[sub.epoch].push_back(&sub);
+      subs.push_back(&sub);
     }
   }
   out->subwindows.clear();
-  out->subwindows.reserve(by_epoch.size());
-  for (const auto& [epoch, group] : by_epoch) {
-    if (group.size() == 1) {
-      out->subwindows.push_back(*group[0]);
-    } else if (GroupShapesAgree(group)) {
-      out->subwindows.push_back(MergeSubWindowGroup(group));
-    } else {
-      // Shape disagreement cannot come from one metric's shards; keep the
-      // members unmerged (duplicate epochs are legal in a summary — the
-      // merge layer pools sub-windows independently) rather than guess
-      // which quantile grid wins.
-      for (const core::SubWindowSummary* sub : group) {
-        out->subwindows.push_back(*sub);
-      }
-    }
-  }
+  AppendCoalescedSubWindows(std::move(subs), &out->subwindows);
 }
 
 void CoalesceEntries(const std::vector<BackendSummary>& shards,
@@ -144,6 +125,39 @@ void CoalesceEntries(const std::vector<BackendSummary>& shards,
 }
 
 }  // namespace
+
+void AppendCoalescedSubWindows(std::vector<const core::SubWindowSummary*> subs,
+                               std::vector<core::SubWindowSummary>* out) {
+  // Shards tick together (the engine's Tick closes every shard's
+  // sub-window under one epoch), so equal epochs cover the same
+  // wall-clock sub-window. The stable sort keeps each group in shard order
+  // and the output epoch-ascending, matching the per-shard oldest-first
+  // invariant.
+  std::stable_sort(subs.begin(), subs.end(),
+                   [](const core::SubWindowSummary* a,
+                      const core::SubWindowSummary* b) {
+                     return a->epoch < b->epoch;
+                   });
+  std::vector<const core::SubWindowSummary*> group;
+  for (size_t begin = 0; begin < subs.size();) {
+    size_t end = begin + 1;
+    while (end < subs.size() && subs[end]->epoch == subs[begin]->epoch) ++end;
+    group.assign(subs.begin() + static_cast<ptrdiff_t>(begin),
+                 subs.begin() + static_cast<ptrdiff_t>(end));
+    if (group.size() == 1) {
+      out->push_back(*group[0]);
+    } else if (GroupShapesAgree(group)) {
+      out->push_back(MergeSubWindowGroup(group));
+    } else {
+      // Shape disagreement cannot come from one metric's shards; keep the
+      // members unmerged (duplicate epochs are legal in a summary — the
+      // merge layer pools sub-windows independently) rather than guess
+      // which quantile grid wins.
+      for (const core::SubWindowSummary* sub : group) out->push_back(*sub);
+    }
+    begin = end;
+  }
+}
 
 BackendSummary CoalesceShardSummaries(
     const std::vector<BackendSummary>& shards) {

@@ -3,9 +3,13 @@
 // detail, so shipping one BackendSummary per shard makes frame size grow
 // linearly with a knob the aggregator never needed to know about (697 B
 // per qlove metric at 1 shard ballooned to 4225 B at 8 in the PR-5 bench).
-// CoalesceShardSummaries folds every shard's mergeable summary into one
-// per-metric summary at export time, using exactly the merge structure the
-// receiving side would apply anyway:
+// Each metric keeps one coalesced export window (MetricState, engine/
+// registry.h) that every export copies; these functions build it, using
+// exactly the merge structure the receiving side would apply anyway. A
+// qlove window is brought up to date once per sub-window boundary by
+// merging only the newly closed sub-windows (AppendCoalescedSubWindows);
+// an entry-kind window is rebuilt once per boundary with
+// CoalesceShardSummaries, since it is not epoch-decomposable:
 //
 //  - kQlove: sub-windows are grouped by boundary epoch (shards tick
 //    together, so equal epochs cover the same wall-clock sub-window) and
@@ -37,6 +41,14 @@
 
 namespace qlove {
 namespace engine {
+
+/// \brief Merges \p subs — sub-windows of one metric's shards, listed in
+/// shard order — per boundary epoch and appends the result to \p out,
+/// epoch-ascending: the kQlove half of CoalesceShardSummaries. A group of
+/// one is copied; a group whose quantile/tail shapes disagree is kept
+/// unmerged.
+void AppendCoalescedSubWindows(std::vector<const core::SubWindowSummary*> subs,
+                               std::vector<core::SubWindowSummary>* out);
 
 /// \brief Merges every shard's summary into one. \p shards must be
 /// non-empty and share one kind (they come from one metric's shards, which

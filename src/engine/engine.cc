@@ -693,12 +693,12 @@ void TelemetryEngine::PublishStageSamples() {
   }
 }
 
-WireSnapshot TelemetryEngine::ExportSnapshot(
-    std::string source, const ExportOptions& export_options) const {
-  WireSnapshot snapshot;
-  snapshot.source = std::move(source);
-  snapshot.epoch = TickEpochs();
-  snapshot.sync_token = sync_token_;
+void TelemetryEngine::ExportSnapshotInto(std::string source,
+                                         const ExportOptions& export_options,
+                                         WireSnapshot* out) const {
+  out->source = std::move(source);
+  out->epoch = TickEpochs();
+  out->sync_token = sync_token_;
   std::vector<std::shared_ptr<MetricState>> states = registry_.List();
   if (export_options.include_self_metrics) {
     for (auto& state : internal_registry_.List()) {
@@ -711,23 +711,21 @@ WireSnapshot TelemetryEngine::ExportSnapshot(
                const std::shared_ptr<MetricState>& b) {
               return a->key() < b->key();
             });
-  snapshot.metrics.reserve(states.size());
+  // Assignments below reuse the previous export's buffers (see
+  // ExportCursor); only a grown window or metric list allocates.
+  out->metrics.resize(states.size());
+  size_t exported = 0;
   for (const auto& state : states) {
     if (state->TickEpochs() == 0) continue;  // no window state yet
-    WireMetricSummary metric;
+    WireMetricSummary& metric = out->metrics[exported++];
     metric.key = state->key();
     metric.options = state->options();
-    metric.shards = state->SnapshotShards();
-    if (metric.shards.size() > 1) {
-      // Shard count is an agent-internal detail: fold the per-shard
-      // summaries into one so frame size stops scaling with it.
-      BackendSummary coalesced = CoalesceShardSummaries(metric.shards);
-      metric.shards.clear();
-      metric.shards.push_back(std::move(coalesced));
-    }
-    snapshot.metrics.push_back(std::move(metric));
+    // Shard count is an agent-internal detail: every export ships the
+    // metric's one coalesced window, kept up to date per boundary.
+    metric.shards.resize(1);
+    state->ExportWindowInto(&metric.shards[0]);
   }
-  return snapshot;
+  out->metrics.resize(exported);
 }
 
 Status TelemetryEngine::Export(std::string source, ExportCursor* cursor,
@@ -757,8 +755,8 @@ Status TelemetryEngine::Export(std::string source, ExportCursor* cursor,
 bool TelemetryEngine::EncodeExport(std::string source, ExportCursor* cursor,
                                    std::vector<uint8_t>* out,
                                    const ExportOptions& export_options) const {
-  return cursor->Encode(ExportSnapshot(std::move(source), export_options),
-                        /*lineage=*/nullptr, out);
+  ExportSnapshotInto(std::move(source), export_options, &cursor->snapshot_);
+  return cursor->Encode(cursor->snapshot_, /*lineage=*/nullptr, out);
 }
 
 bool ExportCursor::Encode(const WireSnapshot& snapshot,
@@ -1137,8 +1135,11 @@ MetricFootprint FootprintOf(const MetricState& state, bool internal) {
     footprint.ring_slots +=
         static_cast<int64_t>(state.shard(s).RingCapacity());
   }
-  footprint.memory_bytes =
-      footprint.space_variables * 8 + footprint.ring_slots * 16;
+  footprint.export_window_bytes =
+      static_cast<int64_t>(state.ExportWindowBytes());
+  footprint.memory_bytes = footprint.space_variables * 8 +
+                           footprint.ring_slots * 16 +
+                           footprint.export_window_bytes;
   footprint.inflight = state.LiveInflightCount();
   footprint.total_added = state.TotalAdded();
   return footprint;

@@ -225,6 +225,12 @@ class ExportCursor {
   int64_t last_epoch_ = -1;
   /// Keys are kept in lockstep with the exports — see tracked_metrics().
   std::map<MetricKey, Sent> sent_;
+  /// A TelemetryEngine export's snapshot, refilled in place by the next
+  /// export through this cursor: each metric's key, options and window
+  /// are copy-assigned into the buffers the previous export left, so a
+  /// steady-state export neither allocates nor frees per sub-window. It
+  /// holds about one export's worth of memory for the cursor's lifetime.
+  WireSnapshot snapshot_;
 };
 
 /// \brief Sharded, thread-safe, multi-metric quantile engine.
@@ -324,7 +330,10 @@ class TelemetryEngine {
   /// in canonical key order; each metric carries its full MetricOptions so
   /// the receiver can rebuild the exact merge, and its per-shard summaries
   /// folded into one (engine/coalesce.h) — shard count is an agent-internal
-  /// scaling detail and does not multiply frame size. \p source names this
+  /// scaling detail and does not multiply frame size. That summary is the
+  /// metric's retained export window (MetricState::ExportWindowInto),
+  /// updated once per Tick and copied into the buffers \p cursor kept
+  /// from its previous export. \p source names this
   /// agent in the aggregator's per-source state. With
   /// export_options.include_self_metrics, the engine's `__qlove/`
   /// self-metrics ride along (fleet health rolls up through the same
@@ -451,12 +460,16 @@ class TelemetryEngine {
   /// The uninstrumented query path; Query() wraps it with timing and the
   /// slow-query capture.
   Result<QueryResult> QueryImpl(const QuerySpec& spec) const;
-  /// The engine's window state as one coalesced WireSnapshot (see Export).
-  WireSnapshot ExportSnapshot(std::string source,
-                              const ExportOptions& export_options) const;
-  /// The unmetered encode behind Export (and the WAL): full frame or delta
-  /// per \p cursor (ExportCursor::Encode), which it advances. Returns true
-  /// when it wrote a delta.
+  /// The engine's window state as one WireSnapshot (see Export): every
+  /// ticked metric's export window (MetricState::ExportWindowInto) in
+  /// canonical key order, refilled in place into \p out.
+  void ExportSnapshotInto(std::string source,
+                          const ExportOptions& export_options,
+                          WireSnapshot* out) const;
+  /// The unmetered encode behind Export (and the WAL): the snapshot is
+  /// refilled into \p cursor's buffers, then encoded as a full frame or a
+  /// delta per \p cursor (ExportCursor::Encode), which it advances.
+  /// Returns true when it wrote a delta.
   bool EncodeExport(std::string source, ExportCursor* cursor,
                     std::vector<uint8_t>* out,
                     const ExportOptions& export_options) const;

@@ -397,11 +397,13 @@ std::string EngineStatsToJson(const EngineStats& stats) {
     AppendF(&out,
             "\", \"internal\": %s, \"num_shards\": %d, "
             "\"space_variables\": %lld, \"ring_slots\": %lld, "
+            "\"export_window_bytes\": %lld, "
             "\"memory_bytes\": %lld, \"inflight\": %lld, "
             "\"total_added\": %lld}",
             m.internal ? "true" : "false", m.num_shards,
             static_cast<long long>(m.space_variables),
             static_cast<long long>(m.ring_slots),
+            static_cast<long long>(m.export_window_bytes),
             static_cast<long long>(m.memory_bytes),
             static_cast<long long>(m.inflight),
             static_cast<long long>(m.total_added));

@@ -133,15 +133,17 @@ struct SlowQueryRecord {
 };
 
 /// \brief One metric's resource footprint (memory is an estimate: backend
-/// space variables at 8 bytes each plus ring slots at 16 bytes — value +
-/// sequence word — per slot).
+/// space variables at 8 bytes each, ring slots at 16 bytes — value +
+/// sequence word — per slot, and the retained export window).
 struct MetricFootprint {
   MetricKey key;
   bool internal = false;  ///< Lives in the reserved `__qlove/` namespace.
   int num_shards = 0;
   int64_t space_variables = 0;  ///< Summed ObservedSpaceVariables (§5.1).
   int64_t ring_slots = 0;       ///< Summed ring capacities.
-  int64_t memory_bytes = 0;     ///< space_variables * 8 + ring_slots * 16.
+  int64_t export_window_bytes = 0;  ///< MetricState::ExportWindowBytes.
+  /// space_variables * 8 + ring_slots * 16 + export_window_bytes.
+  int64_t memory_bytes = 0;
   int64_t inflight = 0;         ///< Live backlog awaiting the next Tick.
   int64_t total_added = 0;      ///< Accepted since registration.
 };

@@ -295,7 +295,7 @@ struct WindowArena {
 /// summary's phi-ascending value grid), so Evaluate performs no
 /// allocations — the cached-window query path stays allocation-free.
 /// Not thread-safe to build; Evaluate is const and safe concurrently.
-/// Callers hold consistent views (MetricState::SnapshotShards is
+/// Callers hold consistent views (MetricState::Resolved is
 /// epoch-consistent per metric; a multi-metric pool is consistent per
 /// metric, not across metrics).
 class WindowView {

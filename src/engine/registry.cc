@@ -6,6 +6,7 @@
 #include <mutex>
 #include <utility>
 
+#include "engine/coalesce.h"
 #include "engine/query.h"
 
 // The Tick-time summary-buffer recycle below synchronizes with the last
@@ -69,7 +70,9 @@ Status MetricState::Initialize(MetricKey key, int num_shards,
     bytes += static_cast<size_t>(shard->ObservedSpaceVariables()) * 8 +
              shard->RingCapacity() * 16;
   }
+  shard_bytes_ = bytes;
   memory_bytes_.store(bytes, std::memory_order_relaxed);
+  export_window_.ResetForKind(options_.backend.kind);
   return Status::OK();
 }
 
@@ -90,15 +93,18 @@ int64_t MetricState::TotalAddedApprox() const {
 }
 
 void MetricState::CloseSubWindows() {
-  // Serialized against SnapshotShards so a concurrent query never observes
-  // a torn epoch (some shards ticked, some not).
+  // Serialized against Resolved/ExportWindowInto so a concurrent query or
+  // export never observes a torn epoch (some shards ticked, some not).
   std::lock_guard<std::mutex> lock(epoch_mu_);
   size_t bytes = 0;
   for (auto& shard : shards_) {
     bytes += static_cast<size_t>(shard->CloseSubWindow()) * 8 +
              shard->RingCapacity() * 16;
   }
-  memory_bytes_.store(bytes, std::memory_order_relaxed);
+  shard_bytes_ = bytes;
+  memory_bytes_.store(
+      bytes + window_bytes_.load(std::memory_order_relaxed),
+      std::memory_order_relaxed);
   // Idleness: the boundary just drained every ring, so the approx total is
   // momentarily exact; unchanged since the last boundary means no Record
   // touched this metric in between.
@@ -158,30 +164,84 @@ void MetricState::CloseSubWindows() {
 
 namespace {
 
-// A shard view with no window content at all. Only consulted while a
-// restore overlay is live: dropping such views keeps a freshly recovered
-// metric's export a single summary — bit-identical to the pre-crash
-// export for every backend kind — instead of a merge of the overlay with
-// empty shards (entry-kind merges combine equal values, changing bytes).
+// A shard view with no window content at all (its in-flight count is
+// not window content). Only consulted while a restore overlay is live:
+// dropping such views keeps a freshly recovered metric's export a single
+// summary — bit-identical to the pre-crash export for every backend
+// kind — instead of a merge of the overlay with empty shards (entry-kind
+// merges combine equal values, changing bytes).
 bool ViewIsEmpty(const BackendSummary& view) {
-  return view.count == 0 && view.inflight == 0 && !view.burst_active &&
-         view.subwindows.empty() && view.entries.empty();
+  return view.count == 0 && !view.burst_active && view.subwindows.empty() &&
+         view.entries.empty();
 }
 
 }  // namespace
 
-std::vector<BackendSummary> MetricState::SnapshotShards() const {
+void MetricState::ExportWindowInto(BackendSummary* out) const {
   std::lock_guard<std::mutex> lock(epoch_mu_);
-  std::vector<BackendSummary> views(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    shards_[s]->SnapshotInto(&views[s]);
+  int64_t inflight = 0;
+  int64_t accepted = 0;
+  for (const auto& shard : shards_) {
+    const Shard::LiveCounts live = shard->DrainLiveCounts();
+    inflight += live.inflight;
+    accepted += live.total_added;
   }
-  if (overlay_active_) {
-    views.erase(std::remove_if(views.begin(), views.end(), ViewIsEmpty),
-                views.end());
-    views.push_back(overlay_);
+  const int64_t epoch = tick_epochs_.load(std::memory_order_relaxed);
+  // A CMQS window also moves between boundaries: its open bucket exports
+  // inside `entries`, so every newly accepted value stales it.
+  if (window_epoch_ != epoch ||
+      (options_.backend.kind == BackendKind::kCmqs &&
+       accepted != window_accepted_)) {
+    UpdateExportWindowLocked(epoch);
+    window_accepted_ = accepted;
   }
-  return views;
+  *out = export_window_;
+  out->inflight = inflight;
+}
+
+void MetricState::UpdateExportWindowLocked(int64_t epoch) const {
+  if (options_.backend.kind == BackendKind::kQlove) {
+    // Trim the sub-windows that left every shard (and the restore
+    // overlay's, on the schedule CloseSubWindows ages the overlay by),
+    // then merge in the ones closed since the last update.
+    auto& subs = export_window_.subwindows;
+    const int64_t horizon = epoch - options_.shard_window.NumSubWindows();
+    size_t drop = 0;
+    while (drop < subs.size() && subs[drop].epoch <= horizon) ++drop;
+    subs.erase(subs.begin(), subs.begin() + static_cast<ptrdiff_t>(drop));
+    std::vector<core::SubWindowSummary> fresh;
+    for (const auto& shard : shards_) {
+      shard->CopySubWindowsAfter(window_epoch_, &fresh);
+    }
+    std::vector<const core::SubWindowSummary*> group(fresh.size());
+    for (size_t i = 0; i < fresh.size(); ++i) group[i] = &fresh[i];
+    AppendCoalescedSubWindows(std::move(group), &subs);
+  } else {
+    std::vector<BackendSummary> views(shards_.size());
+    for (size_t s = 0; s < shards_.size(); ++s) {
+      shards_[s]->SnapshotInto(&views[s]);
+    }
+    if (overlay_active_) {
+      views.erase(std::remove_if(views.begin(), views.end(), ViewIsEmpty),
+                  views.end());
+      views.push_back(overlay_);
+    }
+    export_window_ = CoalesceShardSummaries(views);
+  }
+  window_epoch_ = epoch;
+  NoteExportWindowLocked();
+}
+
+void MetricState::NoteExportWindowLocked() const {
+  if (export_window_.kind == BackendKind::kQlove) {
+    export_window_.burst_active = std::any_of(
+        export_window_.subwindows.begin(), export_window_.subwindows.end(),
+        [](const core::SubWindowSummary& sub) { return sub.bursty; });
+  }
+  const size_t bytes =
+      static_cast<size_t>(export_window_.SpaceVariables()) * 8;
+  window_bytes_.store(bytes, std::memory_order_relaxed);
+  memory_bytes_.store(shard_bytes_ + bytes, std::memory_order_relaxed);
 }
 
 int64_t MetricState::LiveInflightCount() const {
@@ -226,6 +286,15 @@ void MetricState::RestoreSummary(BackendSummary summary, int64_t base_epoch) {
                         ? !overlay_.subwindows.empty()
                         : !overlay_.entries.empty();
   if (!overlay_active_) overlay_ = BackendSummary();
+  if (options_.backend.kind == BackendKind::kQlove) {
+    // The overlay's sub-windows seed the export window; live sub-windows
+    // (epochs above base_epoch) are merged in behind them, and the
+    // window's epoch trim ages them out.
+    export_window_.ResetForKind(BackendKind::kQlove);
+    export_window_.subwindows = overlay_.subwindows;
+    window_epoch_ = base_epoch;
+    NoteExportWindowLocked();
+  }
   // The metric has (logically) seen base_epoch boundaries already; a zero
   // epoch count would make exports skip it as never-ticked.
   tick_epochs_.store(base_epoch, std::memory_order_relaxed);

@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -79,18 +80,40 @@ class MetricState {
   int64_t TotalAddedApprox() const;
 
   /// Finalizes the in-flight sub-window on every shard. Serialized against
-  /// SnapshotShards (epoch lock), so queries never see half a Tick. Also
-  /// refreshes ApproxMemoryBytes from each shard's observed space and
-  /// advances/resets the IdleWindows counter from TotalAddedApprox.
+  /// Resolved and ExportWindowInto (epoch lock), so queries and exports
+  /// never see half a Tick. Also refreshes ApproxMemoryBytes from each
+  /// shard's observed space and advances/resets the IdleWindows counter
+  /// from TotalAddedApprox.
   void CloseSubWindows();
 
-  /// Collects every shard's mergeable summary; all summaries come from the
-  /// same tick epoch (ingest proceeds concurrently, boundaries do not).
-  std::vector<BackendSummary> SnapshotShards() const;
+  /// The metric's coalesced export window: one summary over every shard
+  /// (plus the restore overlay), as CoalesceShardSummaries would fold the
+  /// shards' summaries (engine/coalesce.h). Every export — the WAL record
+  /// and each wire frame — copies it. The window is kept, not rebuilt per
+  /// call: the first export after a sub-window boundary brings it up to
+  /// date once. A qlove window merges only the sub-windows closed since
+  /// the last update and trims the ones that left every shard; an
+  /// entry-kind window is not epoch-decomposable and is re-coalesced
+  /// (kCmqs also whenever its shards accepted values since, because its
+  /// open bucket exports inside `entries`). `inflight` is read live on
+  /// every call (each shard drained, as Shard::SnapshotInto does), and a
+  /// qlove window's `burst_active` is the OR of its sub-windows' flags.
+  ///
+  /// The copy is assigned into \p out, reusing its buffers: an export
+  /// refilling last export's summary allocates nothing once the window's
+  /// shape is stable.
+  void ExportWindowInto(BackendSummary* out) const;
 
-  /// The cached resolved window of the current Tick epoch: SnapshotShards
-  /// taken once, shared by every query until CloseSubWindows invalidates
-  /// it. Backend window state only changes at a Tick, so between-Tick
+  /// Bytes the retained export window holds (SpaceVariables * 8; 0 until
+  /// the first export). Part of ApproxMemoryBytes.
+  size_t ExportWindowBytes() const {
+    return window_bytes_.load(std::memory_order_relaxed);
+  }
+
+  /// The cached resolved window of the current Tick epoch: every shard's
+  /// summary (Shard::SnapshotInto) plus the restore overlay, taken once
+  /// and shared by every query until CloseSubWindows invalidates it.
+  /// Backend window state only changes at a Tick, so between-Tick
   /// queries over the same resolved state are exact, not stale — this is
   /// what keeps Query throughput flat as shards grow (previously every
   /// Query re-copied S backend summaries). Callers keep the returned
@@ -114,9 +137,10 @@ class MetricState {
   }
 
   /// Estimated resident bytes of this metric: observed backend space
-  /// variables (8B each) plus ring slots (16B each) across shards. Seeded
-  /// at Initialize, refreshed at every CloseSubWindows — the currency the
-  /// engine's memory budget spends.
+  /// variables (8B each) plus ring slots (16B each) across shards, plus the
+  /// retained export window (ExportWindowBytes). Seeded at Initialize,
+  /// refreshed at every CloseSubWindows and wherever the export window is
+  /// updated — the currency the engine's memory budget spends.
   size_t ApproxMemoryBytes() const {
     return memory_bytes_.load(std::memory_order_relaxed);
   }
@@ -137,13 +161,15 @@ class MetricState {
   /// A restarted engine cannot rehydrate backend internals from a wire
   /// summary (Level-2 state is incrementally maintained), so recovery
   /// installs the replayed window as a restore OVERLAY: one extra
-  /// coalesced summary served alongside the live shards' views — exports
-  /// and queries merge it exactly like another shard. The overlay decays
-  /// on the same schedule the crashed window would have: each
-  /// CloseSubWindows ages it one epoch (qlove sub-windows expire
-  /// individually; entry-kind payloads drop wholesale after NumSubWindows
-  /// boundaries), and once empty the metric is indistinguishable from one
-  /// that never crashed. Shard backends are rebased to \p base_epoch so
+  /// coalesced summary served alongside the live shards' views — queries
+  /// merge it exactly like another shard, and it seeds the export window
+  /// (a qlove overlay's sub-windows then age out through the window's own
+  /// epoch trim; an entry-kind overlay is coalesced in while it serves).
+  /// The overlay decays on the same schedule the crashed window would
+  /// have: each CloseSubWindows ages it one epoch (qlove sub-windows
+  /// expire individually; entry-kind payloads drop wholesale after
+  /// NumSubWindows boundaries), and once empty the metric is
+  /// indistinguishable from one that never crashed. Shard backends are rebased to \p base_epoch so
   /// live sub-window epochs continue the recovered sequence.
   /// @{
 
@@ -169,10 +195,10 @@ class MetricState {
   Introspection* introspection_ = nullptr;      // engine-owned sink
   std::atomic<uint64_t> next_shard_{0};
   std::atomic<int64_t> tick_epochs_{0};
-  std::atomic<size_t> memory_bytes_{0};
+  mutable std::atomic<size_t> memory_bytes_{0};  // export updates it too
   std::atomic<int64_t> last_activity_{0};  // TotalAddedApprox at last Tick
   std::atomic<int64_t> idle_windows_{0};
-  mutable std::mutex epoch_mu_;  // Tick vs Snapshot consistency
+  mutable std::mutex epoch_mu_;  // Tick vs query/export consistency
   /// WAL restore overlay (see RestoreSummary); all guarded by epoch_mu_.
   bool overlay_active_ = false;
   BackendSummary overlay_;
@@ -186,6 +212,27 @@ class MetricState {
   /// the next Resolved() re-fills them in place via Shard::SnapshotInto,
   /// so steady-state Ticks rebuild the query cache without allocating.
   mutable std::vector<BackendSummary> spare_views_;
+
+  /// Brings export_window_ up to date at Tick epoch \p epoch (epoch_mu_
+  /// held) and refreshes the memory accounting.
+  void UpdateExportWindowLocked(int64_t epoch) const;
+  /// Recomputes the derived qlove burst flag and the window's bytes after
+  /// export_window_ changed (epoch_mu_ held).
+  void NoteExportWindowLocked() const;
+
+  /// The export window (see ExportWindowInto); guarded by epoch_mu_. Its
+  /// `inflight` field is unused: every export reads it live.
+  mutable BackendSummary export_window_;
+  /// Tick epoch export_window_ was last brought up to date at; qlove
+  /// sub-windows newer than it are not in the window yet.
+  static constexpr int64_t kWindowNeverBuilt =
+      std::numeric_limits<int64_t>::min();
+  mutable int64_t window_epoch_ = kWindowNeverBuilt;
+  /// kCmqs: the shards' summed accepted count the window covers.
+  mutable int64_t window_accepted_ = 0;
+  /// Shard-side bytes of the last boundary; memory_bytes_ adds the window.
+  size_t shard_bytes_ = 0;
+  mutable std::atomic<size_t> window_bytes_{0};
 };
 
 /// \brief Thread-safe MetricKey -> MetricState map with lock-free reads.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <deque>
+#include <iterator>
 #include <thread>
 #include <utility>
 
@@ -178,6 +180,29 @@ void Shard::SnapshotInto(BackendSummary* out) const {
   // reached the backend immediately.
   DrainLocked();
   backend_->SummaryInto(out);
+}
+
+void Shard::CopySubWindowsAfter(
+    int64_t after_epoch, std::vector<core::SubWindowSummary>* out) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const std::deque<core::SubWindowSummary>* closed =
+      backend_->ClosedSubWindows();
+  if (closed == nullptr) return;
+  // Epochs ascend, so the new sub-windows are a suffix of the window.
+  auto first = closed->end();
+  while (first != closed->begin() && std::prev(first)->epoch > after_epoch) {
+    --first;
+  }
+  out->insert(out->end(), first, closed->end());
+}
+
+Shard::LiveCounts Shard::DrainLiveCounts() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  DrainLocked();
+  LiveCounts counts;
+  counts.inflight = backend_->InflightCount();
+  counts.total_added = total_added_.load(std::memory_order_relaxed);
+  return counts;
 }
 
 int64_t Shard::TotalAdded() const {

@@ -15,7 +15,8 @@
 // dashboards poll them without touching the mutex.
 //
 // Snapshot() exports the backend's mergeable summary under the lock;
-// cross-shard merging happens outside it (snapshot.h).
+// cross-shard merging happens outside it (the metric's export window in
+// registry.h, the query path's ResolvedWindow in query.h).
 
 #ifndef QLOVE_ENGINE_SHARD_H_
 #define QLOVE_ENGINE_SHARD_H_
@@ -185,6 +186,22 @@ class Shard {
     SnapshotInto(&summary);
     return summary;
   }
+
+  /// Appends copies of the backend's closed qlove sub-windows with epoch
+  /// greater than \p after_epoch to \p out, oldest first; appends nothing
+  /// for the entry kinds (ShardBackend::ClosedSubWindows). Thread-safe.
+  void CopySubWindowsAfter(int64_t after_epoch,
+                           std::vector<core::SubWindowSummary>* out) const;
+
+  /// The live counters an export reports next to its window, read after
+  /// draining the ring (as SnapshotInto does).
+  struct LiveCounts {
+    int64_t inflight = 0;     ///< The backend's in-flight count.
+    int64_t total_added = 0;  ///< Accepted since initialization.
+  };
+
+  /// Drains the ring, then reads LiveCounts under the lock. Thread-safe.
+  LiveCounts DrainLiveCounts() const;
 
   /// Live count of accepted values awaiting the next Tick — in the ring or
   /// in the backend's in-flight sub-window. Lock-free (two relaxed atomic

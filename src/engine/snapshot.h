@@ -70,7 +70,7 @@ class WindowView;  // engine/query.h: the shared evaluator
 /// \brief Merges per-shard summaries into one window-level snapshot.
 ///
 /// \p views must come from shards configured with \p options (same phis and
-/// backend options), as produced by MetricState::SnapshotShards().
+/// backend options), as Shard::SnapshotInto produces them for one metric.
 MetricSnapshot MergeShardViews(const MetricKey& key,
                                const std::vector<BackendSummary>& views,
                                const MetricOptions& options,

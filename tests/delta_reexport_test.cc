@@ -7,6 +7,7 @@
 // across backends, pooled keys, stale and restarted sources, lost frames
 // and NAKs.
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -18,6 +19,7 @@
 #include "engine/engine.h"
 #include "engine/wal.h"
 #include "engine/wire.h"
+#include "export_util.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "wal_util.h"
@@ -476,6 +478,168 @@ TEST(DeltaReexportTest, FleetHealthSplitsFullAndDeltaReexports) {
                       std::to_string(health.wire_bytes_delta_reexported)),
             std::string::npos)
       << json;
+}
+
+// ---------------------------------------------------------------------------
+// ApplyDelta's merge walk over the delta's and the held key lists
+// ---------------------------------------------------------------------------
+
+/// A host holding \p keys from agent-a after a few ticks, and that agent's
+/// next frame (a delta) not yet ingested.
+struct HeldAndNext {
+  std::unique_ptr<TelemetryEngine> agent;
+  ExportCursor cursor;
+  AggregatorEngine host;
+  WireDelta next;
+  std::vector<uint8_t> next_frame;
+};
+
+void HoldThenExportDelta(const std::vector<MetricKey>& keys, HeldAndNext* out) {
+  out->agent = std::make_unique<TelemetryEngine>(AgentOptions());
+  workload::NetMonGenerator gen(21);
+  for (int tick = 0; tick < 5; ++tick) {
+    for (const MetricKey& key : keys) Feed(out->agent.get(), key, &gen);
+    out->agent->Tick();
+    ShipAgent(*out->agent, "agent-a", &out->cursor, &out->host);
+  }
+  for (const MetricKey& key : keys) Feed(out->agent.get(), key, &gen);
+  out->agent->Tick();
+  ASSERT_TRUE(
+      out->agent->Export("agent-a", &out->cursor, &out->next_frame).ok());
+  auto decoded = DecodeFrame(out->next_frame);
+  ASSERT_TRUE(decoded.ok());
+  ASSERT_TRUE(decoded.ValueOrDie().is_delta);
+  out->next = decoded.ValueOrDie().delta;
+}
+
+/// Ingests \p tampered, which must NAK without touching \p host's held
+/// state.
+void ExpectNakLeavesHeldState(AggregatorEngine* host,
+                              const WireDelta& tampered) {
+  auto before = host->SourceSnapshot("agent-a");
+  ASSERT_TRUE(before.ok());
+  auto ack = host->IngestFrame(EncodeDelta(tampered));
+  ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+  EXPECT_TRUE(ack.ValueOrDie().resync_required);
+  EXPECT_FALSE(ack.ValueOrDie().applied);
+  auto after = host->SourceSnapshot("agent-a");
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(EncodeSnapshotV2(after.ValueOrDie()),
+            EncodeSnapshotV2(before.ValueOrDie()));
+}
+
+TEST(ApplyDeltaTest, HeldKeyTheDeltaOmitsIsDropped) {
+  const std::vector<MetricKey> keys = {MetricKey("rtt_us", {{"host", "a"}}),
+                                       MetricKey("rtt_us", {{"host", "b"}}),
+                                       MetricKey("rtt_us", {{"host", "c"}})};
+  HeldAndNext state;
+  HoldThenExportDelta(keys, &state);
+  // A second host holding the same state and fed the untampered frame
+  // gives the expected patches of the keys that stay.
+  AggregatorEngine reference;
+  auto held = state.host.SourceSnapshot("agent-a");
+  ASSERT_TRUE(held.ok());
+  ASSERT_TRUE(reference.IngestFrame(EncodeSnapshotV2(held.ValueOrDie())).ok());
+  ASSERT_TRUE(reference.IngestFrame(state.next_frame).ValueOrDie().applied);
+
+  WireDelta tampered = state.next;
+  ASSERT_EQ(tampered.metrics.size(), 3u);
+  tampered.metrics.erase(tampered.metrics.begin() + 1);
+  auto ack = state.host.IngestFrame(EncodeDelta(tampered));
+  ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+  ASSERT_TRUE(ack.ValueOrDie().applied);
+
+  auto patched = state.host.SourceSnapshot("agent-a");
+  auto expected = reference.SourceSnapshot("agent-a");
+  ASSERT_TRUE(patched.ok() && expected.ok());
+  WireSnapshot want = expected.ValueOrDie();
+  ASSERT_EQ(want.metrics.size(), 3u);
+  want.metrics.erase(want.metrics.begin() + 1);
+  EXPECT_EQ(EncodeSnapshotV2(patched.ValueOrDie()), EncodeSnapshotV2(want));
+  EXPECT_FALSE(Carries(patched.ValueOrDie(), keys[1]));
+}
+
+TEST(ApplyDeltaTest, PatchOfAKeyBetweenHeldKeysNaks) {
+  const std::vector<MetricKey> keys = {MetricKey("rtt_us", {{"host", "a"}}),
+                                       MetricKey("rtt_us", {{"host", "c"}})};
+  HeldAndNext state;
+  HoldThenExportDelta(keys, &state);
+  ASSERT_EQ(state.next.metrics.size(), 2u);
+  ASSERT_EQ(state.next.metrics[0].mode, WireDeltaMode::kQloveDelta);
+  // Patches aimed before, between and after the held keys: none is held.
+  const MetricKey strays[] = {MetricKey("rtt_us", {{"host", "0"}}),
+                              MetricKey("rtt_us", {{"host", "b"}}),
+                              MetricKey("rtt_us", {{"host", "d"}})};
+  for (const MetricKey& stray : strays) {
+    SCOPED_TRACE(stray.ToString());
+    WireDelta tampered = state.next;
+    WireMetricDelta extra = tampered.metrics[0];
+    extra.key = stray;
+    tampered.metrics.push_back(extra);
+    std::sort(tampered.metrics.begin(), tampered.metrics.end(),
+              [](const WireMetricDelta& a, const WireMetricDelta& b) {
+                return a.key < b.key;
+              });
+    ExpectNakLeavesHeldState(&state.host, tampered);
+  }
+  // The untampered frame still applies on top of the untouched state.
+  auto ack = state.host.IngestFrame(state.next_frame);
+  ASSERT_TRUE(ack.ok());
+  EXPECT_TRUE(ack.ValueOrDie().applied);
+}
+
+TEST(ApplyDeltaTest, FullMetricInsideADeltaIsRestampedAndRidesFullUp) {
+  const MetricKey replaced("rtt_us", {{"host", "a"}});
+  const MetricKey patched("rtt_us", {{"host", "b"}});
+  TelemetryEngine agent(AgentOptions());
+  ExportCursor agent_cursor;
+  AggregatorEngine host;
+  AggregatorEngine cluster;
+  ExportCursor host_cursor;
+  workload::NetMonGenerator gen(22);
+  for (int tick = 0; tick < 5; ++tick) {
+    Feed(&agent, replaced, &gen);
+    Feed(&agent, patched, &gen);
+    agent.Tick();
+    ShipAgent(agent, "agent-a", &agent_cursor, &host);
+    ShipReexport(host, "host", &host_cursor, &cluster);
+  }
+  Feed(&agent, replaced, &gen);
+  Feed(&agent, patched, &gen);
+  agent.Tick();
+  std::vector<uint8_t> frame;
+  ASSERT_TRUE(agent.Export("agent-a", &agent_cursor, &frame).ok());
+  auto decoded = DecodeFrame(frame);
+  ASSERT_TRUE(decoded.ok() && decoded.ValueOrDie().is_delta);
+  // The same window, shipped whole: `replaced` rides kFull inside the
+  // delta, as it does after an agent-side replacement.
+  const WireSnapshot whole = test_util::FullSnapshot(agent, "agent-a");
+  WireDelta delta = decoded.ValueOrDie().delta;
+  ASSERT_EQ(delta.metrics.size(), 2u);
+  ASSERT_EQ(delta.metrics[0].key, replaced);
+  delta.metrics[0].mode = WireDeltaMode::kFull;
+  delta.metrics[0].options = whole.metrics[0].options;
+  delta.metrics[0].shards = whole.metrics[0].shards;
+  delta.metrics[0].new_subwindows.clear();
+  auto ack = host.IngestFrame(EncodeDelta(delta));
+  ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+  ASSERT_TRUE(ack.ValueOrDie().applied);
+
+  // Same bytes held, but a new lineage: one tier up the key rides kFull,
+  // while its neighbour keeps patching.
+  const WireFrame up = ShipReexport(host, "host", &host_cursor, &cluster);
+  EXPECT_EQ(ModeOf(up, replaced), WireDeltaMode::kFull);
+  EXPECT_EQ(ModeOf(up, patched), WireDeltaMode::kQloveDelta);
+  ExpectConverged(host, "host", cluster, 6);
+
+  // Afterwards the replaced key patches again at both tiers.
+  Feed(&agent, replaced, &gen);
+  Feed(&agent, patched, &gen);
+  agent.Tick();
+  ShipAgent(agent, "agent-a", &agent_cursor, &host);
+  const WireFrame next = ShipReexport(host, "host", &host_cursor, &cluster);
+  EXPECT_EQ(ModeOf(next, replaced), WireDeltaMode::kQloveDelta);
+  ExpectConverged(host, "host", cluster, 7);
 }
 
 }  // namespace

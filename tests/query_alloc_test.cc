@@ -12,7 +12,9 @@
 //    evaluator itself contributes nothing once cached;
 //  - steady-state Tick -> query cycles settle to a constant allocation
 //    count too (the recycled summary buffers stop growing once window
-//    shape stabilizes).
+//    shape stabilizes);
+//  - an Export through a reused cursor refills the previous export's
+//    buffers, allocating nothing per sub-window.
 //
 // The counter lives in a replaced global operator new that forwards to
 // malloc, so it composes with ASan/LSan interceptors (the ASan CI job runs
@@ -23,6 +25,7 @@
 #include <cstdlib>
 #include <functional>
 #include <new>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -61,6 +64,16 @@ void* operator new(std::size_t size, std::align_val_t align) {
 void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
+// The nothrow forms too (std::stable_sort's temporary buffer uses them):
+// left to the sanitizer runtime, their blocks would come back through the
+// free-based deletes below as an alloc-dealloc mismatch.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_news.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size ? size : 1);
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
@@ -71,6 +84,10 @@ void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
   std::free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
   std::free(p);
 }
 
@@ -279,6 +296,57 @@ TEST(QueryAllocTest2, TickRebuildRecyclesSummaryBuffers) {
   // slack absorb deque block boundaries drifting across the rounds.
   EXPECT_LE(std::abs(first - second), 8)
       << "first=" << first << " second=" << second;
+}
+
+TEST(QueryAllocTest2, ExportRefillsTheCursorsBuffers) {
+  // Each export copies every metric's window out of its retained export
+  // window into the snapshot its cursor kept from the previous export, so
+  // repeated exports allocate nothing per sub-window: only the frame's
+  // per-metric delta records remain, however large the windows are.
+  EngineOptions options;
+  options.num_shards = 4;
+  options.shard_window = WindowSpec(8192, 2048);
+  options.introspection = false;
+  TelemetryEngine engine(options);
+  std::vector<MetricKey> keys;
+  for (int k = 0; k < 8; ++k) {
+    keys.push_back(MetricKey("rtt_us", {{"host", std::to_string(k)}}));
+  }
+  workload::NetMonGenerator gen(10);
+  const std::vector<double> batch = workload::Materialize(&gen, 4096);
+  for (int t = 0; t < 6; ++t) {
+    for (const MetricKey& key : keys) {
+      ASSERT_TRUE(engine.RecordBatch(key, batch).ok());
+    }
+    engine.Tick();
+  }
+  ExportCursor cursor;
+  std::vector<uint8_t> frame;
+  // Warm: the first export builds the windows and ships the full frame,
+  // the second warms the delta path.
+  ASSERT_TRUE(engine.Export("agent", &cursor, &frame).ok());
+  ASSERT_TRUE(engine.Export("agent", &cursor, &frame).ok());
+  const int64_t reused =
+      CountNews([&] { ASSERT_TRUE(engine.Export("agent", &cursor, &frame).ok()); });
+  const int64_t fresh = CountNews([&] {
+    ExportCursor first_use;
+    std::vector<uint8_t> buffer;
+    ASSERT_TRUE(engine.Export("agent", &first_use, &buffer).ok());
+  });
+  EXPECT_EQ(reused, CountNews([&] {
+              ASSERT_TRUE(engine.Export("agent", &cursor, &frame).ok());
+            }));
+  size_t subwindows = 0;
+  for (const WireMetricSummary& metric :
+       test_util::FullSnapshot(engine, "agent").metrics) {
+    subwindows += metric.shards.at(0).subwindows.size();
+  }
+  ASSERT_EQ(subwindows, keys.size() * 4);
+  // A first-use cursor copies every sub-window's buffers; a reused one
+  // allocates less than once per sub-window held.
+  EXPECT_GE(fresh, static_cast<int64_t>(subwindows));
+  EXPECT_LT(reused, static_cast<int64_t>(subwindows))
+      << "reused=" << reused << " fresh=" << fresh;
 }
 
 }  // namespace
