@@ -1,5 +1,6 @@
 #include "container/frequency_tree.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace qlove {
@@ -394,36 +395,6 @@ void FrequencyTree::InOrder(
     if (!visit(cur->key, cur->count)) return;
     cur = cur->right;
   }
-}
-
-void FrequencyTree::InOrderDescending(
-    const std::function<bool(double, int64_t)>& visit) const {
-  std::vector<Node*> stack;
-  Node* cur = root_;
-  while (cur != nil_ || !stack.empty()) {
-    while (cur != nil_) {
-      stack.push_back(cur);
-      cur = cur->right;
-    }
-    cur = stack.back();
-    stack.pop_back();
-    if (!visit(cur->key, cur->count)) return;
-    cur = cur->left;
-  }
-}
-
-std::vector<std::pair<double, int64_t>> FrequencyTree::LargestK(
-    int64_t k) const {
-  std::vector<std::pair<double, int64_t>> out;
-  if (k <= 0) return out;
-  int64_t remaining = k;
-  InOrderDescending([&](double value, int64_t count) {
-    const int64_t take = std::min(count, remaining);
-    out.emplace_back(value, take);
-    remaining -= take;
-    return remaining > 0;
-  });
-  return out;
 }
 
 Status FrequencyTree::ValidateNode(const Node* node, int* black_height) const {

@@ -1,9 +1,12 @@
 // Copyright 2026 The QLOVE Reproduction Authors
-// The compressed {value, count} sorted state of Algorithm 1 in the paper:
-// a red-black tree keyed by element value whose nodes carry a frequency, so
+// A compressed {value, count} sorted state that also supports removal: a
+// red-black tree keyed by element value whose nodes carry a frequency, so
 // duplicate-heavy telemetry collapses to one node per unique value. Subtree
 // count augmentation turns rank selection (quantile lookup) into an
-// O(log u) walk, u = number of unique values.
+// O(log u) walk, u = number of unique values. It serves the Exact baseline
+// and the sliding-window accuracy oracle, which deaccumulate expiring
+// values; QLOVE's Level 1 never removes and counts its sub-window in a flat
+// hash counter instead (core/subwindow.h).
 
 #ifndef QLOVE_CONTAINER_FREQUENCY_TREE_H_
 #define QLOVE_CONTAINER_FREQUENCY_TREE_H_
@@ -73,16 +76,6 @@ class FrequencyTree {
   /// returns false to stop early (used by Algorithm 1's multi-quantile pass).
   void InOrder(const std::function<bool(double value, int64_t count)>& visit)
       const;
-
-  /// Visits (value, count) pairs in descending value order with early stop.
-  /// Used by few-k merging to extract the largest values of a sub-window.
-  void InOrderDescending(
-      const std::function<bool(double value, int64_t count)>& visit) const;
-
-  /// Collects the largest \p k elements (counting multiplicity) as
-  /// {value, count} pairs in descending order. The final pair's count is
-  /// clipped so the total is exactly min(k, TotalCount()).
-  std::vector<std::pair<double, int64_t>> LargestK(int64_t k) const;
 
   /// Checks every red-black and augmentation invariant; returns Internal
   /// with a description on the first violation. Test-only (O(u)).

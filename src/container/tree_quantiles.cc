@@ -5,9 +5,15 @@
 
 namespace qlove {
 
-std::vector<double> MultiQuantileFromTree(const FrequencyTree& tree,
-                                          const std::vector<double>& phis) {
-  const int64_t total = tree.TotalCount();
+namespace {
+
+// The phi-ordered rank walk of Algorithm 1, written once for every source
+// of ascending (value, count) pairs: \p for_each_pair(visit) calls
+// visit(value, count) in ascending value order until visit returns false.
+// \p total is the sum of the counts it will visit.
+template <typename ForEachPair>
+std::vector<double> WalkRanks(int64_t total, const std::vector<double>& phis,
+                              ForEachPair&& for_each_pair) {
   if (total == 0 || phis.empty()) return {};
 
   // Evaluate in ascending phi order (Algorithm 1 line 14), then map results
@@ -27,7 +33,7 @@ std::vector<double> MultiQuantileFromTree(const FrequencyTree& tree,
   size_t next = 0;
   int64_t running = 0;
   int64_t rank = rank_of(phis[order[next]]);
-  tree.InOrder([&](double value, int64_t count) {
+  for_each_pair([&](double value, int64_t count) {
     running += count;
     while (running >= rank) {
       results[order[next]] = value;
@@ -37,6 +43,25 @@ std::vector<double> MultiQuantileFromTree(const FrequencyTree& tree,
     return true;
   });
   return results;
+}
+
+}  // namespace
+
+std::vector<double> MultiQuantileFromRun(const ValueRun& run,
+                                         const std::vector<double>& phis) {
+  int64_t total = 0;
+  for (const auto& pair : run) total += pair.second;
+  return WalkRanks(total, phis, [&](auto&& visit) {
+    for (const auto& [value, count] : run) {
+      if (!visit(value, count)) return;
+    }
+  });
+}
+
+std::vector<double> MultiQuantileFromTree(const FrequencyTree& tree,
+                                          const std::vector<double>& phis) {
+  return WalkRanks(tree.TotalCount(), phis,
+                   [&](auto&& visit) { tree.InOrder(visit); });
 }
 
 }  // namespace qlove

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "container/tree_quantiles.h"
-
 namespace qlove {
 namespace core {
 
@@ -171,14 +169,17 @@ void QloveOperator::OnSubWindowBoundary() {
     // must not be burst-compared against a sample from before the gap
     // (which may even have expired from the window).
     prev_burst_sample_.clear();
+    inflight_.Clear();  // an idle sub-window gives the table back
     EvictExpiredSummaries();
     return;
   }
 
+  ValueRun run;
+  inflight_.SortedRun(&run);
   SubWindowSummary summary;
   summary.count = inflight_count_;
   summary.epoch = boundary_epoch_;
-  summary.quantiles = MultiQuantileFromTree(inflight_, phis_);
+  summary.quantiles = MultiQuantileFromRun(run, phis_);
 
   if (!plans_.empty()) {
     summary.tails.resize(plans_.size());
@@ -186,10 +187,10 @@ void QloveOperator::OnSubWindowBoundary() {
       const FewKPlan& plan = plans_[p];
       TailCapture& tail = summary.tails[p];
       if (plan.topk_enabled && plan.kt > 0) {
-        tail.topk = ExtractTopK(inflight_, plan.kt);
+        tail.topk = ExtractTopK(run, plan.kt);
       }
       if (plan.ks > 0) {
-        tail.samples = IntervalSampleTop(inflight_, plan.tail_size, plan.ks);
+        tail.samples = IntervalSampleTop(run, plan.tail_size, plan.ks);
       }
     }
     if (detection_plan_ >= 0) {
@@ -286,8 +287,9 @@ int64_t QloveOperator::CurrentSpace() const {
 }
 
 int64_t QloveOperator::AnalyticalSpaceVariables() const {
-  // l quantile summaries per sub-window plus the worst-case in-flight tree
-  // (§3.2: l(N/P) + O(P)), plus the configured few-k budgets.
+  // l quantile summaries per sub-window plus the worst-case in-flight
+  // {value, count} state (§3.2: l(N/P) + O(P)), plus the configured few-k
+  // budgets.
   const int64_t n_subwindows = spec_.NumSubWindows();
   int64_t space = static_cast<int64_t>(phis_.size()) * n_subwindows +
                   spec_.period * 2;

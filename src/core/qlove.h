@@ -1,7 +1,8 @@
 // Copyright 2026 The QLOVE Reproduction Authors
 // QLOVE: approximate Quantiles with LOw Value Error (the paper's core
 // contribution). Two-level hierarchical processing — Level 1 computes exact
-// quantiles per sub-window over a frequency-compressed tree (Algorithm 1);
+// quantiles per sub-window over a frequency-compressed {value, count}
+// counter, sorted once at the boundary (Algorithm 1);
 // Level 2 averages sub-window quantiles across the sliding window (CLT,
 // Theorem 1). High quantiles are corrected by few-k merging (§4): top-k
 // merging under statistical inefficiency and sample-k merging under bursty
@@ -16,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "container/frequency_tree.h"
 #include "core/burst_detector.h"
 #include "core/error_bound.h"
 #include "core/fewk.h"
@@ -221,7 +221,7 @@ class QloveOperator final : public QuantileOperator {
   Quantizer quantizer_;
 
   // Level 1: in-flight sub-window.
-  FrequencyTree inflight_;
+  InflightCounter inflight_;
   int64_t inflight_count_ = 0;
   int64_t boundary_epoch_ = 0;  // boundaries seen, including empty ones
 

@@ -143,12 +143,16 @@ void MetricState::CloseSubWindows() {
   }
   // The boundary changed window state: queries in flight keep their
   // shared_ptr to the old epoch's resolved views; the next query resolves
-  // afresh. When nothing else holds the cache, reclaim its per-shard
-  // summary buffers for the next epoch's resolve instead of freeing them —
-  // steady-state Ticks then rebuild the query cache allocation-free. The
-  // const_cast is sound: copies of resolved_ are only handed out under
-  // epoch_mu_, so use_count() == 1 here means no other reference exists
-  // or can appear.
+  // afresh.
+  DropResolvedLocked();
+}
+
+void MetricState::DropResolvedLocked() const {
+  // When nothing else holds the cache, reclaim its per-shard summary
+  // buffers for the next resolve instead of freeing them — steady-state
+  // Ticks then rebuild the query cache allocation-free. The const_cast is
+  // sound: copies of resolved_ are only handed out under epoch_mu_, so
+  // use_count() == 1 here means no other reference exists or can appear.
 #if !defined(QLOVE_TSAN_BUILD)
   if (resolved_ != nullptr && resolved_.use_count() == 1) {
     // use_count() is a relaxed load; the fence pairs with the releasing
@@ -254,6 +258,16 @@ int64_t MetricState::LiveInflightCount() const {
 
 std::shared_ptr<const ResolvedWindow> MetricState::Resolved() const {
   std::lock_guard<std::mutex> lock(epoch_mu_);
+  // A CMQS window also moves between Ticks: its open bucket rides in
+  // `entries`, so every newly accepted value stales the cache (the stamp
+  // ExportWindowInto keeps for the export window).
+  int64_t accepted = 0;
+  if (options_.backend.kind == BackendKind::kCmqs) {
+    for (const auto& shard : shards_) {
+      accepted += shard->DrainLiveCounts().total_added;
+    }
+    if (accepted != resolved_accepted_) DropResolvedLocked();
+  }
   if (resolved_ == nullptr) {
     // Refill the previous epoch's reclaimed buffers in place (empty on the
     // first resolve); Shard::SnapshotInto reuses each summary's payload
@@ -271,6 +285,7 @@ std::shared_ptr<const ResolvedWindow> MetricState::Resolved() const {
     }
     resolved_ = std::make_shared<const ResolvedWindow>(std::move(views),
                                                        options_);
+    resolved_accepted_ = accepted;
   }
   return resolved_;
 }

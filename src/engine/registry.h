@@ -112,13 +112,15 @@ class MetricState {
 
   /// The cached resolved window of the current Tick epoch: every shard's
   /// summary (Shard::SnapshotInto) plus the restore overlay, taken once
-  /// and shared by every query until CloseSubWindows invalidates it.
-  /// Backend window state only changes at a Tick, so between-Tick
-  /// queries over the same resolved state are exact, not stale — this is
-  /// what keeps Query throughput flat as shards grow (previously every
-  /// Query re-copied S backend summaries). Callers keep the returned
-  /// shared_ptr alive for the duration of an evaluation; a concurrent
-  /// Tick builds a fresh cache without touching theirs.
+  /// and shared by every query until CloseSubWindows invalidates it (kCmqs
+  /// also whenever its shards accepted values since, because its open
+  /// bucket is window content). Other backends' window state only changes
+  /// at a Tick, so between-Tick queries over the same resolved state are
+  /// exact, not stale — this is what keeps Query throughput flat as
+  /// shards grow (previously every Query re-copied S backend summaries).
+  /// Callers keep the returned shared_ptr alive for the duration of an
+  /// evaluation; a concurrent Tick builds a fresh cache without touching
+  /// theirs.
   std::shared_ptr<const ResolvedWindow> Resolved() const;
 
   /// Live sum of every shard's in-flight (accepted, awaiting the next
@@ -212,6 +214,11 @@ class MetricState {
   /// the next Resolved() re-fills them in place via Shard::SnapshotInto,
   /// so steady-state Ticks rebuild the query cache without allocating.
   mutable std::vector<BackendSummary> spare_views_;
+  /// kCmqs: the shards' summed accepted count resolved_ covers.
+  mutable int64_t resolved_accepted_ = 0;
+  /// Releases resolved_, reclaiming its views into spare_views_ when no
+  /// query still holds it (epoch_mu_ held).
+  void DropResolvedLocked() const;
 
   /// Brings export_window_ up to date at Tick epoch \p epoch (epoch_mu_
   /// held) and refreshes the memory accounting.

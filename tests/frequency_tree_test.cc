@@ -128,35 +128,6 @@ TEST(FrequencyTreeTest, InOrderVisitsAscendingWithEarlyStop) {
   EXPECT_EQ(seen, (std::vector<double>{1, 2, 3, 4}));
 }
 
-TEST(FrequencyTreeTest, InOrderDescendingVisitsDescending) {
-  FrequencyTree tree;
-  for (double v : {4.0, 2.0, 6.0}) tree.Add(v);
-  std::vector<double> seen;
-  tree.InOrderDescending([&](double v, int64_t) {
-    seen.push_back(v);
-    return true;
-  });
-  EXPECT_EQ(seen, (std::vector<double>{6, 4, 2}));
-}
-
-TEST(FrequencyTreeTest, LargestKCountsMultiplicity) {
-  FrequencyTree tree;
-  tree.Add(10.0, 3);
-  tree.Add(20.0, 2);
-  tree.Add(30.0, 1);
-  auto top = tree.LargestK(4);
-  ASSERT_EQ(top.size(), 3u);
-  EXPECT_EQ(top[0], (std::pair<double, int64_t>{30.0, 1}));
-  EXPECT_EQ(top[1], (std::pair<double, int64_t>{20.0, 2}));
-  EXPECT_EQ(top[2], (std::pair<double, int64_t>{10.0, 1}));  // clipped
-  EXPECT_TRUE(tree.LargestK(0).empty());
-  // Asking for more than present returns everything.
-  auto all = tree.LargestK(100);
-  int64_t total = 0;
-  for (const auto& [v, c] : all) total += c;
-  EXPECT_EQ(total, 6);
-}
-
 TEST(FrequencyTreeTest, ClearEmptiesTree) {
   FrequencyTree tree;
   for (int i = 0; i < 100; ++i) tree.Add(i);

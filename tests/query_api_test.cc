@@ -713,6 +713,35 @@ TEST(QueryCacheTest, InflightCountStaysLiveBetweenTicks) {
   EXPECT_EQ(third.ValueOrDie().inflight_count, 0);
 }
 
+TEST(QueryCacheTest, CmqsAnswerDoesNotDependOnAnEarlierQuery) {
+  // A CMQS window moves between Ticks (its open bucket is window content),
+  // so a cache built by an earlier query must not freeze it: the same
+  // records give the same Count whether or not a query ran in between.
+  EngineOptions options;
+  options.num_shards = 1;
+  options.shard_window = WindowSpec(4096, 1024);
+  options.default_backend.kind = BackendKind::kCmqs;
+  options.default_backend.epsilon = 0.0005;
+  const MetricKey key("rtt_us");
+  const QuerySpec spec = QuerySpec::ForKey(key).With(QueryRequest::Count());
+  auto count_after = [&](bool query_between) {
+    TelemetryEngine engine(options);
+    EXPECT_TRUE(engine.RecordBatch(key, std::vector<double>(1000, 1.0)).ok());
+    engine.Tick();
+    if (query_between) {
+      EXPECT_TRUE(engine.Query(spec).ok());
+    }
+    EXPECT_TRUE(engine.RecordBatch(key, std::vector<double>(500, 2.0)).ok());
+    engine.Flush();
+    auto result = engine.Query(spec);
+    EXPECT_TRUE(result.ok());
+    return result.ok() ? result.ValueOrDie().outcomes[0].value : -1.0;
+  };
+  const double cold = count_after(false);
+  EXPECT_EQ(count_after(true), cold);
+  EXPECT_EQ(cold, 1500.0);
+}
+
 }  // namespace
 }  // namespace engine
 }  // namespace qlove

@@ -8,57 +8,57 @@ namespace qlove {
 namespace core {
 namespace {
 
-FrequencyTree MakeTree(const std::vector<double>& values) {
-  FrequencyTree tree;
-  for (double v : values) tree.Add(v);
-  return tree;
+ValueRun MakeRun(const std::vector<double>& values) {
+  InflightCounter counter;
+  for (double v : values) counter.Add(v);
+  ValueRun run;
+  counter.SortedRun(&run);
+  return run;
 }
 
 TEST(ExtractTopKTest, DescendingWithMultiplicity) {
-  auto tree = MakeTree({10, 20, 20, 30, 5});
-  auto top = ExtractTopK(tree, 3);
+  auto run = MakeRun({10, 20, 20, 30, 5});
+  auto top = ExtractTopK(run, 3);
   ASSERT_EQ(top.size(), 2u);
   EXPECT_EQ(top[0], (std::pair<double, int64_t>{30.0, 1}));
   EXPECT_EQ(top[1], (std::pair<double, int64_t>{20.0, 2}));
 }
 
 TEST(ExtractTopKTest, ZeroBudgetIsEmpty) {
-  auto tree = MakeTree({1, 2, 3});
-  EXPECT_TRUE(ExtractTopK(tree, 0).empty());
+  auto run = MakeRun({1, 2, 3});
+  EXPECT_TRUE(ExtractTopK(run, 0).empty());
 }
 
 TEST(IntervalSampleTest, FullRateKeepsEverything) {
-  auto tree = MakeTree({1, 2, 3, 4, 5, 6, 7, 8, 9, 10});
-  auto samples = IntervalSampleTop(tree, 4, 4);  // alpha = 1
+  auto run = MakeRun({1, 2, 3, 4, 5, 6, 7, 8, 9, 10});
+  auto samples = IntervalSampleTop(run, 4, 4);  // alpha = 1
   EXPECT_EQ(samples, (std::vector<double>{10, 9, 8, 7}));
 }
 
 TEST(IntervalSampleTest, HalfRatePicksEverySecond) {
-  auto tree = MakeTree({1, 2, 3, 4, 5, 6, 7, 8, 9, 10});
+  auto run = MakeRun({1, 2, 3, 4, 5, 6, 7, 8, 9, 10});
   // tail = 8 largest = {10..3}; ks = 4 -> interval 2 -> ranks 2,4,6,8.
-  auto samples = IntervalSampleTop(tree, 8, 4);
+  auto samples = IntervalSampleTop(run, 8, 4);
   EXPECT_EQ(samples, (std::vector<double>{9, 7, 5, 3}));
 }
 
 TEST(IntervalSampleTest, DuplicatesCountedByRank) {
-  FrequencyTree tree;
-  tree.Add(100.0, 4);
-  tree.Add(50.0, 4);
+  const ValueRun run = {{50.0, 4}, {100.0, 4}};
   // tail = 4 -> the four copies of 100; ks = 2 -> ranks 2 and 4, both 100.
-  auto samples = IntervalSampleTop(tree, 4, 2);
+  auto samples = IntervalSampleTop(run, 4, 2);
   EXPECT_EQ(samples, (std::vector<double>{100, 100}));
 }
 
 TEST(IntervalSampleTest, KsLargerThanTailClamps) {
-  auto tree = MakeTree({1, 2, 3});
-  auto samples = IntervalSampleTop(tree, 2, 10);
+  auto run = MakeRun({1, 2, 3});
+  auto samples = IntervalSampleTop(run, 2, 10);
   EXPECT_EQ(samples, (std::vector<double>{3, 2}));
 }
 
 TEST(IntervalSampleTest, EmptyBudgets) {
-  auto tree = MakeTree({1, 2, 3});
-  EXPECT_TRUE(IntervalSampleTop(tree, 0, 4).empty());
-  EXPECT_TRUE(IntervalSampleTop(tree, 4, 0).empty());
+  auto run = MakeRun({1, 2, 3});
+  EXPECT_TRUE(IntervalSampleTop(run, 0, 4).empty());
+  EXPECT_TRUE(IntervalSampleTop(run, 4, 0).empty());
 }
 
 TEST(SubWindowSummaryTest, SpaceAccounting) {
