@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <ctime>
 #include <set>
+#include <span>
 #include <utility>
 
 #include "engine/interner.h"
@@ -38,7 +39,7 @@ int64_t WallUnixSeconds() {
   return static_cast<int64_t>(std::time(nullptr));
 }
 
-/// The full serving-configuration equality ExportSnapshot pools under (the
+/// The full serving-configuration equality Export pools under (the
 /// same check Query() uses to decide homogeneity): kind-relevant backend
 /// knobs, phi grid, and window geometry.
 bool SameServingConfiguration(const MetricOptions& a, const MetricOptions& b) {
@@ -322,23 +323,23 @@ void AggregatorEngine::MaybeCheckpointWal() {
       wal_degraded_.load(std::memory_order_relaxed) ||
       wal_records_since_checkpoint_ >= wal_->options().checkpoint_every_n_ticks;
   if (!due) return;
-  // Copy the held snapshots out under mu_, encode and write without it
-  // (wal_mu_ before mu_, always — see the header's lock-order note).
-  std::vector<WireSnapshot> held;
+  // Encode each held source's full frame under mu_, straight from the held
+  // state, and write without it (wal_mu_ before mu_, always — see the
+  // header's lock-order note).
+  std::vector<std::vector<uint8_t>> frames;
   {
     std::lock_guard<std::mutex> sources_lock(mu_);
-    held.reserve(sources_.size());
+    frames.resize(sources_.size());
+    size_t i = 0;
     for (const auto& [name, state] : sources_) {
       (void)name;
-      held.push_back(state.snapshot);
+      EncodeSnapshotV2(state.snapshot, &frames[i++]);
     }
   }
   Status status = wal_->BeginSegment();
-  for (const WireSnapshot& snapshot : held) {
+  for (const std::vector<uint8_t>& frame : frames) {
     if (!status.ok()) break;
-    EncodeSnapshotV2(snapshot, &wal_scratch_);
-    status = wal_->Append(wal_scratch_.data(), wal_scratch_.size(),
-                          /*is_checkpoint=*/true);
+    status = wal_->Append(frame.data(), frame.size(), /*is_checkpoint=*/true);
   }
   if (status.ok() && wal_->options().fsync != WalFsyncPolicy::kOs) {
     // The checkpoint set is the durability floor of everything after it;
@@ -531,59 +532,6 @@ Result<AggregatorEngine::IngestAck> AggregatorEngine::ApplyDelta(
   return ack;
 }
 
-WireSnapshot AggregatorEngine::ExportSnapshot(
-    std::string source, const ExportOptions& export_options,
-    std::vector<uint64_t>* lineage) const {
-  WireSnapshot out;
-  out.source = std::move(source);
-  out.sync_token = sync_token_;
-
-  std::lock_guard<std::mutex> lock(mu_);
-  out.epoch = fleet_epoch_;
-  // Merge by key across fresh sources. sources_ is name-ordered, so "the
-  // first source in name order" for each key falls out of iteration order;
-  // the map keeps the re-export in canonical key order for free.
-  struct Pooled {
-    WireMetricSummary metric;
-    uint64_t lineage = 0;
-  };
-  std::map<MetricKey, Pooled> merged;
-  for (const auto& [name, state] : sources_) {
-    (void)name;
-    if (IsStale(state, fleet_epoch_)) continue;
-    for (size_t i = 0; i < state.snapshot.metrics.size(); ++i) {
-      const WireMetricSummary& metric = state.snapshot.metrics[i];
-      if (!export_options.include_self_metrics &&
-          IsReservedMetricName(metric.key.name())) {
-        continue;
-      }
-      auto it = merged.find(metric.key);
-      if (it == merged.end()) {
-        merged.emplace(metric.key, Pooled{metric, state.lineage[i]});
-        continue;
-      }
-      if (!SameServingConfiguration(it->second.metric.options,
-                                    metric.options)) {
-        // Per-metric options are singular on the wire; pooling disagreeing
-        // configurations is what Query() itself refuses. Drop and count.
-        reexport_dropped_.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      auto& shards = it->second.metric.shards;
-      shards.insert(shards.end(), metric.shards.begin(), metric.shards.end());
-    }
-  }
-  out.metrics.reserve(merged.size());
-  lineage->clear();
-  lineage->reserve(merged.size());
-  for (auto& [key, pooled] : merged) {
-    (void)key;
-    out.metrics.push_back(std::move(pooled.metric));
-    lineage->push_back(pooled.lineage);
-  }
-  return out;
-}
-
 Status AggregatorEngine::Export(std::string source, ExportCursor* cursor,
                                 std::vector<uint8_t>* out,
                                 const ExportOptions& export_options) const {
@@ -593,10 +541,92 @@ Status AggregatorEngine::Export(std::string source, ExportCursor* cursor,
   if (out == nullptr) {
     return Status::InvalidArgument("null output buffer");
   }
-  std::vector<uint64_t> lineage;
-  const WireSnapshot snapshot =
-      ExportSnapshot(std::move(source), export_options, &lineage);
-  const bool delta = cursor->Encode(snapshot, &lineage, out);
+  // One pooled key: its first source's metric (options, lineage) and its
+  // run of summary pointers in `shards`, every source's in name order.
+  struct Pooled {
+    const WireMetricSummary* metric = nullptr;
+    uint64_t lineage = 0;
+    size_t first_shard = 0;
+    size_t num_shards = 0;
+  };
+  std::vector<Pooled> pooled;
+  std::vector<const BackendSummary*> shards;
+  std::vector<const MetricKey*> keys;
+  // Each fresh source's position in its key-ordered metric list.
+  struct Head {
+    const SourceState* state = nullptr;
+    size_t next = 0;
+  };
+  std::vector<Head> heads;
+  bool delta = false;
+  {
+    // The held summaries are read in place, so the whole encode runs
+    // under mu_; nothing is copied out of them.
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& [name, state] : sources_) {
+      (void)name;
+      if (!IsStale(state, fleet_epoch_)) heads.push_back({&state, 0});
+    }
+    // Merge the sources' key-ordered lists. heads is in source-name
+    // order, so the first head carrying a key is "the first source in
+    // name order" whose options the pooled key takes.
+    auto skip_unexported = [&](Head& head) {
+      const auto& metrics = head.state->snapshot.metrics;
+      while (head.next < metrics.size() &&
+             !export_options.include_self_metrics &&
+             IsReservedMetricName(metrics[head.next].key.name())) {
+        ++head.next;
+      }
+    };
+    while (true) {
+      const MetricKey* key = nullptr;
+      for (Head& head : heads) {
+        skip_unexported(head);
+        const auto& metrics = head.state->snapshot.metrics;
+        if (head.next < metrics.size() &&
+            (key == nullptr || metrics[head.next].key < *key)) {
+          key = &metrics[head.next].key;
+        }
+      }
+      if (key == nullptr) break;
+      Pooled entry;
+      entry.first_shard = shards.size();
+      for (Head& head : heads) {
+        const auto& metrics = head.state->snapshot.metrics;
+        if (head.next == metrics.size() || !(metrics[head.next].key == *key)) {
+          continue;
+        }
+        const WireMetricSummary& metric = metrics[head.next];
+        if (entry.metric == nullptr) {
+          entry.metric = &metric;
+          entry.lineage = head.state->lineage[head.next];
+        } else if (!SameServingConfiguration(entry.metric->options,
+                                             metric.options)) {
+          // Per-metric options are singular on the wire; pooling
+          // disagreeing configurations is what Query() itself refuses.
+          // Drop and count.
+          reexport_dropped_.fetch_add(1, std::memory_order_relaxed);
+          ++head.next;
+          continue;
+        }
+        for (const BackendSummary& summary : metric.shards) {
+          shards.push_back(&summary);
+        }
+        ++head.next;
+      }
+      entry.num_shards = shards.size() - entry.first_shard;
+      keys.push_back(&entry.metric->key);
+      pooled.push_back(entry);
+    }
+    delta = cursor->Begin(source, sync_token_, fleet_epoch_, keys, out);
+    const std::span<const BackendSummary* const> all_shards(shards);
+    for (const Pooled& entry : pooled) {
+      cursor->Metric(entry.metric->key, entry.metric->options,
+                     all_shards.subspan(entry.first_shard, entry.num_shards),
+                     std::nullopt, entry.lineage);
+    }
+    cursor->End();
+  }
   const auto bytes = static_cast<int64_t>(out->size());
   reexports_.fetch_add(1, std::memory_order_relaxed);
   wire_bytes_reexported_.fetch_add(bytes, std::memory_order_relaxed);

@@ -174,6 +174,12 @@ class AggregatorEngine {
   /// going stale drops its keys from the export, which forces a full frame
   /// (the parent must retire them). Re-export calls and bytes, split into
   /// full and delta, are counted into FleetHealth.
+  ///
+  /// Cost: under mu_, one merge walk over the fresh sources' key-ordered
+  /// held lists pools pointers to the held summaries, and the frame is
+  /// written straight from them through \p cursor — no summary is copied.
+  /// The mutex is held for that walk plus the encode of what the frame
+  /// carries (mostly the new sub-windows of a delta).
   Status Export(std::string source, ExportCursor* cursor,
                 std::vector<uint8_t>* out,
                 const ExportOptions& export_options = {}) const;
@@ -375,7 +381,7 @@ class AggregatorEngine {
     WireSnapshot snapshot;
     /// Parallel to snapshot.metrics: the stamp of the full frame or kFull
     /// metric that established each held summary (kQloveDelta patches
-    /// keep it). Export hands these to ExportCursor::Encode, so a summary
+    /// keep it). Export hands these to ExportCursor::Metric, so a summary
     /// that was replaced since it was last re-exported rides kFull.
     std::vector<uint64_t> lineage;
     int64_t fleet_epoch_at_ingest = 0;
@@ -435,13 +441,6 @@ class AggregatorEngine {
   /// after the unlock. Held keys the delta omits are dropped; a kFull
   /// metric replaces its key's summary under a new lineage stamp.
   Result<IngestAck> ApplyDelta(WireDelta delta);
-  /// The pooled fleet state as one WireSnapshot named \p source (see the
-  /// re-export section), with each metric's lineage stamp in \p lineage
-  /// (a pooled key takes its first source's; pooled keys ride kFull
-  /// regardless).
-  WireSnapshot ExportSnapshot(std::string source,
-                              const ExportOptions& export_options,
-                              std::vector<uint64_t>* lineage) const;
   /// The self-metrics engine's stage sink; null when introspection is off.
   Introspection* SelfIntrospection() const;
 
@@ -483,11 +482,10 @@ class AggregatorEngine {
   std::atomic<int64_t> metrics_retired_{0};
 
   /// Durability state (see the WAL section above); wal_mu_ serializes the
-  /// writer and is always taken BEFORE mu_ (MaybeCheckpointWal snapshots
+  /// writer and is always taken BEFORE mu_ (MaybeCheckpointWal encodes
   /// held state under both), never the other way around.
   mutable std::mutex wal_mu_;
   std::unique_ptr<WalWriter> wal_;          // null = WAL off
-  std::vector<uint8_t> wal_scratch_;        // guarded by wal_mu_
   int64_t wal_records_since_checkpoint_ = 0;  // guarded by wal_mu_
   std::atomic<bool> wal_degraded_{false};
   std::atomic<int64_t> wal_recovered_epoch_{0};

@@ -693,41 +693,6 @@ void TelemetryEngine::PublishStageSamples() {
   }
 }
 
-void TelemetryEngine::ExportSnapshotInto(std::string source,
-                                         const ExportOptions& export_options,
-                                         WireSnapshot* out) const {
-  out->source = std::move(source);
-  out->epoch = TickEpochs();
-  out->sync_token = sync_token_;
-  std::vector<std::shared_ptr<MetricState>> states = registry_.List();
-  if (export_options.include_self_metrics) {
-    for (auto& state : internal_registry_.List()) {
-      states.push_back(std::move(state));
-    }
-  }
-  // Canonical key order, like SnapshotAll: successive exports diff stably.
-  std::sort(states.begin(), states.end(),
-            [](const std::shared_ptr<MetricState>& a,
-               const std::shared_ptr<MetricState>& b) {
-              return a->key() < b->key();
-            });
-  // Assignments below reuse the previous export's buffers (see
-  // ExportCursor); only a grown window or metric list allocates.
-  out->metrics.resize(states.size());
-  size_t exported = 0;
-  for (const auto& state : states) {
-    if (state->TickEpochs() == 0) continue;  // no window state yet
-    WireMetricSummary& metric = out->metrics[exported++];
-    metric.key = state->key();
-    metric.options = state->options();
-    // Shard count is an agent-internal detail: every export ships the
-    // metric's one coalesced window, kept up to date per boundary.
-    metric.shards.resize(1);
-    state->ExportWindowInto(&metric.shards[0]);
-  }
-  out->metrics.resize(exported);
-}
-
 Status TelemetryEngine::Export(std::string source, ExportCursor* cursor,
                                std::vector<uint8_t>* out,
                                const ExportOptions& export_options) const {
@@ -739,8 +704,7 @@ Status TelemetryEngine::Export(std::string source, ExportCursor* cursor,
     return Status::InvalidArgument("null output buffer");
   }
   Stopwatch watch;
-  const bool delta =
-      EncodeExport(std::move(source), cursor, out, export_options);
+  const bool delta = EncodeExport(source, cursor, out, export_options);
   if (introspection_ != nullptr) {
     const auto bytes = static_cast<int64_t>(out->size());
     introspection_->RecordStage(Stage::kWireEncode,
@@ -752,36 +716,60 @@ Status TelemetryEngine::Export(std::string source, ExportCursor* cursor,
   return Status::OK();
 }
 
-bool TelemetryEngine::EncodeExport(std::string source, ExportCursor* cursor,
+bool TelemetryEngine::EncodeExport(std::string_view source,
+                                   ExportCursor* cursor,
                                    std::vector<uint8_t>* out,
                                    const ExportOptions& export_options) const {
-  ExportSnapshotInto(std::move(source), export_options, &cursor->snapshot_);
-  return cursor->Encode(cursor->snapshot_, /*lineage=*/nullptr, out);
+  const int64_t epoch = TickEpochs();
+  std::vector<std::shared_ptr<MetricState>> states = registry_.List();
+  if (export_options.include_self_metrics) {
+    for (auto& state : internal_registry_.List()) {
+      states.push_back(std::move(state));
+    }
+  }
+  // Metrics registered after the last Tick have no window state yet. The
+  // list is fixed here, so the header's metric count holds even if a
+  // concurrent Tick gives one of them a window before it is reached.
+  std::erase_if(states, [](const std::shared_ptr<MetricState>& state) {
+    return state->TickEpochs() == 0;
+  });
+  // Canonical key order, like SnapshotAll: successive exports diff stably.
+  std::sort(states.begin(), states.end(),
+            [](const std::shared_ptr<MetricState>& a,
+               const std::shared_ptr<MetricState>& b) {
+              return a->key() < b->key();
+            });
+  std::vector<const MetricKey*> keys;
+  keys.reserve(states.size());
+  for (const auto& state : states) keys.push_back(&state->key());
+  const bool delta = cursor->Begin(source, sync_token_, epoch, keys, out);
+  for (const auto& state : states) {
+    // Shard count is an agent-internal detail: every export ships the
+    // metric's one coalesced window, encoded where it is kept.
+    state->VisitExportWindow(
+        [&](const BackendSummary& window, int64_t live_inflight) {
+          const BackendSummary* shards[] = {&window};
+          cursor->Metric(state->key(), state->options(), shards,
+                         live_inflight, /*lineage=*/0);
+        });
+  }
+  cursor->End();
+  return delta;
 }
 
-bool ExportCursor::Encode(const WireSnapshot& snapshot,
-                          const std::vector<uint64_t>* lineage,
-                          std::vector<uint8_t>* out) {
-  auto lineage_of = [lineage](size_t i) -> uint64_t {
-    return lineage != nullptr ? (*lineage)[i] : 0;
-  };
-  // A tracked metric absent from this snapshot vanished (evicted or
-  // otherwise retired). A delta frame can only describe metrics it
-  // carries, so the receiver would keep serving the stale key forever;
-  // fall back to a full frame, which replaces the source's held state
-  // wholesale and retires the key on the receiver too. Both sides are in
-  // canonical key order, so one merge scan decides.
+bool ExportCursor::Begin(std::string_view source, uint64_t sync_token,
+                         int64_t epoch, std::span<const MetricKey* const> keys,
+                         std::vector<uint8_t>* out) {
+  // A tracked metric absent from this export vanished (evicted or
+  // otherwise retired): only a full frame retires it on the receiver.
+  // Both sides are in canonical key order, so one merge scan decides.
   bool tracked_metric_vanished = false;
   {
     auto tracked = sent_.cbegin();
-    auto present = snapshot.metrics.cbegin();
+    auto present = keys.begin();
     while (tracked != sent_.cend()) {
-      while (present != snapshot.metrics.cend() &&
-             present->key < tracked->first) {
-        ++present;
-      }
-      if (present == snapshot.metrics.cend() ||
-          tracked->first < present->key) {
+      while (present != keys.end() && **present < tracked->first) ++present;
+      if (present == keys.end() || tracked->first < **present) {
         tracked_metric_vanished = true;
         break;
       }
@@ -789,91 +777,83 @@ bool ExportCursor::Encode(const WireSnapshot& snapshot,
       ++present;
     }
   }
-  bool encoded_delta = false;
-  if (force_full_ || last_epoch_ < 0 || tracked_metric_vanished) {
-    EncodeSnapshotV2(snapshot, out);
+  delta_ = !force_full_ && last_epoch_ >= 0 && !tracked_metric_vanished;
+  writer_ = FrameWriter(out);
+  if (delta_) {
+    writer_.DeltaHeader(source, sync_token, epoch, last_epoch_, keys.size());
   } else {
-    WireDelta delta;
-    delta.source = snapshot.source;
-    delta.epoch = snapshot.epoch;
-    delta.base_epoch = last_epoch_;
-    delta.sync_token = snapshot.sync_token;
-    delta.metrics.reserve(snapshot.metrics.size());
-    for (size_t i = 0; i < snapshot.metrics.size(); ++i) {
-      const WireMetricSummary& metric = snapshot.metrics[i];
-      WireMetricDelta md;
-      md.key = metric.key;
-      const auto sent = sent_.find(metric.key);
-      // Incremental shipping needs sub-window-addressable state on both
-      // ends: a single qlove summary here, and a prior frame that shipped
-      // this metric the same way from the same lineage. Everything else
-      // rides as a full replacement inside the delta.
-      if (sent != sent_.end() && sent->second.patchable &&
-          sent->second.lineage == lineage_of(i) &&
-          metric.shards.size() == 1 &&
-          metric.shards[0].kind == BackendKind::kQlove) {
-        const BackendSummary& summary = metric.shards[0];
-        md.mode = WireDeltaMode::kQloveDelta;
-        // An empty window trims everything the receiver holds, whose
-        // newest epoch is the newest this cursor shipped.
-        md.first_live_epoch =
-            summary.subwindows.empty()
-                ? std::max(snapshot.epoch, sent->second.newest_epoch) + 1
-                : summary.subwindows.front().epoch;
-        md.count = summary.count;
-        md.inflight = summary.inflight;
-        md.burst_active = summary.burst_active;
-        md.rank_error = summary.rank_error;
-        for (const core::SubWindowSummary& sub : summary.subwindows) {
-          if (sub.epoch > sent->second.newest_epoch) {
-            md.new_subwindows.push_back(sub);
-          }
-        }
-      } else {
-        md.mode = WireDeltaMode::kFull;
-        md.options = metric.options;
-        md.shards = metric.shards;
-      }
-      delta.metrics.push_back(std::move(md));
-    }
-    EncodeDelta(delta, out);
-    encoded_delta = true;
+    writer_.FullHeader(source, sync_token, epoch, keys.size());
   }
-  // Advance optimistically: when the receiver's held state disagrees it
-  // NAKs the frame and the caller calls RequestResync(). The tracking map
-  // is merged in place against the (canonically ordered) export — update
-  // present entries, insert new ones, and PRUNE entries for metrics no
-  // longer exported, so a long-lived cursor's footprint follows the live
-  // metric count instead of growing one node per key ever retired.
   force_full_ = false;
-  last_epoch_ = snapshot.epoch;
-  auto tracked = sent_.begin();
-  for (size_t i = 0; i < snapshot.metrics.size(); ++i) {
-    const WireMetricSummary& metric = snapshot.metrics[i];
-    Sent sent;
-    sent.lineage = lineage_of(i);
-    if (metric.shards.size() == 1 &&
-        metric.shards[0].kind == BackendKind::kQlove) {
-      const auto& subs = metric.shards[0].subwindows;
-      sent.patchable = true;
-      // Sub-window epochs count the metric's own boundaries, not the
-      // exporter's epoch, so after an empty window only "everything is
-      // new" is a safe high-water mark.
-      sent.newest_epoch = subs.empty() ? std::numeric_limits<int64_t>::min()
-                                       : subs.back().epoch;
-    }
-    while (tracked != sent_.end() && tracked->first < metric.key) {
-      tracked = sent_.erase(tracked);  // vanished: prune
-    }
-    if (tracked != sent_.end() && tracked->first == metric.key) {
-      tracked->second = sent;
-      ++tracked;
-    } else {
-      tracked = std::next(sent_.emplace_hint(tracked, metric.key, sent));
-    }
+  last_epoch_ = epoch;
+  tracked_ = sent_.begin();
+  return delta_;
+}
+
+void ExportCursor::Metric(const MetricKey& key, const MetricOptions& options,
+                          std::span<const BackendSummary* const> shards,
+                          std::optional<int64_t> inflight, uint64_t lineage) {
+  // The tracking map is merged in place against the (canonically ordered)
+  // export: entries before this key are no longer exported and are
+  // pruned, so a long-lived cursor's footprint follows the live metric
+  // count instead of growing one node per key ever retired.
+  while (tracked_ != sent_.end() && tracked_->first < key) {
+    tracked_ = sent_.erase(tracked_);
   }
-  sent_.erase(tracked, sent_.end());
-  return encoded_delta;
+  const bool held = tracked_ != sent_.end() && tracked_->first == key;
+  const bool single_qlove =
+      shards.size() == 1 && shards[0]->kind == BackendKind::kQlove;
+  Sent sent;
+  sent.lineage = lineage;
+  sent.patchable = single_qlove;
+  if (single_qlove) {
+    const auto& subs = shards[0]->subwindows;
+    // Sub-window epochs count the metric's own boundaries, not the
+    // exporter's epoch, so after an empty window only "everything is
+    // new" is a safe high-water mark.
+    sent.newest_epoch = subs.empty() ? std::numeric_limits<int64_t>::min()
+                                     : subs.back().epoch;
+  }
+  // Incremental shipping needs sub-window-addressable state on both ends:
+  // a single qlove summary here, and a prior frame that shipped this
+  // metric the same way from the same lineage.
+  if (delta_ && held && tracked_->second.patchable &&
+      tracked_->second.lineage == lineage && single_qlove) {
+    const BackendSummary& summary = *shards[0];
+    const int64_t shipped = tracked_->second.newest_epoch;
+    const auto& subs = summary.subwindows;
+    // An empty window trims everything the receiver holds, whose newest
+    // epoch is the newest this cursor shipped (last_epoch_ is already this
+    // frame's epoch: Begin advanced it).
+    const int64_t first_live_epoch =
+        subs.empty() ? std::max(last_epoch_, shipped) + 1
+                     : subs.front().epoch;
+    // Epochs are non-decreasing, so the unshipped sub-windows are a
+    // suffix.
+    const auto fresh = std::partition_point(
+        subs.begin(), subs.end(),
+        [shipped](const core::SubWindowSummary& sub) {
+          return sub.epoch <= shipped;
+        });
+    writer_.QloveDeltaMetric(key, first_live_epoch, summary.count,
+                             inflight.value_or(summary.inflight),
+                             summary.burst_active, summary.rank_error,
+                             {fresh, subs.end()});
+  } else {
+    writer_.WholeMetric(key, options, shards, inflight);
+  }
+  if (held) {
+    tracked_->second = sent;
+    ++tracked_;
+  } else {
+    tracked_ = std::next(sent_.emplace_hint(tracked_, key, sent));
+  }
+}
+
+void ExportCursor::End() {
+  sent_.erase(tracked_, sent_.end());
+  tracked_ = {};
+  writer_ = FrameWriter();
 }
 
 std::shared_ptr<MetricState> TelemetryEngine::FindState(

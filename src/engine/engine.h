@@ -39,7 +39,10 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -170,6 +173,11 @@ struct ExportOptions {
 /// agent, whose epoch advances with every sub-window it closes, but not
 /// for an aggregator, whose fleet epoch stands still while lagging
 /// sources report.
+///
+/// A cursor holds only one small tracking entry per exported metric (the
+/// newest sub-window epoch shipped and where the summary came from), never
+/// a copy of the exported state: frames are written straight from the
+/// exporter's own windows.
 class ExportCursor {
  public:
   /// Force the next export to be a full frame (initial state). Call on
@@ -192,22 +200,45 @@ class ExportCursor {
   friend class TelemetryEngine;
   friend class AggregatorEngine;
 
-  /// The one snapshot->frame diff behind both engines' Export: encodes
-  /// \p snapshot into \p out as a full frame or as a delta against what
-  /// this cursor says the receiver holds, then advances the cursor.
-  /// Returns true when it wrote a delta.
+  /// The one state->frame diff behind both engines' Export, streamed: the
+  /// exporter calls Begin with its metric keys, then Metric once per key
+  /// in that order, reading each metric's summaries where it holds them,
+  /// then End. Nothing is copied out of the exporter's state; each record
+  /// goes straight into \p out through a FrameWriter (engine/wire.h).
   ///
-  /// \p lineage (null, or parallel to snapshot.metrics) stamps where each
-  /// metric's summary comes from; a metric whose stamp changed since it
-  /// was last shipped rides kFull. Sub-window epochs cannot prove that a
-  /// summary continues the one the receiver holds — an aggregator's
-  /// contributing source may have restarted (epochs begin again) or been
-  /// replaced by another source reporting the same key — so the exporter
-  /// must say so. Null means one lineage throughout: an agent's metrics
-  /// only ever continue themselves within one engine incarnation.
-  bool Encode(const WireSnapshot& snapshot,
-              const std::vector<uint64_t>* lineage,
-              std::vector<uint8_t>* out);
+  /// Begin chooses the frame: full on the cursor's first export, after
+  /// RequestResync(), or when a tracked metric is missing from \p keys (a
+  /// delta can only describe the metrics it carries, so the receiver would
+  /// serve the vanished key forever; a full frame replaces the source's
+  /// held state wholesale); a delta against last_epoch() otherwise. It
+  /// writes the header and advances the cursor optimistically — when the
+  /// receiver disagrees it NAKs and the caller calls RequestResync().
+  /// \p keys must be in canonical order. Returns true for a delta.
+  bool Begin(std::string_view source, uint64_t sync_token, int64_t epoch,
+             std::span<const MetricKey* const> keys,
+             std::vector<uint8_t>* out);
+
+  /// Writes the next metric. In a delta, a metric last shipped as a
+  /// single qlove summary from the same \p lineage, and still one, rides
+  /// kQloveDelta: the sub-windows newer than the newest one shipped, plus
+  /// refreshed scalars. Everything else rides whole (kFull in a delta).
+  /// \p inflight, when set, stands in for the summaries' own field.
+  ///
+  /// \p lineage stamps where the metric's summary comes from; a metric
+  /// whose stamp changed since it was last shipped rides kFull.
+  /// Sub-window epochs cannot prove that a summary continues the one the
+  /// receiver holds — an aggregator's contributing source may have
+  /// restarted (epochs begin again) or been replaced by another source
+  /// reporting the same key — so the exporter must say so. An agent
+  /// passes 0 throughout: its metrics only ever continue themselves within
+  /// one engine incarnation.
+  void Metric(const MetricKey& key, const MetricOptions& options,
+              std::span<const BackendSummary* const> shards,
+              std::optional<int64_t> inflight, uint64_t lineage);
+
+  /// Finishes the frame: tracked metrics past the last one written are no
+  /// longer exported and are pruned.
+  void End();
 
   /// What the receiver holds of one metric, as of the last frame.
   struct Sent {
@@ -225,12 +256,12 @@ class ExportCursor {
   int64_t last_epoch_ = -1;
   /// Keys are kept in lockstep with the exports — see tracked_metrics().
   std::map<MetricKey, Sent> sent_;
-  /// A TelemetryEngine export's snapshot, refilled in place by the next
-  /// export through this cursor: each metric's key, options and window
-  /// are copy-assigned into the buffers the previous export left, so a
-  /// steady-state export neither allocates nor frees per sub-window. It
-  /// holds about one export's worth of memory for the cursor's lifetime.
-  WireSnapshot snapshot_;
+  /// The frame in progress (between Begin and End): its writer, whether
+  /// it is a delta, and the next tracked entry Metric merges against
+  /// (keys arrive in canonical order, so sent_ is updated in one pass).
+  FrameWriter writer_;
+  bool delta_ = false;
+  std::map<MetricKey, Sent>::iterator tracked_{};
 };
 
 /// \brief Sharded, thread-safe, multi-metric quantile engine.
@@ -331,9 +362,10 @@ class TelemetryEngine {
   /// the receiver can rebuild the exact merge, and its per-shard summaries
   /// folded into one (engine/coalesce.h) — shard count is an agent-internal
   /// scaling detail and does not multiply frame size. That summary is the
-  /// metric's retained export window (MetricState::ExportWindowInto),
-  /// updated once per Tick and copied into the buffers \p cursor kept
-  /// from its previous export. \p source names this
+  /// metric's retained export window, brought up to date once per Tick
+  /// and encoded in place, under the metric's epoch lock
+  /// (MetricState::VisitExportWindow): an export copies no window, so it
+  /// costs about what the sub-windows it ships cost. \p source names this
   /// agent in the aggregator's per-source state. With
   /// export_options.include_self_metrics, the engine's `__qlove/`
   /// self-metrics ride along (fleet health rolls up through the same
@@ -460,17 +492,12 @@ class TelemetryEngine {
   /// The uninstrumented query path; Query() wraps it with timing and the
   /// slow-query capture.
   Result<QueryResult> QueryImpl(const QuerySpec& spec) const;
-  /// The engine's window state as one WireSnapshot (see Export): every
-  /// ticked metric's export window (MetricState::ExportWindowInto) in
-  /// canonical key order, refilled in place into \p out.
-  void ExportSnapshotInto(std::string source,
-                          const ExportOptions& export_options,
-                          WireSnapshot* out) const;
-  /// The unmetered encode behind Export (and the WAL): the snapshot is
-  /// refilled into \p cursor's buffers, then encoded as a full frame or a
-  /// delta per \p cursor (ExportCursor::Encode), which it advances.
-  /// Returns true when it wrote a delta.
-  bool EncodeExport(std::string source, ExportCursor* cursor,
+  /// The unmetered encode behind Export (and the WAL): streams every
+  /// ticked metric, in canonical key order, through \p cursor
+  /// (ExportCursor::Begin/Metric/End), each written straight from its
+  /// export window under the metric's epoch lock
+  /// (MetricState::VisitExportWindow). Returns true when it wrote a delta.
+  bool EncodeExport(std::string_view source, ExportCursor* cursor,
                     std::vector<uint8_t>* out,
                     const ExportOptions& export_options) const;
   /// Drains the buffered stage-latency samples into the `__qlove/`

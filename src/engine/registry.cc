@@ -93,7 +93,7 @@ int64_t MetricState::TotalAddedApprox() const {
 }
 
 void MetricState::CloseSubWindows() {
-  // Serialized against Resolved/ExportWindowInto so a concurrent query or
+  // Serialized against Resolved/VisitExportWindow so a concurrent query or
   // export never observes a torn epoch (some shards ticked, some not).
   std::lock_guard<std::mutex> lock(epoch_mu_);
   size_t bytes = 0;
@@ -181,8 +181,7 @@ bool ViewIsEmpty(const BackendSummary& view) {
 
 }  // namespace
 
-void MetricState::ExportWindowInto(BackendSummary* out) const {
-  std::lock_guard<std::mutex> lock(epoch_mu_);
+int64_t MetricState::RefreshExportWindowLocked() const {
   int64_t inflight = 0;
   int64_t accepted = 0;
   for (const auto& shard : shards_) {
@@ -199,8 +198,7 @@ void MetricState::ExportWindowInto(BackendSummary* out) const {
     UpdateExportWindowLocked(epoch);
     window_accepted_ = accepted;
   }
-  *out = export_window_;
-  out->inflight = inflight;
+  return inflight;
 }
 
 void MetricState::UpdateExportWindowLocked(int64_t epoch) const {
@@ -260,7 +258,7 @@ std::shared_ptr<const ResolvedWindow> MetricState::Resolved() const {
   std::lock_guard<std::mutex> lock(epoch_mu_);
   // A CMQS window also moves between Ticks: its open bucket rides in
   // `entries`, so every newly accepted value stales the cache (the stamp
-  // ExportWindowInto keeps for the export window).
+  // RefreshExportWindowLocked keeps for the export window).
   int64_t accepted = 0;
   if (options_.backend.kind == BackendKind::kCmqs) {
     for (const auto& shard : shards_) {

@@ -80,29 +80,34 @@ class MetricState {
   int64_t TotalAddedApprox() const;
 
   /// Finalizes the in-flight sub-window on every shard. Serialized against
-  /// Resolved and ExportWindowInto (epoch lock), so queries and exports
+  /// Resolved and VisitExportWindow (epoch lock), so queries and exports
   /// never see half a Tick. Also refreshes ApproxMemoryBytes from each
   /// shard's observed space and advances/resets the IdleWindows counter
   /// from TotalAddedApprox.
   void CloseSubWindows();
 
-  /// The metric's coalesced export window: one summary over every shard
-  /// (plus the restore overlay), as CoalesceShardSummaries would fold the
-  /// shards' summaries (engine/coalesce.h). Every export — the WAL record
-  /// and each wire frame — copies it. The window is kept, not rebuilt per
-  /// call: the first export after a sub-window boundary brings it up to
-  /// date once. A qlove window merges only the sub-windows closed since
-  /// the last update and trims the ones that left every shard; an
-  /// entry-kind window is not epoch-decomposable and is re-coalesced
-  /// (kCmqs also whenever its shards accepted values since, because its
-  /// open bucket exports inside `entries`). `inflight` is read live on
-  /// every call (each shard drained, as Shard::SnapshotInto does), and a
-  /// qlove window's `burst_active` is the OR of its sub-windows' flags.
-  ///
-  /// The copy is assigned into \p out, reusing its buffers: an export
-  /// refilling last export's summary allocates nothing once the window's
-  /// shape is stable.
-  void ExportWindowInto(BackendSummary* out) const;
+  /// Calls \p fn(window, live_inflight) with the metric's coalesced export
+  /// window — one summary over every shard (plus the restore overlay), as
+  /// CoalesceShardSummaries would fold the shards' summaries
+  /// (engine/coalesce.h) — under the epoch lock, so an export encodes the
+  /// window where it is kept instead of copying it (every export does: the
+  /// WAL record and each wire frame). \p fn must not call back into this
+  /// state. The window is kept, not rebuilt per call: the first visit
+  /// after a sub-window boundary brings it up to date once. A qlove window
+  /// merges only the sub-windows closed since the last update and trims
+  /// the ones that left every shard; an entry-kind window is not
+  /// epoch-decomposable and is re-coalesced (kCmqs also whenever its
+  /// shards accepted values since, because its open bucket exports inside
+  /// `entries`). The window's own `inflight` field is unused:
+  /// `live_inflight` is read live on every call (each shard drained, as
+  /// Shard::SnapshotInto does). A qlove window's `burst_active` is the OR
+  /// of its sub-windows' flags.
+  template <typename Fn>
+  void VisitExportWindow(Fn&& fn) const {
+    std::lock_guard<std::mutex> lock(epoch_mu_);
+    const int64_t live_inflight = RefreshExportWindowLocked();
+    fn(static_cast<const BackendSummary&>(export_window_), live_inflight);
+  }
 
   /// Bytes the retained export window holds (SpaceVariables * 8; 0 until
   /// the first export). Part of ApproxMemoryBytes.
@@ -220,6 +225,10 @@ class MetricState {
   /// query still holds it (epoch_mu_ held).
   void DropResolvedLocked() const;
 
+  /// Drains the shards' live counts, brings export_window_ up to date
+  /// when it is stale, and returns the live in-flight count (epoch_mu_
+  /// held).
+  int64_t RefreshExportWindowLocked() const;
   /// Brings export_window_ up to date at Tick epoch \p epoch (epoch_mu_
   /// held) and refreshes the memory accounting.
   void UpdateExportWindowLocked(int64_t epoch) const;
@@ -227,7 +236,7 @@ class MetricState {
   /// export_window_ changed (epoch_mu_ held).
   void NoteExportWindowLocked() const;
 
-  /// The export window (see ExportWindowInto); guarded by epoch_mu_. Its
+  /// The export window (see VisitExportWindow); guarded by epoch_mu_. Its
   /// `inflight` field is unused: every export reads it live.
   mutable BackendSummary export_window_;
   /// Tick epoch export_window_ was last brought up to date at; qlove

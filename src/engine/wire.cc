@@ -115,8 +115,8 @@ bool LogLinearDecompose(double v, int64_t* mantissa, int* exponent) {
 // mantissa * 10^e bit-exactly), 2: raw IEEE-754 escape (9 bytes). The
 // cheapest valid tag wins, ties to the lower tag; everything is a pure
 // function of the double's bits, so re-encoding decoded values reproduces
-// the input bytes.
-void EncodeValue(double v, Writer* w) {
+// the input bytes. This is the reference form: it tries every exponent.
+void EncodeValueByScan(double v, Writer* w) {
   int best_tag = 2;
   size_t best_size = 9;
   int64_t integer = 0;
@@ -151,6 +151,42 @@ void EncodeValue(double v, Writer* w) {
       w->Raw64(BitsOf(v));
       break;
   }
+}
+
+// EncodeValueByScan's bytes, without the scan for integers below 2^52 in
+// magnitude (grid values, top-k values and counts mostly are). For such an
+// integer i, m * 10^e stays an exact integer below 2^53 for every
+// candidate, so it reproduces i exactly when 10^e divides i: the scan's
+// first (highest) match is e = min(trailing decimal zeros, kExpMax). +0.0
+// is tag 0 (one byte against tag 1's two); -0.0, NaN, infinities and
+// non-integers take the scan.
+void EncodeValue(double v, Writer* w) {
+  constexpr double kTwoTo52 = 4503599627370496.0;
+  if (v > -kTwoTo52 && v < kTwoTo52) {  // false for NaN
+    const int64_t i = static_cast<int64_t>(v);
+    if (BitsOf(static_cast<double>(i)) == BitsOf(v)) {
+      const uint64_t integer_header = ZigzagEncode(i) << 2;
+      if (i == 0) {
+        w->VarU(integer_header);
+        return;
+      }
+      int64_t mantissa = i;
+      int exponent = 0;
+      while (exponent < kExpMax && mantissa % 10 == 0) {
+        mantissa /= 10;
+        ++exponent;
+      }
+      const uint64_t header = (ZigzagEncode(mantissa) << 2) | 1;
+      if (VarUSize(header) + 1 < VarUSize(integer_header)) {
+        w->VarU(header);
+        w->U8(static_cast<uint8_t>(exponent - kExpMin));
+      } else {
+        w->VarU(integer_header);
+      }
+      return;
+    }
+  }
+  EncodeValueByScan(v, w);
 }
 
 class Reader {
@@ -473,22 +509,30 @@ Status DecodeSubWindow(Reader* r, bool first, int64_t prev_epoch,
   return Status::OK();
 }
 
-void EncodeSummary(const BackendSummary& summary, Writer* w) {
+// A sub-window list: its length, then each sub-window with chained epochs.
+void EncodeSubWindows(std::span<const core::SubWindowSummary> subs,
+                      Writer* w) {
+  w->VarU(subs.size());
+  int64_t prev_epoch = 0;
+  bool first = true;
+  for (const core::SubWindowSummary& sub : subs) {
+    EncodeSubWindow(sub, first, prev_epoch, w);
+    prev_epoch = sub.epoch;
+    first = false;
+  }
+}
+
+// One summary, with \p inflight written in place of its own field.
+void EncodeSummary(const BackendSummary& summary, int64_t inflight,
+                   Writer* w) {
   w->U8(static_cast<uint8_t>(summary.kind));
   w->VarU(static_cast<uint64_t>(summary.count));
-  w->VarU(static_cast<uint64_t>(summary.inflight));
+  w->VarU(static_cast<uint64_t>(inflight));
   w->Bool(summary.burst_active);
   EncodeValue(summary.rank_error, w);
   w->U8(static_cast<uint8_t>(summary.semantics));
   if (summary.kind == BackendKind::kQlove) {
-    w->VarU(summary.subwindows.size());
-    int64_t prev_epoch = 0;
-    bool first = true;
-    for (const core::SubWindowSummary& sub : summary.subwindows) {
-      EncodeSubWindow(sub, first, prev_epoch, w);
-      prev_epoch = sub.epoch;
-      first = false;
-    }
+    EncodeSubWindows(summary.subwindows, w);
   } else {
     w->VarU(summary.entries.size());
     for (const auto& [value, weight] : summary.entries) {
@@ -617,21 +661,84 @@ Status DecodeDeltaBody(Reader* r, WireDelta* delta) {
 
 }  // namespace
 
-void EncodeSnapshotV2(const WireSnapshot& snapshot, std::vector<uint8_t>* out) {
-  out->clear();
-  Writer w(out);
+FrameWriter::FrameWriter(std::vector<uint8_t>* out) : out_(out) {
+  out_->clear();
+}
+
+void FrameWriter::FullHeader(std::string_view source, uint64_t sync_token,
+                             int64_t epoch, size_t num_metrics) {
+  Writer w(out_);
   EncodeHeader(/*flags=*/0, &w);
-  w.Str(snapshot.source);
-  w.Raw64(snapshot.sync_token);
-  w.VarU(static_cast<uint64_t>(snapshot.epoch));
-  w.VarU(snapshot.metrics.size());
+  w.Str(source);
+  w.Raw64(sync_token);
+  w.VarU(static_cast<uint64_t>(epoch));
+  w.VarU(num_metrics);
+  delta_ = false;
+}
+
+void FrameWriter::DeltaHeader(std::string_view source, uint64_t sync_token,
+                              int64_t epoch, int64_t base_epoch,
+                              size_t num_metrics) {
+  Writer w(out_);
+  EncodeHeader(kWireFlagDelta, &w);
+  w.Str(source);
+  w.Raw64(sync_token);
+  w.VarU(static_cast<uint64_t>(epoch));
+  w.VarU(static_cast<uint64_t>(base_epoch));
+  w.VarU(num_metrics);
+  delta_ = true;
+}
+
+void FrameWriter::WholeMetric(const MetricKey& key,
+                              const MetricOptions& options,
+                              std::span<const BackendSummary* const> shards,
+                              std::optional<int64_t> inflight) {
+  Writer w(out_);
+  EncodeKey(key, &w);
+  if (delta_) w.U8(static_cast<uint8_t>(WireDeltaMode::kFull));
+  EncodeOptions(options, &w);
+  w.VarU(shards.size());
+  for (const BackendSummary* shard : shards) {
+    EncodeSummary(*shard, inflight.value_or(shard->inflight), &w);
+  }
+}
+
+void FrameWriter::QloveDeltaMetric(
+    const MetricKey& key, int64_t first_live_epoch, int64_t count,
+    int64_t inflight, bool burst_active, double rank_error,
+    std::span<const core::SubWindowSummary> fresh) {
+  Writer w(out_);
+  EncodeKey(key, &w);
+  w.U8(static_cast<uint8_t>(WireDeltaMode::kQloveDelta));
+  w.VarU(static_cast<uint64_t>(first_live_epoch));
+  w.VarU(static_cast<uint64_t>(count));
+  w.VarU(static_cast<uint64_t>(inflight));
+  w.Bool(burst_active);
+  EncodeValue(rank_error, &w);
+  EncodeSubWindows(fresh, &w);
+}
+
+namespace {
+
+// \p summaries as the pointer span FrameWriter reads, built in \p scratch.
+std::span<const BackendSummary* const> Pointers(
+    const std::vector<BackendSummary>& summaries,
+    std::vector<const BackendSummary*>* scratch) {
+  scratch->clear();
+  for (const BackendSummary& summary : summaries) scratch->push_back(&summary);
+  return *scratch;
+}
+
+}  // namespace
+
+void EncodeSnapshotV2(const WireSnapshot& snapshot, std::vector<uint8_t>* out) {
+  FrameWriter writer(out);
+  writer.FullHeader(snapshot.source, snapshot.sync_token, snapshot.epoch,
+                    snapshot.metrics.size());
+  std::vector<const BackendSummary*> shards;
   for (const WireMetricSummary& metric : snapshot.metrics) {
-    EncodeKey(metric.key, &w);
-    EncodeOptions(metric.options, &w);
-    w.VarU(metric.shards.size());
-    for (const BackendSummary& shard : metric.shards) {
-      EncodeSummary(shard, &w);
-    }
+    writer.WholeMetric(metric.key, metric.options,
+                       Pointers(metric.shards, &shards));
   }
 }
 
@@ -642,37 +749,19 @@ std::vector<uint8_t> EncodeSnapshotV2(const WireSnapshot& snapshot) {
 }
 
 void EncodeDelta(const WireDelta& delta, std::vector<uint8_t>* out) {
-  out->clear();
-  Writer w(out);
-  EncodeHeader(kWireFlagDelta, &w);
-  w.Str(delta.source);
-  w.Raw64(delta.sync_token);
-  w.VarU(static_cast<uint64_t>(delta.epoch));
-  w.VarU(static_cast<uint64_t>(delta.base_epoch));
-  w.VarU(delta.metrics.size());
+  FrameWriter writer(out);
+  writer.DeltaHeader(delta.source, delta.sync_token, delta.epoch,
+                     delta.base_epoch, delta.metrics.size());
+  std::vector<const BackendSummary*> shards;
   for (const WireMetricDelta& metric : delta.metrics) {
-    EncodeKey(metric.key, &w);
-    w.U8(static_cast<uint8_t>(metric.mode));
     if (metric.mode == WireDeltaMode::kFull) {
-      EncodeOptions(metric.options, &w);
-      w.VarU(metric.shards.size());
-      for (const BackendSummary& shard : metric.shards) {
-        EncodeSummary(shard, &w);
-      }
+      writer.WholeMetric(metric.key, metric.options,
+                         Pointers(metric.shards, &shards));
     } else {
-      w.VarU(static_cast<uint64_t>(metric.first_live_epoch));
-      w.VarU(static_cast<uint64_t>(metric.count));
-      w.VarU(static_cast<uint64_t>(metric.inflight));
-      w.Bool(metric.burst_active);
-      EncodeValue(metric.rank_error, &w);
-      w.VarU(metric.new_subwindows.size());
-      int64_t prev_epoch = 0;
-      bool first = true;
-      for (const core::SubWindowSummary& sub : metric.new_subwindows) {
-        EncodeSubWindow(sub, first, prev_epoch, &w);
-        prev_epoch = sub.epoch;
-        first = false;
-      }
+      writer.QloveDeltaMetric(metric.key, metric.first_live_epoch,
+                              metric.count, metric.inflight,
+                              metric.burst_active, metric.rank_error,
+                              metric.new_subwindows);
     }
   }
 }
@@ -682,6 +771,20 @@ std::vector<uint8_t> EncodeDelta(const WireDelta& delta) {
   EncodeDelta(delta, &out);
   return out;
 }
+
+namespace wire_internal {
+
+void EncodeValue(double v, std::vector<uint8_t>* out) {
+  Writer w(out);
+  engine::EncodeValue(v, &w);
+}
+
+void EncodeValueByScan(double v, std::vector<uint8_t>* out) {
+  Writer w(out);
+  engine::EncodeValueByScan(v, &w);
+}
+
+}  // namespace wire_internal
 
 Result<WireFrame> DecodeFrame(const uint8_t* data, size_t size) {
   if (data == nullptr && size > 0) {

@@ -62,7 +62,10 @@
 #define QLOVE_ENGINE_WIRE_H_
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -189,19 +192,71 @@ struct WireFrame {
   WireDelta delta;        ///< Populated when is_delta.
 };
 
+/// \brief Streams one frame into a caller-owned buffer: the header and
+/// metric count, then one record per metric, written straight from the
+/// summaries the caller holds — no WireSnapshot or WireDelta is built.
+/// Every record layout of the format is written here and nowhere else;
+/// EncodeSnapshotV2, EncodeDelta and ExportCursor (engine/engine.h) all
+/// drive this writer.
+///
+/// Usage: construct over the buffer (its contents are replaced, its
+/// capacity kept, so a reused buffer stops allocating at steady state),
+/// call FullHeader or DeltaHeader once with the metric count, then write
+/// exactly that many metrics in canonical key order. Sub-window epochs
+/// must be non-decreasing within each summary.
+class FrameWriter {
+ public:
+  /// An unbound writer; assign a bound one before use.
+  FrameWriter() = default;
+  explicit FrameWriter(std::vector<uint8_t>* out);
+
+  void FullHeader(std::string_view source, uint64_t sync_token, int64_t epoch,
+                  size_t num_metrics);
+  /// \p base_epoch is the epoch of the frame the delta was diffed against.
+  void DeltaHeader(std::string_view source, uint64_t sync_token,
+                   int64_t epoch, int64_t base_epoch, size_t num_metrics);
+
+  /// One whole metric — a full frame's record, or a kFull entry in a
+  /// delta frame (the header chose which): key, options and every
+  /// summary. \p inflight, when set, is written in place of each
+  /// summary's own `inflight` (an agent reads its backlog live per
+  /// export).
+  void WholeMetric(const MetricKey& key, const MetricOptions& options,
+                   std::span<const BackendSummary* const> shards,
+                   std::optional<int64_t> inflight = std::nullopt);
+
+  /// One kQloveDelta entry of a delta frame: the scalar refresh of the
+  /// metric's single qlove summary plus the sub-windows the receiver has
+  /// not seen, oldest first.
+  void QloveDeltaMetric(const MetricKey& key, int64_t first_live_epoch,
+                        int64_t count, int64_t inflight, bool burst_active,
+                        double rank_error,
+                        std::span<const core::SubWindowSummary> fresh);
+
+ private:
+  std::vector<uint8_t>* out_ = nullptr;
+  bool delta_ = false;
+};
+
 /// \brief Encodes \p snapshot as a full frame into \p out (replacing its
-/// contents). The buffer grows by appending but keeps its capacity across
-/// calls, so a per-Tick export loop reusing one buffer stops allocating
-/// once the steady-state size is reached.
-/// Sub-window epochs must be non-decreasing within each summary (true for
-/// every engine export; hand-built summaries must respect it too).
+/// contents, keeping its capacity) through FrameWriter.
 void EncodeSnapshotV2(const WireSnapshot& snapshot, std::vector<uint8_t>* out);
 std::vector<uint8_t> EncodeSnapshotV2(const WireSnapshot& snapshot);
 
-/// \brief Encodes \p delta as a delta frame (flags bit 0 set).
-/// Same buffer-reuse and epoch-ordering contract as EncodeSnapshotV2.
+/// \brief Encodes \p delta as a delta frame (flags bit 0 set) through
+/// FrameWriter. Same buffer contract as EncodeSnapshotV2.
 void EncodeDelta(const WireDelta& delta, std::vector<uint8_t>* out);
 std::vector<uint8_t> EncodeDelta(const WireDelta& delta);
+
+/// \brief The tagged-double coder every frame value goes through, exposed
+/// so tests can hold its integer fast path to the exhaustive exponent
+/// scan. Both append one value's bytes to \p out.
+namespace wire_internal {
+/// The coder frames use: integers below 2^52 in magnitude skip the scan.
+void EncodeValue(double v, std::vector<uint8_t>* out);
+/// The reference coder: scans every decimal exponent for any value.
+void EncodeValueByScan(double v, std::vector<uint8_t>* out);
+}  // namespace wire_internal
 
 /// \brief Decodes a full or delta frame. InvalidArgument on bad magic, any
 /// version but 2, unknown flag bits, truncation, out-of-range enums,

@@ -8,9 +8,11 @@
 // and NAKs.
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -640,6 +642,63 @@ TEST(ApplyDeltaTest, FullMetricInsideADeltaIsRestampedAndRidesFullUp) {
   const WireFrame next = ShipReexport(host, "host", &host_cursor, &cluster);
   EXPECT_EQ(ModeOf(next, replaced), WireDeltaMode::kQloveDelta);
   ExpectConverged(host, "host", cluster, 7);
+}
+
+TEST(ExportRaceTest, AggregatorExportRacesIngestAndQuery) {
+  // Export reads the held summaries in place, under mu_, while ingest
+  // patches and swaps them and queries pool them: under TSan every one of
+  // those accesses must be ordered by that mutex. Afterwards the parent,
+  // fed every re-export the race produced, holds exactly a full
+  // re-export.
+  TelemetryEngine agents[2] = {TelemetryEngine(AgentOptions()),
+                               TelemetryEngine(AgentOptions())};
+  ExportCursor agent_cursors[2];
+  const MetricKey shared("rtt_us", {{"service", "web"}});
+  const MetricKey own[2] = {MetricKey("rtt_us", {{"host", "a"}}),
+                            MetricKey("rtt_us", {{"host", "b"}})};
+  AggregatorEngine host;
+  AggregatorEngine cluster;
+  ExportCursor host_cursor;
+  std::atomic<bool> done{false};
+  std::thread ingest([&] {
+    workload::NetMonGenerator gen(21);
+    for (int tick = 0; tick < 12; ++tick) {
+      for (int a = 0; a < 2; ++a) {
+        Feed(&agents[a], shared, &gen);
+        Feed(&agents[a], own[a], &gen);
+        agents[a].Tick();
+        ShipAgent(agents[a], "agent-" + std::to_string(a), &agent_cursors[a],
+                  &host);
+      }
+    }
+    done.store(true);
+  });
+  std::thread query([&] {
+    const QuerySpec spec = QuerySpec::ForSelector({"rtt_us", {}})
+                               .With(QueryRequest::Quantile(0.99))
+                               .With(QueryRequest::Count());
+    while (!done.load()) {
+      auto result = host.Query(spec);
+      // NotFound only until the first frame lands.
+      if (!result.ok()) {
+        EXPECT_EQ(result.status().code(), Status::Code::kNotFound);
+      }
+    }
+  });
+  int exports = 0;
+  std::vector<uint8_t> frame;
+  while (!done.load()) {
+    ASSERT_TRUE(host.Export("host", &host_cursor, &frame).ok());
+    auto ack = cluster.IngestFrame(frame);
+    ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+    if (!ack.ValueOrDie().applied) host_cursor.RequestResync();
+    ++exports;
+  }
+  ingest.join();
+  query.join();
+  ShipReexport(host, "host", &host_cursor, &cluster);
+  ExpectConverged(host, "host", cluster, /*tick=*/12);
+  EXPECT_GT(exports, 0);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Copyright 2026 The QLOVE Reproduction Authors
-// The metric's coalesced export window (MetricState::ExportWindowInto) is
+// The metric's coalesced export window (MetricState::VisitExportWindow) is
 // kept across exports and brought up to date at most once per sub-window
 // boundary. The oracle every case checks, after each boundary and between
 // boundaries: the window equals CoalesceShardSummaries over every shard's
@@ -45,10 +45,14 @@ MetricOptions Options(BackendKind kind) {
   return options;
 }
 
-/// \p state's export window, as an export copies it.
+/// \p state's export window as an export reads it, with the live
+/// in-flight count in place of the window's own.
 BackendSummary Exported(const MetricState& state) {
   BackendSummary window;
-  state.ExportWindowInto(&window);
+  state.VisitExportWindow([&](const BackendSummary& kept, int64_t inflight) {
+    window = kept;
+    window.inflight = inflight;
+  });
   return window;
 }
 

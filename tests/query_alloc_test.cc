@@ -13,8 +13,8 @@
 //  - steady-state Tick -> query cycles settle to a constant allocation
 //    count too (the recycled summary buffers stop growing once window
 //    shape stabilizes);
-//  - an Export through a reused cursor refills the previous export's
-//    buffers, allocating nothing per sub-window.
+//  - agent and aggregator Exports write frames straight from the held
+//    windows, so their allocations do not grow with window depth.
 //
 // The counter lives in a replaced global operator new that forwards to
 // malloc, so it composes with ASan/LSan interceptors (the ASan CI job runs
@@ -30,6 +30,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/aggregator.h"
 #include "engine/engine.h"
 #include "engine/query.h"
 #include "export_util.h"
@@ -298,55 +299,77 @@ TEST(QueryAllocTest2, TickRebuildRecyclesSummaryBuffers) {
       << "first=" << first << " second=" << second;
 }
 
-TEST(QueryAllocTest2, ExportRefillsTheCursorsBuffers) {
-  // Each export copies every metric's window out of its retained export
-  // window into the snapshot its cursor kept from the previous export, so
-  // repeated exports allocate nothing per sub-window: only the frame's
-  // per-metric delta records remain, however large the windows are.
+/// Allocations of steady-state exports — the agent's and its host
+/// aggregator's re-export, both deltas through warm cursors — over
+/// \p ticks Ticks, with every metric's window \p depth sub-windows deep.
+struct ExportAllocations {
+  int64_t agent = 0;
+  int64_t aggregator = 0;
+};
+
+ExportAllocations CountExportAllocations(int64_t depth, int ticks) {
+  constexpr int64_t kPeriod = 1024;
   EngineOptions options;
   options.num_shards = 4;
-  options.shard_window = WindowSpec(8192, 2048);
+  options.shard_window = WindowSpec(depth * kPeriod, kPeriod);
   options.introspection = false;
   TelemetryEngine engine(options);
+  AggregatorOptions host_options;
+  host_options.introspection = false;
+  AggregatorEngine host(host_options);
   std::vector<MetricKey> keys;
   for (int k = 0; k < 8; ++k) {
     keys.push_back(MetricKey("rtt_us", {{"host", std::to_string(k)}}));
   }
   workload::NetMonGenerator gen(10);
-  const std::vector<double> batch = workload::Materialize(&gen, 4096);
-  for (int t = 0; t < 6; ++t) {
+  const std::vector<double> batch =
+      workload::Materialize(&gen, options.num_shards * kPeriod);
+  ExportCursor agent_cursor;
+  ExportCursor host_cursor;
+  std::vector<uint8_t> agent_frame;
+  std::vector<uint8_t> host_frame;
+  ExportAllocations counted;
+  // Fill every window to its depth (and a little past it, so sub-windows
+  // expire too), then count.
+  for (int t = 0; t < depth + 4 + ticks; ++t) {
     for (const MetricKey& key : keys) {
-      ASSERT_TRUE(engine.RecordBatch(key, batch).ok());
+      EXPECT_TRUE(engine.RecordBatch(key, batch).ok());
     }
     engine.Tick();
+    const bool count = t >= depth + 4;
+    const int64_t agent = CountNews([&] {
+      EXPECT_TRUE(engine.Export("agent", &agent_cursor, &agent_frame).ok());
+    });
+    auto ack = host.IngestFrame(agent_frame);
+    EXPECT_TRUE(ack.ok() && ack.ValueOrDie().applied);
+    const int64_t aggregator = CountNews([&] {
+      EXPECT_TRUE(host.Export("host", &host_cursor, &host_frame).ok());
+    });
+    if (count) {
+      counted.agent += agent;
+      counted.aggregator += aggregator;
+    }
   }
-  ExportCursor cursor;
-  std::vector<uint8_t> frame;
-  // Warm: the first export builds the windows and ships the full frame,
-  // the second warms the delta path.
-  ASSERT_TRUE(engine.Export("agent", &cursor, &frame).ok());
-  ASSERT_TRUE(engine.Export("agent", &cursor, &frame).ok());
-  const int64_t reused =
-      CountNews([&] { ASSERT_TRUE(engine.Export("agent", &cursor, &frame).ok()); });
-  const int64_t fresh = CountNews([&] {
-    ExportCursor first_use;
-    std::vector<uint8_t> buffer;
-    ASSERT_TRUE(engine.Export("agent", &first_use, &buffer).ok());
-  });
-  EXPECT_EQ(reused, CountNews([&] {
-              ASSERT_TRUE(engine.Export("agent", &cursor, &frame).ok());
-            }));
-  size_t subwindows = 0;
   for (const WireMetricSummary& metric :
        test_util::FullSnapshot(engine, "agent").metrics) {
-    subwindows += metric.shards.at(0).subwindows.size();
+    EXPECT_EQ(static_cast<int64_t>(metric.shards.at(0).subwindows.size()),
+              depth);
   }
-  ASSERT_EQ(subwindows, keys.size() * 4);
-  // A first-use cursor copies every sub-window's buffers; a reused one
-  // allocates less than once per sub-window held.
-  EXPECT_GE(fresh, static_cast<int64_t>(subwindows));
-  EXPECT_LT(reused, static_cast<int64_t>(subwindows))
-      << "reused=" << reused << " fresh=" << fresh;
+  return counted;
+}
+
+TEST(QueryAllocTest2, ExportAllocationsDoNotGrowWithWindowDepth) {
+  // Exports write each frame straight from the windows the exporters
+  // hold — the agent's export windows, the aggregator's held summaries —
+  // so their allocations follow the metric count and the sub-windows a
+  // delta ships, never how many sub-windows each window holds.
+  constexpr int kTicks = 6;
+  const ExportAllocations shallow = CountExportAllocations(4, kTicks);
+  const ExportAllocations deep = CountExportAllocations(16, kTicks);
+  EXPECT_EQ(deep.agent, shallow.agent)
+      << "agent Export allocations grew with window depth";
+  EXPECT_EQ(deep.aggregator, shallow.aggregator)
+      << "aggregator Export allocations grew with window depth";
 }
 
 }  // namespace
