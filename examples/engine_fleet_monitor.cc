@@ -12,14 +12,15 @@
 // produced it — Level-2 / top-k / sample-k for QLOVE, the weighted sketch
 // merge otherwise.
 //
-// On top of the fixed-phi dashboard, the monitor exercises the query
-// layer: a tag-selector rollup merges every netmon per-host metric into
+// Every read goes through engine.Query: the per-metric dashboard asks for
+// the registered grid phis, and a tag-selector rollup merges every netmon per-host metric into
 // one fleet-wide answer, asks an ad-hoc p95 (not in the registered grid)
 // and p99, and inverts the CDF — "what fraction of fleet RTTs exceeded
 // 900us?" — all in one engine.Query call.
 //
 //   $ ./engine_fleet_monitor
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <memory>
@@ -116,6 +117,18 @@ int main() {
     }
   }
 
+  // The per-metric dashboard: the service-level metrics (the netmon
+  // per-host family is elided; the rollup below covers it), in canonical
+  // key order so the block diffs stably second over second, each read at
+  // the registered grid phis.
+  std::vector<qlove::engine::MetricKey> dashboard;
+  for (const Service& service : services) {
+    if (service.backend.kind != qlove::engine::BackendKind::kQlove) {
+      dashboard.push_back(service.key);
+    }
+  }
+  std::sort(dashboard.begin(), dashboard.end());
+
   // The fleet rollup: every netmon per-host metric, one QuerySpec. p95 is
   // deliberately off the registered grid; the Rank request inverts the
   // CDF at 900us.
@@ -152,22 +165,29 @@ int main() {
     std::printf("t=%2ds ----------------------------------------------\n",
                 second);
 
-    // Per-metric dashboard (fixed grid): SnapshotAll is canonical-key
-    // sorted, so this block diffs stably second over second. Print the
-    // service-level metrics and elide the netmon per-host family (the
-    // rollup below covers it).
-    for (const auto& snapshot : engine.SnapshotAll()) {
-      if (snapshot.key.name() == "rtt_us") continue;  // per-host family
-      std::printf("  %-42s [%s]", snapshot.key.ToString().c_str(),
-                  qlove::engine::BackendKindName(snapshot.backend));
-      for (size_t i = 0; i < snapshot.estimates.size(); ++i) {
-        std::printf(" p%g=%.0f(%s)", snapshot.phis[i] * 100.0,
-                    snapshot.estimates[i],
-                    SourceTag(snapshot.sources[i]).c_str());
+    // Per-metric dashboard: the grid quantiles of each service metric.
+    for (const qlove::engine::MetricKey& key : dashboard) {
+      qlove::engine::QuerySpec grid = qlove::engine::QuerySpec::ForKey(key);
+      for (double phi : options.phis) {
+        grid.With(qlove::engine::QueryRequest::Quantile(phi));
+      }
+      auto answered = engine.Query(grid);
+      if (!answered.ok()) {
+        std::fprintf(stderr, "Query(%s) failed: %s\n", key.ToString().c_str(),
+                     answered.status().ToString().c_str());
+        return 1;
+      }
+      const qlove::engine::QueryResult& metric = answered.ValueOrDie();
+      std::printf("  %-42s [%s]", key.ToString().c_str(),
+                  qlove::engine::BackendKindName(metric.backend));
+      for (size_t i = 0; i < metric.outcomes.size(); ++i) {
+        std::printf(" p%g=%.0f(%s)", options.phis[i] * 100.0,
+                    metric.outcomes[i].value,
+                    SourceTag(metric.outcomes[i].source).c_str());
       }
       std::printf("  (%lld ev%s)\n",
-                  static_cast<long long>(snapshot.window_count),
-                  snapshot.burst_active ? ", burst" : "");
+                  static_cast<long long>(metric.window_count),
+                  metric.burst_active ? ", burst" : "");
     }
 
     // Fleet-wide netmon rollup through the query layer: ad-hoc p95,

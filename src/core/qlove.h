@@ -184,7 +184,7 @@ class QloveOperator final : public QuantileOperator {
   /// NumSubWindows such boundaries the deque drains and ComputeQuantiles
   /// reports 0.0 for every phi. Callers that must distinguish "no data in
   /// window" from a genuine zero should check empty() here (the engine
-  /// exposes it as MetricSnapshot::num_summaries).
+  /// exposes it as QueryResult::num_summaries).
   const std::deque<SubWindowSummary>& SubWindowSummaries() const {
     return summaries_;
   }

@@ -4,7 +4,6 @@
 #include <cstdarg>
 #include <cstdio>
 #include <ctime>
-#include <set>
 #include <span>
 #include <utility>
 
@@ -37,14 +36,6 @@ int64_t MetricPopulation(const WireMetricSummary& metric) {
 
 int64_t WallUnixSeconds() {
   return static_cast<int64_t>(std::time(nullptr));
-}
-
-/// The full serving-configuration equality Export pools under (the
-/// same check Query() uses to decide homogeneity): kind-relevant backend
-/// knobs, phi grid, and window geometry.
-bool SameServingConfiguration(const MetricOptions& a, const MetricOptions& b) {
-  return SameBackendConfiguration(a.backend, b.backend) && a.phis == b.phis &&
-         a.shard_window == b.shard_window;
 }
 
 /// The position of \p key in \p metrics (canonical key order, enforced on
@@ -602,9 +593,8 @@ Status AggregatorEngine::Export(std::string source, ExportCursor* cursor,
           entry.lineage = head.state->lineage[head.next];
         } else if (!SameServingConfiguration(entry.metric->options,
                                              metric.options)) {
-          // Per-metric options are singular on the wire; pooling
-          // disagreeing configurations is what Query() itself refuses.
-          // Drop and count.
+          // Per-metric options are singular on the wire: a key cannot
+          // carry two configurations. Drop and count.
           reexport_dropped_.fetch_add(1, std::memory_order_relaxed);
           ++head.next;
           continue;
@@ -671,143 +661,82 @@ Result<WireSnapshot> AggregatorEngine::SourceSnapshot(
 Result<QueryResult> AggregatorEngine::Query(const QuerySpec& spec) const {
   QLOVE_RETURN_NOT_OK(spec.Validate());
   queries_.fetch_add(1, std::memory_order_relaxed);
+
+  // A key is a one-key list. Listed keys are looked up in canonical order,
+  // each once: every held list is in canonical key order, so the pool
+  // order (source, then key) does not depend on how the list was written.
+  std::vector<const MetricKey*> keys;
+  if (spec.target == QuerySpec::TargetKind::kKey) {
+    keys.push_back(&spec.key);
+  } else if (spec.target == QuerySpec::TargetKind::kKeyList) {
+    for (const MetricKey& key : spec.keys) keys.push_back(&key);
+    std::sort(keys.begin(), keys.end(),
+              [](const MetricKey* a, const MetricKey* b) { return *a < *b; });
+    keys.erase(std::unique(keys.begin(), keys.end(),
+                           [](const MetricKey* a, const MetricKey* b) {
+                             return *a == *b;
+                           }),
+               keys.end());
+  }
+  std::vector<char> key_fresh(keys.size(), 0);
+
   std::lock_guard<std::mutex> lock(mu_);
-
-  auto matches = [&spec](const MetricKey& key) {
-    switch (spec.target) {
-      case QuerySpec::TargetKind::kKey:
-        return key == spec.key;
-      case QuerySpec::TargetKind::kKeyList:
-        return std::find(spec.keys.begin(), spec.keys.end(), key) !=
-               spec.keys.end();
-      case QuerySpec::TargetKind::kSelector:
-        return spec.selector.Matches(key);
-    }
-    return false;
-  };
-
   // Resolve the target across every source, splitting fresh from stale.
-  std::vector<const WireMetricSummary*> fresh;
+  std::vector<PoolMember> fresh;
   std::vector<const WireMetricSummary*> stale;
-  std::set<std::string> fresh_sources;
-  std::set<std::string> stale_sources;
+  int64_t sources_fresh = 0;
+  int64_t sources_stale = 0;
   for (const auto& [name, state] : sources_) {
+    (void)name;
     const bool is_stale = IsStale(state, fleet_epoch_);
+    bool took = false;
     auto take = [&](const WireMetricSummary& metric) {
-      (is_stale ? stale : fresh).push_back(&metric);
-      (is_stale ? stale_sources : fresh_sources).insert(name);
+      took = true;
+      if (is_stale) {
+        stale.push_back(&metric);
+      } else {
+        fresh.push_back({&metric.key, &metric.options, metric.shards,
+                         static_cast<int>(metric.shards.size())});
+      }
     };
     const std::vector<WireMetricSummary>& metrics = state.snapshot.metrics;
-    if (spec.target == QuerySpec::TargetKind::kKey) {
-      // A point lookup: each held list is in canonical key order.
-      const auto it = FindMetric(metrics, spec.key);
-      if (it != metrics.end()) take(*it);
-      continue;
+    if (spec.target == QuerySpec::TargetKind::kSelector) {
+      for (const WireMetricSummary& metric : metrics) {
+        if (spec.selector.Matches(metric.key)) take(metric);
+      }
+    } else {
+      for (size_t k = 0; k < keys.size(); ++k) {
+        const auto it = FindMetric(metrics, *keys[k]);
+        if (it == metrics.end()) continue;
+        take(*it);
+        if (!is_stale) key_fresh[k] = 1;
+      }
     }
-    for (const WireMetricSummary& metric : metrics) {
-      if (matches(metric.key)) take(metric);
+    if (took) ++(is_stale ? sources_stale : sources_fresh);
+  }
+  if (fresh.empty() && !stale.empty()) {
+    return Status::FailedPrecondition(
+        "all " + std::to_string(sources_stale) +
+        " sources matching the target are stale (fleet epoch " +
+        std::to_string(fleet_epoch_) + ")");
+  }
+  // Engine parity: every listed key must resolve, not just one.
+  for (size_t k = 0; k < keys.size(); ++k) {
+    if (!key_fresh[k]) {
+      return Status::NotFound("metric not reported by any fresh source: " +
+                              keys[k]->ToString());
     }
   }
   if (fresh.empty()) {
-    if (!stale.empty()) {
-      return Status::FailedPrecondition(
-          "all " + std::to_string(stale_sources.size()) +
-          " sources matching the target are stale (fleet epoch " +
-          std::to_string(fleet_epoch_) + ")");
-    }
-    switch (spec.target) {
-      case QuerySpec::TargetKind::kKey:
-        return Status::NotFound("metric not reported by any source: " +
-                                spec.key.ToString());
-      case QuerySpec::TargetKind::kKeyList:
-        return Status::NotFound("no listed metric reported by any source");
-      case QuerySpec::TargetKind::kSelector:
-        return Status::NotFound("selector matched no reported metrics: " +
-                                spec.selector.ToString());
-    }
-    return Status::NotFound("query target matched no reported metrics");
-  }
-  if (spec.target == QuerySpec::TargetKind::kKeyList) {
-    // Engine parity: every listed key must resolve, not just one.
-    for (const MetricKey& key : spec.keys) {
-      const bool found =
-          std::any_of(fresh.begin(), fresh.end(),
-                      [&key](const WireMetricSummary* metric) {
-                        return metric->key == key;
-                      });
-      if (!found) {
-        return Status::NotFound("metric not reported by any fresh source: " +
-                                key.ToString());
-      }
-    }
+    return Status::NotFound("selector matched no reported metrics: " +
+                            spec.selector.ToString());
   }
 
-  // One configuration across the pooled fleet keeps the native serving
-  // path; any mismatch — kind, knobs, phi grid, or window geometry —
-  // drops to pooled weighted entries. Unlike the local engine, agents may
-  // legitimately disagree on grid/window, so those are part of the check.
-  bool homogeneous = true;
-  const WireMetricSummary* first_qlove = nullptr;
-  for (const WireMetricSummary* metric : fresh) {
-    const MetricOptions& front = fresh.front()->options;
-    if (!SameBackendConfiguration(metric->options.backend, front.backend) ||
-        metric->options.phis != front.phis ||
-        metric->options.shard_window != front.shard_window) {
-      homogeneous = false;
-    }
-    // Lowering a qlove summary re-reads its quantiles through the pool's
-    // phi grid, so the pool must lower through the qlove participants'
-    // own grid (chosen below) — and two qlove participants on different
-    // grids cannot share a pool at all: one of them would be silently
-    // mis-lowered, so refuse loudly instead.
-    if (metric->options.backend.kind == BackendKind::kQlove) {
-      if (first_qlove == nullptr) {
-        first_qlove = metric;
-      } else if (metric->options.phis != first_qlove->options.phis) {
-        return Status::FailedPrecondition(
-            "cannot pool qlove metrics " + first_qlove->key.ToString() +
-            " and " + metric->key.ToString() +
-            " across disagreeing phi grids; align the agents' "
-            "EngineOptions::phis");
-      }
-    }
-  }
-  // The options driving WindowView: in a mixed pool containing qlove
-  // participants, their grid (so lowering reads the right phis — entry
-  // kinds are grid-independent); otherwise the first metric's. Which
-  // entry-kind metric leads a mixed pool must never decide whether the
-  // query serves.
-  const MetricOptions& options = (!homogeneous && first_qlove != nullptr)
-                                     ? first_qlove->options
-                                     : fresh.front()->options;
-
-  QueryResult result;
-  result.backend = fresh.front()->options.backend.kind;
-  result.mixed_backends = !homogeneous;
-  result.sources_fresh = static_cast<int64_t>(fresh_sources.size());
-  result.sources_stale = static_cast<int64_t>(stale_sources.size());
-
-  std::set<MetricKey> matched;
-  std::vector<const BackendSummary*> views;
-  for (const WireMetricSummary* metric : fresh) {
-    matched.insert(metric->key);
-    result.num_shards += static_cast<int>(metric->shards.size());
-    for (const BackendSummary& shard : metric->shards) {
-      views.push_back(&shard);
-    }
-  }
-  result.matched.assign(matched.begin(), matched.end());  // canonical order
-
-  const WindowView view(views, options, spec.strategy,
-                        /*lower_to_entries=*/!homogeneous);
-  result.outcomes.reserve(spec.requests.size());
-  for (const QueryRequest& request : spec.requests) {
-    result.outcomes.push_back(view.Evaluate(request));
-  }
-  result.window_count = view.window_count();
-  result.num_summaries = view.num_summaries();
-  result.inflight_count = view.inflight_count();
-  result.burst_active = view.burst_active();
+  auto result = EvaluatePool(fresh, spec);
+  if (!result.ok()) return result;
+  QueryResult& answer = result.ValueOrDie();
+  answer.sources_fresh = sources_fresh;
+  answer.sources_stale = sources_stale;
 
   // Partial-fleet accounting: the answer covers only the fresh sub-fleet.
   // A population missing fraction s shifts any rank by at most s, so
@@ -816,12 +745,12 @@ Result<QueryResult> AggregatorEngine::Query(const QuerySpec& spec) const {
   for (const WireMetricSummary* metric : stale) {
     stale_weight += MetricPopulation(*metric);
   }
-  if (stale_weight > 0 && result.window_count > 0) {
+  if (stale_weight > 0 && answer.window_count > 0) {
     const double stale_fraction =
         static_cast<double>(stale_weight) /
-        static_cast<double>(stale_weight + result.window_count);
-    for (size_t i = 0; i < result.outcomes.size(); ++i) {
-      QueryOutcome& outcome = result.outcomes[i];
+        static_cast<double>(stale_weight + answer.window_count);
+    for (size_t i = 0; i < answer.outcomes.size(); ++i) {
+      QueryOutcome& outcome = answer.outcomes[i];
       if (!outcome.status.ok()) continue;
       outcome.source = core::OutcomeSource::kPartialFleet;
       const QueryRequestKind kind = spec.requests[i].kind;

@@ -145,10 +145,11 @@ class AggregatorEngine {
   /// source in name order). That is exactly the multiset Query() pools, so
   /// a parent ingesting the re-export answers bit-identically to this
   /// aggregator. A same-key source whose self-described options disagree
-  /// with the first reporter's is dropped from the re-export and counted
-  /// (FleetHealthSnapshot::reexport_dropped) — per-metric options are
-  /// singular on the wire, and silently pooling disagreeing
-  /// configurations is what Query() itself refuses.
+  /// with the first reporter's (SameServingConfiguration, engine/query.h:
+  /// the predicate Query's native-pool decision uses) is dropped from the
+  /// re-export and counted (FleetHealthSnapshot::reexport_dropped) —
+  /// per-metric options are singular on the wire, so one key cannot carry
+  /// two configurations.
   ///
   /// Frames are stamped with the fleet epoch and this aggregator's own
   /// sync token. ExportOptions::include_self_metrics gates whether
@@ -277,10 +278,11 @@ class AggregatorEngine {
   /// @}
 
   /// Evaluates \p spec against the pooled fleet state: the same target
-  /// resolution and request surface as TelemetryEngine::Query, with keys
-  /// matched across every fresh source (two agents reporting the same
-  /// MetricKey pool into one answer; per-host keys roll up via selectors).
-  /// NotFound when no fresh source carries a matching metric. See
+  /// resolution, request surface and pool rule (EvaluatePool,
+  /// engine/query.h) as TelemetryEngine::Query, with keys matched across
+  /// every fresh source (two agents reporting the same MetricKey pool into
+  /// one answer; per-host keys roll up via selectors). NotFound when no
+  /// fresh source carries a matching metric, or a listed key; see
   /// QueryResult::sources_fresh / sources_stale for partial-fleet
   /// accounting.
   Result<QueryResult> Query(const QuerySpec& spec) const;

@@ -65,7 +65,7 @@ struct BackendOptions {
   double epsilon = 0.02;
 
   /// Rejects combinations that cannot serve \p phis over \p shard_window —
-  /// at engine construction / registration, not at first Snapshot.
+  /// at engine construction / registration, not at first Query.
   Status Validate(const WindowSpec& shard_window,
                   const std::vector<double>& phis) const;
 };

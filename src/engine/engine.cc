@@ -152,7 +152,7 @@ Status EngineOptions::Validate() const {
     return Status::InvalidArgument("idle_eviction_windows must be >= 0");
   }
   // Backend/option combinations that cannot work fail here, at engine
-  // construction, not at first Snapshot.
+  // construction, not at first Query.
   QLOVE_RETURN_NOT_OK(default_backend.Validate(shard_window, phis));
   return Status::OK();
 }
@@ -733,7 +733,8 @@ bool TelemetryEngine::EncodeExport(std::string_view source,
   std::erase_if(states, [](const std::shared_ptr<MetricState>& state) {
     return state->TickEpochs() == 0;
   });
-  // Canonical key order, like SnapshotAll: successive exports diff stably.
+  // Canonical key order, like Query's `matched`: successive exports diff
+  // stably.
   std::sort(states.begin(), states.end(),
             [](const std::shared_ptr<MetricState>& a,
                const std::shared_ptr<MetricState>& b) {
@@ -912,40 +913,30 @@ Result<QueryResult> TelemetryEngine::QueryImpl(const QuerySpec& spec) const {
   QLOVE_RETURN_NOT_OK(options_status_);
   QLOVE_RETURN_NOT_OK(spec.Validate());
 
-  // Resolve the target to metric states. Reserved `__qlove/` names resolve
-  // in the internal registry (FindState routes); a wildcard selector scans
-  // user metrics only, so self-metrics never leak into fleet rollups
-  // unasked.
+  // Resolve the target to metric states; a key is a one-key list.
+  // Reserved `__qlove/` names resolve in the internal registry (FindState
+  // routes); a wildcard selector scans user metrics only, so self-metrics
+  // never leak into fleet rollups unasked.
   std::vector<std::shared_ptr<MetricState>> states;
-  switch (spec.target) {
-    case QuerySpec::TargetKind::kKey: {
-      auto state = FindState(spec.key);
+  if (spec.target == QuerySpec::TargetKind::kSelector) {
+    states = IsReservedMetricName(spec.selector.name)
+                 ? internal_registry_.MatchSelector(spec.selector)
+                 : registry_.MatchSelector(spec.selector);
+    if (states.empty()) {
+      return Status::NotFound("selector matched no metrics: " +
+                              spec.selector.ToString());
+    }
+  } else {
+    const std::span<const MetricKey> keys =
+        spec.target == QuerySpec::TargetKind::kKey
+            ? std::span<const MetricKey>(&spec.key, 1)
+            : std::span<const MetricKey>(spec.keys);
+    for (const MetricKey& key : keys) {
+      auto state = FindState(key);
       if (state == nullptr) {
-        return Status::NotFound("metric not registered: " +
-                                spec.key.ToString());
+        return Status::NotFound("metric not registered: " + key.ToString());
       }
       states.push_back(std::move(state));
-      break;
-    }
-    case QuerySpec::TargetKind::kKeyList: {
-      for (const MetricKey& key : spec.keys) {
-        auto state = FindState(key);
-        if (state == nullptr) {
-          return Status::NotFound("metric not registered: " + key.ToString());
-        }
-        states.push_back(std::move(state));
-      }
-      break;
-    }
-    case QuerySpec::TargetKind::kSelector: {
-      states = IsReservedMetricName(spec.selector.name)
-                   ? internal_registry_.MatchSelector(spec.selector)
-                   : registry_.MatchSelector(spec.selector);
-      if (states.empty()) {
-        return Status::NotFound("selector matched no metrics: " +
-                                spec.selector.ToString());
-      }
-      break;
     }
   }
 
@@ -958,143 +949,36 @@ Result<QueryResult> TelemetryEngine::QueryImpl(const QuerySpec& spec) const {
             });
   states.erase(std::unique(states.begin(), states.end()), states.end());
 
-  // One backend configuration across the whole target keeps its native
-  // serving path (for kQlove, merging N metrics is the same computation as
-  // N-times-more shards of one metric); any mismatch — different kinds or
-  // same-kind different knobs — drops to pooled weighted entries with
-  // qlove summaries lowered.
-  const MetricOptions& options = states.front()->options();
-  bool homogeneous = true;
-  for (const auto& state : states) {
-    if (!SameBackendConfiguration(state->options().backend, options.backend)) {
-      homogeneous = false;
-      break;
-    }
-  }
-
-  QueryResult result;
-  result.backend = options.backend.kind;
-  result.mixed_backends = !homogeneous;
-
   // Each metric's resolved window is cached between Ticks (the per-shard
   // summary copies used to dominate Query at high shard counts); holding
   // the shared_ptrs pins this epoch's state even if a concurrent Tick
   // invalidates the cache mid-evaluation.
   std::vector<std::shared_ptr<const ResolvedWindow>> resolved;
+  std::vector<PoolMember> members;
   resolved.reserve(states.size());
+  members.reserve(states.size());
   for (const auto& state : states) {
-    result.matched.push_back(state->key());
-    result.num_shards += static_cast<int>(state->num_shards());
     resolved.push_back(state->Resolved());
+    members.push_back({&state->key(), &state->options(),
+                       resolved.back()->views(),
+                       static_cast<int>(state->num_shards())});
   }
+  // A single metric also reuses the cached evaluator itself: its Level-2 /
+  // entry-pooling merge runs once per Tick, not once per query.
+  const WindowView* cached =
+      resolved.size() == 1 ? &resolved.front()->View(spec.strategy) : nullptr;
+  auto result = EvaluatePool(members, spec, cached);
+  if (!result.ok()) return result;
 
-  // Single-metric targets also reuse the cached evaluator itself — the
-  // Level-2 / entry-pooling merge runs once per Tick, not once per query.
-  // Rollups pool pointers into the cached summaries and merge per query
-  // (the pool composition depends on the target), still copying nothing —
-  // and build their per-query WindowView out of a thread-local arena, so
-  // repeated rollups inherit the previous query's buffer capacities
-  // instead of allocating (released back after evaluation, below).
-  thread_local WindowArena arena;
-  std::optional<WindowView> pooled_view;
-  const WindowView* view;
-  if (resolved.size() == 1 && homogeneous) {
-    view = &resolved.front()->View(spec.strategy);
-  } else {
-    std::vector<const BackendSummary*> pointers = std::move(arena.pointers);
-    pointers.clear();
-    size_t total_views = 0;
-    for (const auto& window : resolved) total_views += window->views().size();
-    pointers.reserve(total_views);
-    for (const auto& window : resolved) {
-      for (const BackendSummary& summary : window->views()) {
-        pointers.push_back(&summary);
-      }
-    }
-    pooled_view.emplace(pointers, options, spec.strategy,
-                        /*lower_to_entries=*/!homogeneous, &arena);
-    arena.pointers = std::move(pointers);
-    view = &*pooled_view;
-  }
-
-  result.outcomes.reserve(spec.requests.size());
-  for (const QueryRequest& request : spec.requests) {
-    result.outcomes.push_back(view->Evaluate(request));
-  }
-  result.window_count = view->window_count();
-  result.num_summaries = view->num_summaries();
-  result.burst_active = view->burst_active();
   // In-flight backlog is a live counter, not window state: the cached
   // summaries would freeze it at the first post-Tick query, so it is
   // re-read from the shards every time.
+  QueryResult& answer = result.ValueOrDie();
+  answer.inflight_count = 0;
   for (const auto& state : states) {
-    result.inflight_count += state->LiveInflightCount();
+    answer.inflight_count += state->LiveInflightCount();
   }
-  // Hand the rollup scratch back for the next query on this thread.
-  if (pooled_view.has_value()) pooled_view->ReleaseTo(&arena);
   return result;
-}
-
-Result<MetricSnapshot> TelemetryEngine::Snapshot(
-    const MetricKey& key, const SnapshotOptions& snapshot_options) const {
-  // Compatibility shim: the fixed-phi snapshot is a Query for every grid
-  // phi. Outcome statuses are deliberately dropped — the legacy contract
-  // reports empty windows as 0.0 estimates, not errors.
-  QuerySpec spec = QuerySpec::ForKey(key);
-  spec.strategy = snapshot_options.strategy;
-  for (double phi : options_.phis) {
-    spec.requests.push_back(QueryRequest::Quantile(phi));
-  }
-  auto queried = Query(spec);
-  if (!queried.ok()) return queried.status();
-  const QueryResult& result = queried.ValueOrDie();
-
-  MetricSnapshot snapshot;
-  snapshot.key = key;
-  snapshot.backend = result.backend;
-  snapshot.phis = options_.phis;
-  snapshot.estimates.reserve(result.outcomes.size());
-  snapshot.sources.reserve(result.outcomes.size());
-  for (const QueryOutcome& outcome : result.outcomes) {
-    snapshot.estimates.push_back(outcome.value);
-    snapshot.sources.push_back(outcome.source);
-  }
-  snapshot.window_count = result.window_count;
-  snapshot.num_summaries = result.num_summaries;
-  snapshot.inflight_count = result.inflight_count;
-  snapshot.num_shards = result.num_shards;
-  snapshot.burst_active = result.burst_active;
-  return snapshot;
-}
-
-std::vector<MetricSnapshot> TelemetryEngine::SnapshotAll(
-    const SnapshotOptions& snapshot_options) const {
-  std::vector<std::shared_ptr<MetricState>> states = registry_.List();
-  // Canonical-key order: SnapshotAll output must diff stably run to run
-  // (the registry map iterates in hash order).
-  std::sort(states.begin(), states.end(),
-            [](const std::shared_ptr<MetricState>& a,
-               const std::shared_ptr<MetricState>& b) {
-              return a->key() < b->key();
-            });
-  std::vector<MetricSnapshot> snapshots;
-  snapshots.reserve(states.size());
-  for (const auto& state : states) {
-    // A metric registered after the engine's last Tick has no window state
-    // yet; skip it rather than report a phantom empty window (explicit
-    // Snapshot(key) still serves it).
-    if (state->TickEpochs() == 0) continue;
-    // Evaluate through the metric's cached ResolvedWindow (the same
-    // WindowView evaluation Snapshot reaches via Query): repeated
-    // SnapshotAll calls between Ticks share one merge per metric.
-    const std::shared_ptr<const ResolvedWindow> resolved = state->Resolved();
-    snapshots.push_back(SnapshotFromView(
-        state->key(), resolved->View(snapshot_options.strategy),
-        state->options(), static_cast<int>(state->num_shards())));
-    // Live, like Query: the cached view's inflight is as-of-cache-build.
-    snapshots.back().inflight_count = state->LiveInflightCount();
-  }
-  return snapshots;
 }
 
 int64_t TelemetryEngine::TotalRecorded(const MetricKey& key) const {

@@ -8,7 +8,7 @@
 // (Quantizer::QuantizeBatch) and dealt as round-robin stripes into each
 // shard's bounded MPSC ring — one CAS per stripe, no locks — so the
 // ingest hot path is a thread-local append and steady-state writers never
-// contend with each other or with snapshotting. Shard backends drain
+// contend with each other or with queries. Shard backends drain
 // their rings under one lock acquisition per Tick/flush, plus
 // opportunistic try-lock drains when a ring passes its high-water mark.
 //
@@ -18,8 +18,7 @@
 //   engine.Record(key, value);       // any thread, buffered
 //   engine.Flush();                  // per thread, before a barrier
 //   engine.Tick();                   // sub-window boundary (e.g. every 1s)
-//   auto snap = engine.Snapshot(key);  // merged window quantiles
-//   auto ans = engine.Query(          // ad-hoc phi / CDF / fleet rollup
+//   auto ans = engine.Query(          // any phi / CDF / fleet rollup
 //       QuerySpec::ForSelector({"rtt_us", {{"service", "search"}}})
 //           .With(QueryRequest::Quantile(0.97))
 //           .With(QueryRequest::Rank(500.0)));
@@ -51,7 +50,6 @@
 #include "engine/metric_key.h"
 #include "engine/query.h"
 #include "engine/registry.h"
-#include "engine/snapshot.h"
 #include "engine/wal.h"
 #include "engine/wire.h"
 #include "stream/window.h"
@@ -74,13 +72,14 @@ struct EngineOptions {
   /// expected per-shard records per Tick.
   WindowSpec shard_window{8192, 1024};
 
-  /// The quantile *grid*: the phis every Snapshot serves and the anchors
-  /// the query layer plans few-k layouts for. Query answers any phi —
-  /// on-grid phis exactly as Snapshot does, off-grid phis by grid
-  /// interpolation (with the tail machinery re-targeted at the query rank
-  /// for high phis) under explicitly widened error bounds — so the grid
-  /// sets where answers are sharpest, not what may be asked (§2 fixes phis
-  /// at registration; the query layer deliberately inverts that).
+  /// The quantile *grid*: the phis every metric estimates per sub-window
+  /// and the anchors the query layer plans few-k layouts for. Query
+  /// answers any phi — on-grid phis from the merged grid estimates,
+  /// off-grid phis by grid interpolation (with the tail machinery
+  /// re-targeted at the query rank for high phis) under explicitly widened
+  /// error bounds — so the grid sets where answers are sharpest, not what
+  /// may be asked (§2 fixes phis at registration; the query layer
+  /// deliberately inverts that).
   std::vector<double> phis = {0.5, 0.9, 0.99, 0.999};
 
   /// Default sketch backend for metrics registered without an explicit
@@ -139,7 +138,7 @@ struct EngineOptions {
 
   /// Rejects configurations that cannot serve: bad windows/phis, and
   /// backend/option combinations that could only fail later (at first
-  /// Snapshot) — e.g. few-k plans that capture no tail material, or a
+  /// Query) — e.g. few-k plans that capture no tail material, or a
   /// GK-family epsilon too coarse to resolve a requested quantile.
   Status Validate() const;
 };
@@ -268,7 +267,7 @@ class ExportCursor {
 ///
 /// Thread-safety: every public method is safe to call concurrently.
 /// Record() buffers in thread-local storage; values become visible to
-/// Tick()/Snapshot() after the owning thread flushes (explicitly via
+/// Tick()/Query() after the owning thread flushes (explicitly via
 /// Flush(), or automatically when its buffer fills). A thread that stops
 /// recording without Flush() leaves its tail of buffered values invisible —
 /// writer threads should Flush() before joining.
@@ -319,12 +318,17 @@ class TelemetryEngine {
   /// registered grid), rank/CDF, count, and sum/mean where the serving
   /// backend supports them — over one key, an explicit key list, or every
   /// metric a tag selector matches (fleet rollup). Multi-metric targets
-  /// pool all shards' summaries: homogeneous-qlove targets merge through
-  /// the paper's estimator chain (identical to adding shards), anything
-  /// heterogeneous through the weighted-entry path with qlove summaries
-  /// lowered to entries. NotFound when the target resolves to no
-  /// registered metric; per-request problems (empty window, unsupported
-  /// aggregate) surface as per-outcome statuses, not query failure.
+  /// pool all shards' summaries under EvaluatePool (engine/query.h), the
+  /// rule AggregatorEngine::Query shares: metrics of one serving
+  /// configuration merge through the paper's estimator chain (identical
+  /// to adding shards), anything heterogeneous through the weighted-entry
+  /// path with qlove summaries lowered to entries. NotFound when the
+  /// target resolves to no registered metric; FailedPrecondition when it
+  /// pools qlove metrics on different phi grids (a WAL-recovered metric
+  /// keeps its logged grid); per-request problems (empty window,
+  /// unsupported aggregate) surface as per-outcome statuses, not query
+  /// failure. The registered grid phis are the sharpest requests: a
+  /// Quantile per EngineOptions::phis reads the merged grid estimates.
   ///
   /// Reserved `__qlove/` keys (and selectors naming them) serve the
   /// engine's own self-metrics — e.g. ForKey(StageMetricKey(Stage::kTick))
@@ -332,20 +336,6 @@ class TelemetryEngine {
   /// themselves instrumented (no observation feedback); wildcard
   /// selectors match user metrics only.
   Result<QueryResult> Query(const QuerySpec& spec) const;
-
-  /// Merged window quantiles for \p key at the registered grid phis — a
-  /// compatibility shim over Query(ForKey(key), Quantile(phi)...).
-  /// Reflects data flushed and Ticked so far; NotFound for unregistered
-  /// keys.
-  Result<MetricSnapshot> Snapshot(
-      const MetricKey& key, const SnapshotOptions& snapshot_options = {}) const;
-
-  /// Snapshots every registered metric that has seen at least one Tick
-  /// (metrics registered after the last Tick have no window state yet and
-  /// are skipped, not crashed on), in canonical-key order so successive
-  /// outputs diff stably.
-  std::vector<MetricSnapshot> SnapshotAll(
-      const SnapshotOptions& snapshot_options = {}) const;
 
   /// The agent half of the distributed deployment: encodes this engine's
   /// mergeable window state into \p out (buffer reused) for an
@@ -357,7 +347,7 @@ class TelemetryEngine {
   /// inside the delta.
   ///
   /// Covers every registered metric that has seen at least one Tick
-  /// (pre-first-Tick metrics have no window state, matching SnapshotAll),
+  /// (pre-first-Tick metrics have no window state),
   /// in canonical key order; each metric carries its full MetricOptions so
   /// the receiver can rebuild the exact merge, and its per-shard summaries
   /// folded into one (engine/coalesce.h) — shard count is an agent-internal
@@ -464,8 +454,7 @@ class TelemetryEngine {
   void SetSlowQueryHook(std::function<void(const SlowQueryRecord&)> hook);
 
   /// User metrics only; the `__qlove/` self-metrics live in a registry of
-  /// their own and never inflate this (or SnapshotAll, or wildcard
-  /// selectors).
+  /// their own and never inflate this (or wildcard selectors).
   size_t metric_count() const { return registry_.size(); }
   const EngineOptions& options() const { return options_; }
 

@@ -21,7 +21,7 @@
 //  - The internal metrics live in a registry of their own with the
 //    introspection pointer nulled, so recording a stage sample can never
 //    recurse into recording another (and user-facing surfaces —
-//    SnapshotAll, metric_count, wildcard selectors, default exports — are
+//    metric_count, wildcard selectors, default exports — are
 //    untouched by the self-metrics' existence).
 //
 // Off switch: EngineOptions::introspection / AggregatorOptions::

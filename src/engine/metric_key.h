@@ -127,7 +127,7 @@ class MetricKey {
   /// Canonical ordering — by name string, then by the sorted tag list's
   /// strings. Interner ids are assigned in first-sight order, so ordering
   /// must go through the views to stay the deterministic string order
-  /// Query's `matched` and SnapshotAll report in.
+  /// Query's `matched` and Export report in.
   std::strong_ordering operator<=>(const MetricKey& other) const {
     const StringInterner& interner = StringInterner::Global();
     if (name_id_ != other.name_id_) {

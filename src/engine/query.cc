@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <numeric>
+#include <optional>
 
 #include "core/error_bound.h"
 #include "core/fewk.h"
@@ -535,7 +536,7 @@ QueryOutcome WindowView::QloveQuantile(double phi) const {
   }
   QueryOutcome outcome;
 
-  // On-grid: exactly the estimate the fixed-phi Snapshot path serves.
+  // On-grid: exactly the merged grid estimate.
   const auto grid_it =
       std::lower_bound(grid_phis_.begin(), grid_phis_.end(),
                        phi - kGridPhiTolerance);
@@ -745,6 +746,90 @@ const WindowView& ResolvedWindow::View(MergeStrategy strategy) const {
                                                       strategy);
   }
   return *by_strategy_[slot];
+}
+
+bool SameServingConfiguration(const MetricOptions& a, const MetricOptions& b) {
+  return SameBackendConfiguration(a.backend, b.backend) && a.phis == b.phis &&
+         a.shard_window == b.shard_window;
+}
+
+Result<QueryResult> EvaluatePool(std::span<const PoolMember> members,
+                                 const QuerySpec& spec,
+                                 const WindowView* cached) {
+  // Lowering re-reads a qlove summary's quantiles through the pool's phi
+  // grid, so a mixed pool lowers through its qlove members' own grid — and
+  // two qlove members on different grids cannot share a pool at all: one
+  // of them would be silently mis-lowered, so refuse loudly instead.
+  const PoolMember& front = members.front();
+  bool native = true;
+  const PoolMember* first_qlove = nullptr;
+  for (const PoolMember& member : members) {
+    native = native &&
+             SameServingConfiguration(*member.options, *front.options);
+    if (member.options->backend.kind != BackendKind::kQlove) continue;
+    if (first_qlove == nullptr) {
+      first_qlove = &member;
+    } else if (member.options->phis != first_qlove->options->phis) {
+      return Status::FailedPrecondition(
+          "cannot pool qlove metrics " + first_qlove->key->ToString() +
+          " and " + member.key->ToString() +
+          " across disagreeing phi grids; align EngineOptions::phis");
+    }
+  }
+  // Which entry-kind metric leads a mixed pool must never decide whether
+  // the query serves (entry kinds are grid-independent).
+  const MetricOptions& options = !native && first_qlove != nullptr
+                                     ? *first_qlove->options
+                                     : *front.options;
+
+  QueryResult result;
+  result.backend = front.options->backend.kind;
+  result.mixed_backends = !native;
+  result.matched.reserve(members.size());
+  for (const PoolMember& member : members) {
+    result.matched.push_back(*member.key);
+    result.num_shards += member.num_shards;
+  }
+  // Canonical order, each key once: an aggregator pools one key from
+  // several sources.
+  if (!std::is_sorted(result.matched.begin(), result.matched.end())) {
+    std::sort(result.matched.begin(), result.matched.end());
+  }
+  result.matched.erase(
+      std::unique(result.matched.begin(), result.matched.end()),
+      result.matched.end());
+
+  // Pools point into the members' summaries and copy nothing; the view's
+  // buffers come from a thread-local arena, so repeated queries inherit
+  // the previous one's capacities instead of allocating (released back
+  // after evaluation, below).
+  thread_local WindowArena arena;
+  std::optional<WindowView> pooled;
+  const WindowView* view = cached;
+  if (view == nullptr) {
+    std::vector<const BackendSummary*> pointers = std::move(arena.pointers);
+    pointers.clear();
+    for (const PoolMember& member : members) {
+      for (const BackendSummary& summary : member.summaries) {
+        pointers.push_back(&summary);
+      }
+    }
+    pooled.emplace(pointers, options, spec.strategy,
+                   /*lower_to_entries=*/!native, &arena);
+    arena.pointers = std::move(pointers);
+    view = &*pooled;
+  }
+
+  result.outcomes.reserve(spec.requests.size());
+  for (const QueryRequest& request : spec.requests) {
+    result.outcomes.push_back(view->Evaluate(request));
+  }
+  result.window_count = view->window_count();
+  result.num_summaries = view->num_summaries();
+  result.inflight_count = view->inflight_count();
+  result.burst_active = view->burst_active();
+  if (pooled.has_value()) pooled->ReleaseTo(&arena);
+  return result;
 }
 
 }  // namespace engine

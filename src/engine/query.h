@@ -14,21 +14,22 @@
 //
 //  - Homogeneous kQlove targets keep the paper's estimator chain. The
 //    registered phis act as a *grid*: few-k layouts are planned for the
-//    grid at registration, on-grid phis are answered exactly as Snapshot
-//    always did, and off-grid phis interpolate between bracketing grid
-//    estimates — with the few-k tail machinery re-targeted at the query
-//    phi's recomputed rank whenever a grid plan's captured tail covers it
-//    (any plan with plan.phi <= query phi holds at least the query's tail
-//    depth). Off-grid answers carry explicitly widened error bounds (see
-//    QueryOutcome).
+//    grid at registration, on-grid phis are answered by the merged grid
+//    estimates themselves, and off-grid phis interpolate between
+//    bracketing grid estimates — with the few-k tail machinery re-targeted
+//    at the query phi's recomputed rank whenever a grid plan's captured
+//    tail covers it (any plan with plan.phi <= query phi holds at least
+//    the query's tail depth). Off-grid answers carry explicitly widened
+//    error bounds (see QueryOutcome).
 //  - Everything else — single weighted-entry metrics, same-kind rollups,
 //    and mixed-kind selector targets — pools (value, weight) entries, with
 //    kQlove summaries lowered to weighted entries (grid masses plus exact
 //    top-k tail multiplicities) so heterogeneous fleets still roll up.
 //
-// Snapshot/SnapshotAll remain as compatibility shims over this path;
-// MergeShardViews (engine/snapshot.h) is now one consumer of WindowView,
-// so the fixed-phi and ad-hoc surfaces cannot drift apart.
+// Query is the only read path, on both tiers: TelemetryEngine::Query and
+// AggregatorEngine::Query resolve their targets and hand the members to
+// EvaluatePool, the one definition of how summaries pool (native, lowered
+// to entries, or refused), so agent and aggregator answers cannot drift.
 
 #ifndef QLOVE_ENGINE_QUERY_H_
 #define QLOVE_ENGINE_QUERY_H_
@@ -37,6 +38,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -46,11 +48,22 @@
 #include "engine/backend.h"
 #include "engine/metric_key.h"
 #include "engine/registry.h"
-#include "engine/snapshot.h"
 #include "sketch/weighted_merge.h"
 
 namespace qlove {
 namespace engine {
+
+/// \brief How non-high quantiles are merged across sub-window summaries
+/// (kQlove backends only; weighted backends pool entries either way).
+enum class MergeStrategy {
+  /// Count-weighted mean of sub-window quantiles (the paper's Level-2
+  /// estimator generalized to uneven sub-window populations). Default.
+  kWeightedMean = 0,
+  /// Count-weighted median of sub-window quantiles (sketch/weighted_merge):
+  /// trades a little CLT efficiency for robustness when a shard's slice is
+  /// contaminated (e.g. one host-group misroutes its records).
+  kWeightedMedian = 1,
+};
 
 /// \brief What one QueryRequest asks of the window.
 enum class QueryRequestKind {
@@ -97,7 +110,7 @@ struct QuerySpec {
 
   std::vector<QueryRequest> requests;  ///< At least one.
 
-  /// kQlove body merging strategy (same knob Snapshot takes).
+  /// kQlove body merging strategy for the non-high grid phis.
   MergeStrategy strategy = MergeStrategy::kWeightedMean;
 
   static QuerySpec ForKey(MetricKey key) {
@@ -271,7 +284,7 @@ double GridCdfAtValue(const std::vector<double>& phis,
 /// inherit the previous query's vector capacities instead of allocating —
 /// construct with the arena, evaluate, then ReleaseTo(&arena) to hand the
 /// buffers back for the next query. One arena serves one WindowView at a
-/// time (TelemetryEngine::Query keeps a thread-local one).
+/// time (EvaluatePool keeps a thread-local one).
 struct WindowArena {
   std::vector<const BackendSummary*> pointers;  // the caller's pooled views
   std::vector<size_t> phi_order;
@@ -285,8 +298,8 @@ struct WindowArena {
   std::vector<sketch::WeightedValue> pooled;
 };
 
-/// \brief One pooled, queryable window: the shared evaluator under both
-/// TelemetryEngine::Query and the Snapshot surface (via MergeShardViews).
+/// \brief One pooled, queryable window: the shared evaluator under
+/// EvaluatePool (and so under both tiers' Query).
 ///
 /// Holds pointers into \p views AND a reference to \p options — build,
 /// evaluate, discard while both outlive it (in particular, do not pass a
@@ -427,6 +440,53 @@ class ResolvedWindow {
   mutable std::mutex mu_;  // guards lazy construction only
   mutable std::unique_ptr<WindowView> by_strategy_[2];
 };
+
+/// \name The pool rule
+///
+/// Both tiers' Query resolve a target to members and hand them here:
+/// TelemetryEngine passes its registered metrics, AggregatorEngine the
+/// metrics its fresh sources shipped. How the members' summaries pool is
+/// decided once, in EvaluatePool.
+/// @{
+
+/// True when metrics configured \p a and \p b serve identically: the same
+/// kind-relevant backend knobs, phi grid and window geometry. Summaries of
+/// such metrics pool natively (for kQlove, pooling N metrics is the same
+/// computation as N times more shards of one); AggregatorEngine::Export
+/// pools a key held by several sources only under it.
+bool SameServingConfiguration(const MetricOptions& a, const MetricOptions& b);
+
+/// One metric a query target resolved to. Non-owning: the key, options and
+/// summaries must outlive the EvaluatePool call.
+struct PoolMember {
+  const MetricKey* key = nullptr;
+  const MetricOptions* options = nullptr;
+  std::span<const BackendSummary> summaries;
+  /// What the member adds to QueryResult::num_shards.
+  int num_shards = 0;
+};
+
+/// Evaluates spec.requests over the pooled summaries of \p members
+/// (non-empty; merged in the order given, so a caller fixes its answers'
+/// merge order). The pool serves natively when every member shares the
+/// first one's serving configuration; otherwise every summary is lowered
+/// to weighted entries, read through the qlove members' phi grid (the
+/// first member's grid when none is qlove). FailedPrecondition when two
+/// qlove members disagree on the phi grid: one of them would be
+/// mis-lowered. The view is built from a thread-local WindowArena; a
+/// single-member caller holding a prebuilt native view of that member
+/// (TelemetryEngine's per-Tick ResolvedWindow) passes it as \p cached
+/// instead, and it is evaluated as is.
+///
+/// Fills matched (canonical order, each key once), backend (the first
+/// member's kind), mixed_backends, num_shards, outcomes, window_count,
+/// num_summaries, inflight_count (as the summaries carry it) and
+/// burst_active; the caller adds what only its tier knows.
+Result<QueryResult> EvaluatePool(std::span<const PoolMember> members,
+                                 const QuerySpec& spec,
+                                 const WindowView* cached = nullptr);
+
+/// @}
 
 }  // namespace engine
 }  // namespace qlove

@@ -35,7 +35,9 @@ struct MetricOptions {
   /// Per-shard window spec: size/period in elements *per shard*. The
   /// metric-level window covers num_shards times as many elements.
   WindowSpec shard_window;
-  /// Quantiles served by Snapshot, fixed for the metric's lifetime.
+  /// The quantile grid every sub-window estimates, fixed for the metric's
+  /// lifetime: Query answers these phis from the merged grid and any
+  /// other phi by interpolating it.
   std::vector<double> phis;
   /// The sketch backend every shard of the metric runs. Different metrics
   /// in one engine may use different backends.
@@ -137,8 +139,8 @@ class MetricState {
 
   /// Sub-window boundaries this metric has seen. 0 means the metric was
   /// registered after the engine's last Tick and no window state exists
-  /// yet — SnapshotAll skips such metrics instead of reporting phantom
-  /// empty windows.
+  /// yet — Export skips such metrics instead of shipping phantom empty
+  /// windows.
   int64_t TickEpochs() const {
     return tick_epochs_.load(std::memory_order_relaxed);
   }

@@ -84,7 +84,7 @@ Status Shard::Initialize(const BackendOptions& backend, const WindowSpec& spec,
 int64_t Shard::DrainLocked() const {
   // Drain telemetry at batch granularity: one timer read pair and one
   // counter update per drain that moved data, never per value. Empty
-  // drains (idle Tick/Snapshot polls) stay out of the latency sketch.
+  // drains (idle Tick/query polls) stay out of the latency sketch.
   const int64_t pending_before =
       introspection_ != nullptr ? ring_.pending() : 0;
   std::chrono::steady_clock::time_point start;

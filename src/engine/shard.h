@@ -6,15 +6,15 @@
 //
 // Ingest is a bounded MPSC ring buffer: writers claim a slot range with one
 // CAS on the head index and publish pre-quantized values lock-free, so
-// steady-state Record/RecordBatch never contends with snapshotting or with
+// steady-state Record/RecordBatch never contends with queries or with
 // other writers beyond that CAS. The backend consumes the ring in dense
-// runs under the shard mutex — once per Tick/Snapshot, plus opportunistic
+// runs under the shard mutex — once per Tick/query, plus opportunistic
 // drains whenever a publish pushes the ring past its high-water mark (so
 // the drain work spreads across the writer threads instead of serializing
 // on the Tick driver). InflightCount and TotalAdded are atomic counters:
 // dashboards poll them without touching the mutex.
 //
-// Snapshot() exports the backend's mergeable summary under the lock;
+// SnapshotInto() exports the backend's mergeable summary under the lock;
 // cross-shard merging happens outside it (the metric's export window in
 // registry.h, the query path's ResolvedWindow in query.h).
 
@@ -180,13 +180,6 @@ class Shard {
   /// everything published before the call is covered. Thread-safe.
   void SnapshotInto(BackendSummary* out) const;
 
-  /// Convenience wrapper over SnapshotInto. Thread-safe.
-  BackendSummary Snapshot() const {
-    BackendSummary summary;
-    SnapshotInto(&summary);
-    return summary;
-  }
-
   /// Appends copies of the backend's closed qlove sub-windows with epoch
   /// greater than \p after_epoch to \p out, oldest first; appends nothing
   /// for the entry kinds (ShardBackend::ClosedSubWindows). Thread-safe.
@@ -263,7 +256,7 @@ class Shard {
   mutable std::mutex mu_;
   std::unique_ptr<ShardBackend> backend_;
   const Quantizer* pre_quantizer_ = nullptr;  // owned by *backend_
-  /// Ingest transport and live counters: mutated on const paths (Snapshot
+  /// Ingest transport and live counters: mutated on const paths (SnapshotInto
   /// drains so exports cover everything published before the call).
   mutable ShardRing ring_;
   mutable std::atomic<int64_t> total_added_{0};

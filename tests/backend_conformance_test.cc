@@ -22,6 +22,7 @@
 #include "core/qlove.h"
 #include "engine/backend.h"
 #include "engine/engine.h"
+#include "grid_query.h"
 #include "rank_error.h"
 #include "sketch/am.h"
 #include "sketch/cmqs.h"
@@ -37,6 +38,7 @@ constexpr int64_t kWindow = 8192;
 constexpr int64_t kPeriod = 1024;
 const std::vector<double> kPhis = {0.5, 0.9, 0.99};
 
+using test_util::GridQuery;
 using test_util::RankError;
 
 // ---------------------------------------------------------------------------
@@ -92,24 +94,24 @@ TEST_P(BackendConformanceTest, RankErrorWithinTolerance) {
   std::vector<double> sorted = data;
   std::sort(sorted.begin(), sorted.end());
 
-  auto snap = engine.Snapshot(key);
-  ASSERT_TRUE(snap.ok());
-  const engine::MetricSnapshot& s = snap.ValueOrDie();
-  EXPECT_EQ(s.backend, param.kind);
-  EXPECT_EQ(s.window_count, kWindow);
-  EXPECT_EQ(s.inflight_count, 0);
-  ASSERT_EQ(s.estimates.size(), kPhis.size());
+  auto answer = GridQuery(engine, key);
+  ASSERT_TRUE(answer.ok());
+  const engine::QueryResult& r = answer.ValueOrDie();
+  EXPECT_EQ(r.backend, param.kind);
+  EXPECT_EQ(r.window_count, kWindow);
+  EXPECT_EQ(r.inflight_count, 0);
+  ASSERT_EQ(r.outcomes.size(), kPhis.size());
 
   double previous = -1.0;
   for (size_t i = 0; i < kPhis.size(); ++i) {
     const double tol = kPhis[i] >= 0.99 ? param.tail_tol : param.body_tol;
-    const double err = RankError(sorted, s.estimates[i], kPhis[i]);
-    EXPECT_LE(err, tol) << "phi=" << kPhis[i]
-                        << " estimate=" << s.estimates[i];
-    EXPECT_GE(s.estimates[i], previous);  // monotone in phi
-    previous = s.estimates[i];
+    const double estimate = r.outcomes[i].value;
+    const double err = RankError(sorted, estimate, kPhis[i]);
+    EXPECT_LE(err, tol) << "phi=" << kPhis[i] << " estimate=" << estimate;
+    EXPECT_GE(estimate, previous);  // monotone in phi
+    previous = estimate;
     if (param.kind != engine::BackendKind::kQlove) {
-      EXPECT_EQ(s.sources[i], core::OutcomeSource::kSketchMerge);
+      EXPECT_EQ(r.outcomes[i].source, core::OutcomeSource::kSketchMerge);
     }
   }
 }
@@ -129,14 +131,14 @@ TEST_P(BackendConformanceTest, WindowExpiryUnderDistributionShift) {
   FeedByPeriods(&engine, key, old_regime);
   FeedByPeriods(&engine, key, new_regime);
 
-  auto snap = engine.Snapshot(key);
-  ASSERT_TRUE(snap.ok());
-  const engine::MetricSnapshot& s = snap.ValueOrDie();
-  EXPECT_EQ(s.window_count, kWindow) << "expired data still counted";
+  auto answer = GridQuery(engine, key);
+  ASSERT_TRUE(answer.ok());
+  const engine::QueryResult& r = answer.ValueOrDie();
+  EXPECT_EQ(r.window_count, kWindow) << "expired data still counted";
   for (size_t i = 0; i < kPhis.size(); ++i) {
     // Any leakage of the old regime would drag the estimate toward 150 or
     // below; the smallest new-regime value is 1000.
-    EXPECT_GE(s.estimates[i], 900.0) << "phi=" << kPhis[i];
+    EXPECT_GE(r.outcomes[i].value, 900.0) << "phi=" << kPhis[i];
   }
 }
 
@@ -148,18 +150,18 @@ TEST_P(BackendConformanceTest, EmptyTicksExpireStarvedWindow) {
 
   workload::NetMonGenerator gen(61);
   FeedByPeriods(&engine, key, workload::Materialize(&gen, kWindow));
-  auto snap = engine.Snapshot(key);
-  ASSERT_TRUE(snap.ok());
-  EXPECT_EQ(snap.ValueOrDie().window_count, kWindow);
+  auto answer = GridQuery(engine, key);
+  ASSERT_TRUE(answer.ok());
+  EXPECT_EQ(answer.ValueOrDie().window_count, kWindow);
 
   // Time-driven windows slide even with no ingest: after a window's worth
   // of empty Ticks every backend must report an empty window instead of
   // serving stale quantiles as current.
   for (int64_t i = 0; i < kWindow / kPeriod; ++i) engine.Tick();
-  snap = engine.Snapshot(key);
-  ASSERT_TRUE(snap.ok());
-  EXPECT_EQ(snap.ValueOrDie().window_count, 0);
-  EXPECT_EQ(snap.ValueOrDie().num_summaries, 0);
+  answer = GridQuery(engine, key);
+  ASSERT_TRUE(answer.ok());
+  EXPECT_EQ(answer.ValueOrDie().window_count, 0);
+  EXPECT_EQ(answer.ValueOrDie().num_summaries, 0);
 }
 
 TEST_P(BackendConformanceTest, TrickleIngestStillExpiresStaleData) {
@@ -186,12 +188,12 @@ TEST_P(BackendConformanceTest, TrickleIngestStillExpiresStaleData) {
     engine.Tick();
   }
 
-  auto snap = engine.Snapshot(key);
-  ASSERT_TRUE(snap.ok());
-  const engine::MetricSnapshot& s = snap.ValueOrDie();
-  EXPECT_EQ(s.window_count, 4 * ticks) << "stale data still counted";
+  auto answer = GridQuery(engine, key);
+  ASSERT_TRUE(answer.ok());
+  const engine::QueryResult& r = answer.ValueOrDie();
+  EXPECT_EQ(r.window_count, 4 * ticks) << "stale data still counted";
   for (size_t i = 0; i < kPhis.size(); ++i) {
-    EXPECT_GE(s.estimates[i], 900.0) << "phi=" << kPhis[i];
+    EXPECT_GE(r.outcomes[i].value, 900.0) << "phi=" << kPhis[i];
   }
 }
 
@@ -280,10 +282,13 @@ TEST_P(BackendConformanceTest, MergeMatchesSingleStream) {
     ASSERT_TRUE(
         engine.RegisterMetric(key, MakeBackendOptions(param.kind)).ok());
     FeedByPeriods(&engine, key, data);
-    auto snap = engine.Snapshot(key);
-    ASSERT_TRUE(snap.ok());
-    EXPECT_EQ(snap.ValueOrDie().window_count, kWindow);
-    estimates.push_back(snap.ValueOrDie().estimates);
+    auto answer = GridQuery(engine, key);
+    ASSERT_TRUE(answer.ok());
+    EXPECT_EQ(answer.ValueOrDie().window_count, kWindow);
+    std::vector<double>& values = estimates.emplace_back();
+    for (const engine::QueryOutcome& outcome : answer.ValueOrDie().outcomes) {
+      values.push_back(outcome.value);
+    }
   }
 
   for (size_t i = 0; i < kPhis.size(); ++i) {

@@ -85,9 +85,10 @@ TEST(CardinalityStressTest, HundredThousandKeyRegisterRecordEvictCycle) {
   engine.Tick();
   EXPECT_EQ(engine.metric_count(), 1u);
   EXPECT_EQ(engine.TotalRecorded(keys[7]), 1);
-  auto snap = engine.Snapshot(keys[7]);
-  ASSERT_TRUE(snap.ok());
-  EXPECT_EQ(snap.ValueOrDie().window_count, 1);
+  auto answer =
+      engine.Query(QuerySpec::ForKey(keys[7]).With(QueryRequest::Count()));
+  ASSERT_TRUE(answer.ok());
+  EXPECT_EQ(answer.ValueOrDie().window_count, 1);
   // Re-registration minted no new strings: the interner already held
   // every name and value.
   EXPECT_EQ(engine.Stats().interned_strings, evicted.interned_strings);
@@ -134,8 +135,8 @@ TEST(CardinalityConcurrencyTest, ReadersRaceRegistrationAndEviction) {
   std::atomic<int64_t> reads{0};
 
   // Readers hammer the lock-free paths: keyed lookup, keyed query, and
-  // the full snapshot walk — all racing registration, eviction, and
-  // degrade-replacement on the writer side.
+  // the wildcard rollup over every metric — all racing registration,
+  // eviction, and degrade-replacement on the writer side.
   std::vector<std::thread> readers;
   for (int r = 0; r < 2; ++r) {
     readers.emplace_back([&, r] {
@@ -146,7 +147,11 @@ TEST(CardinalityConcurrencyTest, ReadersRaceRegistrationAndEviction) {
         auto result = engine.Query(
             QuerySpec::ForKey(key).With(QueryRequest::Count()));
         (void)result.ok();  // NotFound while evicted is expected
-        if (i % 16 == 0) (void)engine.SnapshotAll();
+        if (i % 16 == 0) {
+          (void)engine.Query(QuerySpec::ForSelector({"", {}})
+                                 .With(QueryRequest::Quantile(0.5))
+                                 .With(QueryRequest::Count()));
+        }
         reads.fetch_add(1, std::memory_order_relaxed);
         ++i;
       }

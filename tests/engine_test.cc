@@ -11,8 +11,10 @@
 #include "core/fewk.h"
 #include "core/qlove.h"
 #include "engine/metric_key.h"
+#include "engine/query.h"
 #include "engine/registry.h"
-#include "engine/snapshot.h"
+#include "export_util.h"
+#include "grid_query.h"
 #include "rank_error.h"
 #include "workload/generators.h"
 
@@ -20,7 +22,16 @@ namespace qlove {
 namespace engine {
 namespace {
 
+using test_util::GridQuery;
 using test_util::RankError;
+
+/// \p key's window population, as a Count query reports it.
+int64_t WindowCount(const TelemetryEngine& engine, const MetricKey& key) {
+  auto answer =
+      engine.Query(QuerySpec::ForKey(key).With(QueryRequest::Count()));
+  EXPECT_TRUE(answer.ok()) << answer.status().ToString();
+  return answer.ok() ? answer.ValueOrDie().window_count : -1;
+}
 
 TEST(MetricKeyTest, CanonicalizationAndEquality) {
   const MetricKey a("rtt_us", {{"service", "search"}, {"dc", "eu-1"}});
@@ -88,7 +99,7 @@ TEST(EngineOptionsTest, Validation) {
 
 TEST(EngineOptionsTest, ValidationRejectsImpossibleBackendCombos) {
   // A GK-family epsilon too coarse to resolve a requested quantile must
-  // fail at Validate, not at first Snapshot.
+  // fail at Validate, not at first Query.
   EngineOptions options;
   options.default_backend.kind = BackendKind::kGk;
   options.default_backend.epsilon = 0.02;
@@ -150,11 +161,11 @@ TEST(EngineTest, RegisterMetricRejectsBackendKindConflict) {
   EXPECT_EQ(engine.metric_count(), 1u);
 }
 
-TEST(EngineTest, SnapshotOfUnknownMetricIsNotFound) {
+TEST(EngineTest, QueryOfUnknownMetricIsNotFound) {
   TelemetryEngine engine;
-  auto snap = engine.Snapshot(MetricKey("nope"));
-  EXPECT_FALSE(snap.ok());
-  EXPECT_EQ(snap.status().code(), Status::Code::kNotFound);
+  auto answer = GridQuery(engine, MetricKey("nope"));
+  EXPECT_FALSE(answer.ok());
+  EXPECT_EQ(answer.status().code(), Status::Code::kNotFound);
   EXPECT_EQ(engine.TotalRecorded(MetricKey("nope")), 0);
 }
 
@@ -186,9 +197,9 @@ TEST(EngineTest, BatchIngestCountsAndWindowEviction) {
   }
 
   EXPECT_EQ(engine.TotalRecorded(key), 10 * per_tick);
-  auto snap = engine.Snapshot(key);
-  ASSERT_TRUE(snap.ok());
-  const MetricSnapshot& s = snap.ValueOrDie();
+  auto answer = GridQuery(engine, key);
+  ASSERT_TRUE(answer.ok());
+  const QueryResult& s = answer.ValueOrDie();
   EXPECT_EQ(s.window_count, 4 * per_tick);  // exactly the live window
   EXPECT_EQ(s.num_summaries, 4 * 4);        // 4 shards x 4 sub-windows
   EXPECT_EQ(s.num_shards, 4);
@@ -207,13 +218,11 @@ TEST(EngineTest, BufferedRecordsInvisibleUntilFlush) {
   engine.Flush();
   EXPECT_EQ(engine.TotalRecorded(key), 100);
   engine.Tick();
-  auto snap = engine.Snapshot(key);
-  ASSERT_TRUE(snap.ok());
-  EXPECT_EQ(snap.ValueOrDie().window_count, 100);
+  EXPECT_EQ(WindowCount(engine, key), 100);
 }
 
 // The acceptance-criteria test: concurrent ingest from 4 writer threads
-// across 2 metric keys; merged Snapshot quantiles must match a
+// across 2 metric keys; merged grid quantiles must match a
 // single-threaded QloveOperator oracle within the operator's rank-error
 // tolerance, and no update may be lost.
 TEST(EngineTest, ConcurrentIngestMatchesSingleOperatorOracle) {
@@ -269,9 +278,9 @@ TEST(EngineTest, ConcurrentIngestMatchesSingleOperatorOracle) {
     SCOPED_TRACE(keys[m].ToString());
     // No lost updates.
     EXPECT_EQ(engine.TotalRecorded(keys[m]), kWindow);
-    auto snap = engine.Snapshot(keys[m]);
-    ASSERT_TRUE(snap.ok());
-    const MetricSnapshot& merged = snap.ValueOrDie();
+    auto answer = GridQuery(engine, keys[m]);
+    ASSERT_TRUE(answer.ok());
+    const QueryResult& merged = answer.ValueOrDie();
     EXPECT_EQ(merged.window_count, kWindow);
 
     // Single-threaded oracle over the identical multiset, same boundaries.
@@ -298,7 +307,8 @@ TEST(EngineTest, ConcurrentIngestMatchesSingleOperatorOracle) {
 
     for (size_t i = 0; i < options.phis.size(); ++i) {
       const double phi = options.phis[i];
-      const double merged_err = RankError(sorted, merged.estimates[i], phi);
+      const double merged_err =
+          RankError(sorted, merged.outcomes[i].value, phi);
       const double oracle_err =
           RankError(sorted, oracle_estimates[i], phi);
       SCOPED_TRACE("phi=" + std::to_string(phi) +
@@ -322,7 +332,7 @@ TEST(EngineTest, ConcurrentIngestMatchesSingleOperatorOracle) {
           core::PlanFewK(phi, options.shard_window.size,
                          options.shard_window.period, core::QloveOptions().fewk);
       if (plan.topk_enabled) {
-        EXPECT_NE(merged.sources[i], core::OutcomeSource::kLevel2)
+        EXPECT_NE(merged.outcomes[i].source, core::OutcomeSource::kLevel2)
             << "phi=" << phi;
       }
     }
@@ -360,24 +370,23 @@ TEST(EngineTest, ShardMergeAccuracyAgainstExact) {
   for (MergeStrategy strategy :
        {MergeStrategy::kWeightedMean, MergeStrategy::kWeightedMedian}) {
     SCOPED_TRACE(strategy == MergeStrategy::kWeightedMean ? "mean" : "median");
-    SnapshotOptions snapshot_options;
-    snapshot_options.strategy = strategy;
-    auto snap = engine.Snapshot(key, snapshot_options);
-    ASSERT_TRUE(snap.ok());
-    const MetricSnapshot& merged = snap.ValueOrDie();
-    ASSERT_EQ(merged.estimates.size(), options.phis.size());
+    auto answer = GridQuery(engine, key, strategy);
+    ASSERT_TRUE(answer.ok());
+    const QueryResult& merged = answer.ValueOrDie();
+    ASSERT_EQ(merged.outcomes.size(), options.phis.size());
     EXPECT_EQ(merged.window_count, kWindow);
 
     double previous = -1.0;
     for (size_t i = 0; i < options.phis.size(); ++i) {
       const double phi = options.phis[i];
-      const double err = RankError(sorted, merged.estimates[i], phi);
+      const double estimate = merged.outcomes[i].value;
+      const double err = RankError(sorted, estimate, phi);
       SCOPED_TRACE("phi=" + std::to_string(phi) +
-                   " estimate=" + std::to_string(merged.estimates[i]) +
+                   " estimate=" + std::to_string(estimate) +
                    " err=" + std::to_string(err));
       EXPECT_LE(err, phi >= 0.99 ? 0.005 : 0.02);
-      EXPECT_GE(merged.estimates[i], previous);  // monotone in phi
-      previous = merged.estimates[i];
+      EXPECT_GE(estimate, previous);  // monotone in phi
+      previous = estimate;
     }
   }
 }
@@ -413,20 +422,20 @@ TEST(EngineTest, EmptyTicksStillExpireOldSubWindows) {
   ASSERT_TRUE(
       engine.RecordBatch(key, workload::Materialize(&gen, 1024)).ok());
   engine.Tick();
-  auto snap = engine.Snapshot(key);
-  ASSERT_TRUE(snap.ok());
-  EXPECT_EQ(snap.ValueOrDie().window_count, 1024);
+  auto answer = GridQuery(engine, key);
+  ASSERT_TRUE(answer.ok());
+  EXPECT_EQ(answer.ValueOrDie().window_count, 1024);
 
   for (int i = 0; i < 3; ++i) engine.Tick();  // still within the window
-  snap = engine.Snapshot(key);
-  ASSERT_TRUE(snap.ok());
-  EXPECT_EQ(snap.ValueOrDie().window_count, 1024);
+  answer = GridQuery(engine, key);
+  ASSERT_TRUE(answer.ok());
+  EXPECT_EQ(answer.ValueOrDie().window_count, 1024);
 
   engine.Tick();  // 4 empty boundaries since the data: epoch aged out
-  snap = engine.Snapshot(key);
-  ASSERT_TRUE(snap.ok());
-  EXPECT_EQ(snap.ValueOrDie().window_count, 0);
-  EXPECT_EQ(snap.ValueOrDie().num_summaries, 0);
+  answer = GridQuery(engine, key);
+  ASSERT_TRUE(answer.ok());
+  EXPECT_EQ(answer.ValueOrDie().window_count, 0);
+  EXPECT_EQ(answer.ValueOrDie().num_summaries, 0);
 }
 
 TEST(EngineTest, NonFiniteTelemetryIsDroppedConsistently) {
@@ -439,24 +448,22 @@ TEST(EngineTest, NonFiniteTelemetryIsDroppedConsistently) {
   ASSERT_TRUE(engine.RecordBatch(key, {1.0, nan, 2.0, inf, 3.0}).ok());
   engine.Tick();
   EXPECT_EQ(engine.TotalRecorded(key), 3);
-  auto snap = engine.Snapshot(key);
-  ASSERT_TRUE(snap.ok());
-  EXPECT_EQ(snap.ValueOrDie().window_count, 3);
+  EXPECT_EQ(WindowCount(engine, key), 3);
 }
 
-TEST(EngineTest, SnapshotAllCoversEveryMetric) {
+TEST(EngineTest, WildcardQueryCoversEveryMetric) {
   TelemetryEngine engine;
   ASSERT_TRUE(engine.RecordBatch(MetricKey("a"), {1.0, 2.0, 3.0}).ok());
   ASSERT_TRUE(engine.RecordBatch(MetricKey("b"), {4.0, 5.0}).ok());
   engine.Tick();
-  auto snaps = engine.SnapshotAll();
-  ASSERT_EQ(snaps.size(), 2u);
-  int64_t total = 0;
-  for (const MetricSnapshot& s : snaps) total += s.window_count;
-  EXPECT_EQ(total, 5);
+  auto all = engine.Query(
+      QuerySpec::ForSelector({"", {}}).With(QueryRequest::Count()));
+  ASSERT_TRUE(all.ok());
+  ASSERT_EQ(all.ValueOrDie().matched.size(), 2u);
+  EXPECT_EQ(all.ValueOrDie().window_count, 5);
 }
 
-TEST(EngineTest, SnapshotAllIsSortedAndSkipsPreFirstTickMetrics) {
+TEST(EngineTest, ExportIsSortedAndSkipsPreFirstTickMetrics) {
   TelemetryEngine engine;
   // Registered in non-canonical order; output must come back sorted by
   // canonical key regardless of registry hash order.
@@ -467,28 +474,28 @@ TEST(EngineTest, SnapshotAllIsSortedAndSkipsPreFirstTickMetrics) {
       engine.RecordBatch(MetricKey("aa", {{"host", "a"}}), {3.0}).ok());
   engine.Tick();
 
-  // Registered after the last Tick: no window state yet. SnapshotAll must
-  // skip it (not crash on it, not report a phantom window); an explicit
-  // Snapshot still serves it.
+  // Registered after the last Tick: no window state yet. Export must
+  // skip it (not crash on it, not ship a phantom window); an explicit
+  // Query still serves it.
   const MetricKey late("late");
   ASSERT_TRUE(engine.RegisterMetric(late).ok());
 
-  auto snaps = engine.SnapshotAll();
-  ASSERT_EQ(snaps.size(), 3u);
-  EXPECT_EQ(snaps[0].key.ToString(), "aa{host=a}");
-  EXPECT_EQ(snaps[1].key.ToString(), "aa{host=b}");
-  EXPECT_EQ(snaps[2].key.ToString(), "zz");
-  EXPECT_TRUE(engine.Snapshot(late).ok());
+  const WireSnapshot shipped = test_util::FullSnapshot(engine, "h");
+  ASSERT_EQ(shipped.metrics.size(), 3u);
+  EXPECT_EQ(shipped.metrics[0].key.ToString(), "aa{host=a}");
+  EXPECT_EQ(shipped.metrics[1].key.ToString(), "aa{host=b}");
+  EXPECT_EQ(shipped.metrics[2].key.ToString(), "zz");
+  EXPECT_TRUE(GridQuery(engine, late).ok());
 
-  // After the next Tick the late metric joins the sweep.
+  // After the next Tick the late metric joins the export.
   engine.Tick();
-  EXPECT_EQ(engine.SnapshotAll().size(), 4u);
+  EXPECT_EQ(test_util::FullSnapshot(engine, "h").metrics.size(), 4u);
 }
 
 // The acceptance-criteria test for the backend seam: one engine serves
 // three metrics on three different backends (qlove / gk / exact)
-// concurrently, with multi-threaded ingest; each metric's merged Snapshot
-// must match its single-operator oracle — the exact paper-rank quantile of
+// concurrently, with multi-threaded ingest; each metric's merged grid
+// quantiles must match its single-operator oracle — the exact paper-rank quantile of
 // the ingested multiset — within that backend's rank-error tolerance.
 TEST(EngineTest, MixedBackendsServeConcurrently) {
   constexpr int kThreads = 4;
@@ -561,9 +568,9 @@ TEST(EngineTest, MixedBackendsServeConcurrently) {
   for (size_t m = 0; m < metrics.size(); ++m) {
     SCOPED_TRACE(metrics[m].key.ToString());
     EXPECT_EQ(engine.TotalRecorded(metrics[m].key), kWindow);
-    auto snap = engine.Snapshot(metrics[m].key);
-    ASSERT_TRUE(snap.ok());
-    const MetricSnapshot& merged = snap.ValueOrDie();
+    auto answer = GridQuery(engine, metrics[m].key);
+    ASSERT_TRUE(answer.ok());
+    const QueryResult& merged = answer.ValueOrDie();
     EXPECT_EQ(merged.backend, metrics[m].backend.kind);
     EXPECT_EQ(merged.window_count, kWindow);
     EXPECT_EQ(merged.num_shards, kShards);
@@ -580,17 +587,19 @@ TEST(EngineTest, MixedBackendsServeConcurrently) {
       const double phi = options.phis[i];
       const double tol =
           phi >= 0.99 ? metrics[m].tail_tol : metrics[m].body_tol;
-      const double err = RankError(sorted, merged.estimates[i], phi);
+      const double estimate = merged.outcomes[i].value;
+      const double err = RankError(sorted, estimate, phi);
       SCOPED_TRACE("phi=" + std::to_string(phi) +
-                   " estimate=" + std::to_string(merged.estimates[i]) +
+                   " estimate=" + std::to_string(estimate) +
                    " err=" + std::to_string(err));
       EXPECT_LE(err, tol);
-      EXPECT_GE(merged.estimates[i], previous);
-      previous = merged.estimates[i];
+      EXPECT_GE(estimate, previous);
+      previous = estimate;
       // Non-qlove backends answer through the weighted sketch merge and
       // must say so per quantile.
       if (metrics[m].backend.kind != BackendKind::kQlove) {
-        EXPECT_EQ(merged.sources[i], core::OutcomeSource::kSketchMerge);
+        EXPECT_EQ(merged.outcomes[i].source,
+                  core::OutcomeSource::kSketchMerge);
       }
     }
   }
@@ -666,7 +675,7 @@ TEST(EngineTest, IdleMetricsAreEvictedAfterHorizonAndCanReRegister) {
     engine.Tick();
   }
   EXPECT_EQ(engine.metric_count(), 1u);
-  EXPECT_EQ(engine.Snapshot(cold).status().code(), Status::Code::kNotFound);
+  EXPECT_EQ(GridQuery(engine, cold).status().code(), Status::Code::kNotFound);
   EXPECT_EQ(engine.TotalRecorded(cold), 0);
   EXPECT_EQ(engine.TotalRecorded(hot), 3 + 4);
 
@@ -681,9 +690,7 @@ TEST(EngineTest, IdleMetricsAreEvictedAfterHorizonAndCanReRegister) {
   engine.Tick();
   EXPECT_EQ(engine.metric_count(), 2u);
   EXPECT_EQ(engine.TotalRecorded(cold), 1);
-  auto snap = engine.Snapshot(cold);
-  ASSERT_TRUE(snap.ok());
-  EXPECT_EQ(snap.ValueOrDie().window_count, 1);
+  EXPECT_EQ(WindowCount(engine, cold), 1);
 }
 
 // Over-budget engines spend idle metrics before touching active ones, and
@@ -708,7 +715,7 @@ TEST(EngineTest, MemoryBudgetEvictsIdleMetricsFirst) {
   engine.Flush();
   engine.Tick();  // cold is now idle and the engine is over budget
   EXPECT_EQ(engine.metric_count(), 1u);
-  EXPECT_EQ(engine.Snapshot(cold).status().code(), Status::Code::kNotFound);
+  EXPECT_EQ(GridQuery(engine, cold).status().code(), Status::Code::kNotFound);
   // The degraded replacement started an empty gk metric; only the
   // post-degrade record survives in `hot` (the rest rolled into
   // evicted_events).
@@ -739,11 +746,11 @@ TEST(EngineTest, CardinalityThresholdDegradesNewRegistrations) {
 
   int degraded = 0;
   for (int i = 0; i < 8; ++i) {
-    auto snap = engine.Snapshot(keys[i]);
-    ASSERT_TRUE(snap.ok()) << i;
-    if (snap.ValueOrDie().backend == BackendKind::kGk) ++degraded;
+    auto answer = GridQuery(engine, keys[i]);
+    ASSERT_TRUE(answer.ok()) << i;
+    if (answer.ValueOrDie().backend == BackendKind::kGk) ++degraded;
     // Below the threshold nothing degrades.
-    if (i < 4) EXPECT_EQ(snap.ValueOrDie().backend, BackendKind::kQlove);
+    if (i < 4) EXPECT_EQ(answer.ValueOrDie().backend, BackendKind::kQlove);
   }
   EXPECT_EQ(degraded, 4);  // registrations 4..7 crossed the threshold
   EXPECT_GE(engine.Stats().degrades, 4);

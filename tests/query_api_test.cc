@@ -16,8 +16,12 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/aggregator.h"
 #include "engine/engine.h"
+#include "export_util.h"
+#include "grid_query.h"
 #include "rank_error.h"
+#include "wal_util.h"
 #include "workload/generators.h"
 
 namespace qlove {
@@ -147,17 +151,11 @@ TEST(QueryApiTest, OffGridPhiInterpolationBoundsVsExactOracle) {
   EXPECT_TRUE(std::isfinite(r.outcomes[0].value_error_bound));
   EXPECT_GT(r.outcomes[0].value_error_bound, 0.0);
 
-  // On-grid phis keep serving exactly what Snapshot serves.
+  // On-grid phis carry no interpolation term.
   auto on_grid = engine.Query(QuerySpec::ForKey(key)
                                   .With(QueryRequest::Quantile(0.5))
                                   .With(QueryRequest::Quantile(0.999)));
   ASSERT_TRUE(on_grid.ok());
-  auto snap = engine.Snapshot(key);
-  ASSERT_TRUE(snap.ok());
-  EXPECT_EQ(on_grid.ValueOrDie().outcomes[0].value,
-            snap.ValueOrDie().estimates[0]);
-  EXPECT_EQ(on_grid.ValueOrDie().outcomes[1].value,
-            snap.ValueOrDie().estimates[3]);
   EXPECT_EQ(on_grid.ValueOrDie().outcomes[0].rank_error_bound, 0.0);
 }
 
@@ -233,20 +231,19 @@ TEST(QueryApiTest, SelectorRollupMatchesSingleMetricUnionOracle) {
     EXPECT_LT(r.matched[i - 1].ToString(), r.matched[i].ToString());
   }
 
-  auto oracle_snap = oracle.Snapshot(union_key);
-  ASSERT_TRUE(oracle_snap.ok());
-  EXPECT_EQ(oracle_snap.ValueOrDie().window_count, kUnion);
+  auto oracle_answer = test_util::GridQuery(oracle, union_key);
+  ASSERT_TRUE(oracle_answer.ok());
+  const QueryResult& o = oracle_answer.ValueOrDie();
+  EXPECT_EQ(o.window_count, kUnion);
 
   const std::vector<double> phis = {0.5, 0.9, 0.99};
   for (size_t i = 0; i < phis.size(); ++i) {
     const double tol = phis[i] >= 0.99 ? 0.01 : 0.03;
     const double rollup_err = RankError(sorted, r.outcomes[i].value, phis[i]);
-    const double oracle_err =
-        RankError(sorted, oracle_snap.ValueOrDie().estimates[i], phis[i]);
+    const double oracle_err = RankError(sorted, o.outcomes[i].value, phis[i]);
     SCOPED_TRACE("phi=" + std::to_string(phis[i]) +
                  " rollup=" + std::to_string(r.outcomes[i].value) +
-                 " oracle=" +
-                 std::to_string(oracle_snap.ValueOrDie().estimates[i]));
+                 " oracle=" + std::to_string(o.outcomes[i].value));
     // The rollup must hold the same budget the union-stream oracle holds.
     EXPECT_LE(oracle_err, tol);
     EXPECT_LE(rollup_err, tol);
@@ -672,11 +669,6 @@ TEST(QueryCacheTest, TickInvalidatesCachedQueryAnswers) {
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after.ValueOrDie().outcomes[0].value, 2048.0);
   EXPECT_EQ(after.ValueOrDie().outcomes[1].value, 10.0);  // p50 of {10,90}
-
-  // Snapshot rides the same cache and must agree.
-  auto snap = engine.Snapshot(key);
-  ASSERT_TRUE(snap.ok());
-  EXPECT_EQ(snap.ValueOrDie().window_count, 2048);
 }
 
 TEST(QueryCacheTest, InflightCountStaysLiveBetweenTicks) {
@@ -702,9 +694,6 @@ TEST(QueryCacheTest, InflightCountStaysLiveBetweenTicks) {
   // Window state is cached (Count unchanged) but inflight is re-read.
   EXPECT_EQ(second.ValueOrDie().outcomes[0].value, 1024.0);
   EXPECT_EQ(second.ValueOrDie().inflight_count, 300);
-  auto all = engine.SnapshotAll();
-  ASSERT_EQ(all.size(), 1u);
-  EXPECT_EQ(all[0].inflight_count, 300);
 
   engine.Tick();
   auto third = engine.Query(spec);
@@ -740,6 +729,140 @@ TEST(QueryCacheTest, CmqsAnswerDoesNotDependOnAnEarlierQuery) {
   const double cold = count_after(false);
   EXPECT_EQ(count_after(true), cold);
   EXPECT_EQ(cold, 1500.0);
+}
+
+// ---------------------------------------------------------------------------
+// One pool rule on both tiers
+// ---------------------------------------------------------------------------
+
+TEST(QueryApiTest, AgentRefusesPoolAcrossDisagreeingGrids) {
+  // A WAL-recovered metric keeps the grid it was logged with, so one
+  // engine can hold qlove metrics on two grids. Pooling them natively
+  // would average one metric's p90 with the other's p95; the agent must
+  // refuse exactly as an aggregator fed the same state does.
+  test_util::ScopedWalDir dir;
+  const MetricKey crashed("lat", {{"host", "x"}});
+  const MetricKey live("lat", {{"host", "y"}});
+  {
+    EngineOptions options = MakeOptions(BackendKind::kQlove);
+    options.phis = {0.5, 0.9, 0.99, 0.999};
+    TelemetryEngine engine(options);
+    ASSERT_TRUE(engine.EnableWal(dir.path()).ok());
+    workload::NetMonGenerator gen(71);
+    FeedWindow(&engine, crashed, workload::Materialize(&gen, 2 * kPerTick));
+  }
+  EngineOptions options = MakeOptions(BackendKind::kQlove);
+  options.phis = {0.5, 0.95, 0.99, 0.999};
+  TelemetryEngine engine(options);
+  auto recovered = engine.RecoverFromWal(dir.path());
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  ASSERT_EQ(recovered.ValueOrDie().metrics, 1);
+  workload::NetMonGenerator gen(72);
+  FeedWindow(&engine, live, workload::Materialize(&gen, kPerTick));
+
+  const QuerySpec spec = QuerySpec::ForSelector(TagSelector{"lat", {}})
+                             .With(QueryRequest::Quantile(0.9));
+  auto agent = engine.Query(spec);
+  EXPECT_EQ(agent.status().code(), Status::Code::kFailedPrecondition);
+
+  AggregatorEngine host;
+  ASSERT_TRUE(host.IngestFrame(test_util::FullFrame(engine, "b")).ok());
+  auto pooled = host.Query(spec);
+  EXPECT_EQ(pooled.status().code(), Status::Code::kFailedPrecondition);
+  EXPECT_EQ(agent.status().ToString(), pooled.status().ToString());
+
+  // Each metric alone still serves on its own grid.
+  EXPECT_TRUE(engine.Query(QuerySpec::ForKey(crashed)
+                               .With(QueryRequest::Quantile(0.9)))
+                  .ok());
+  EXPECT_TRUE(
+      engine.Query(QuerySpec::ForKey(live).With(QueryRequest::Quantile(0.9)))
+          .ok());
+}
+
+TEST(QueryApiTest, OneShardAgentAnswersBitIdenticallyToHost) {
+  // At one shard an agent's export carries exactly the summaries its own
+  // queries pool, so a host fed the full frame must answer every target —
+  // single keys, same-kind rollups and the mixed name-wide rollup —
+  // bit for bit like the agent. (At more shards the agent pools
+  // per-shard summaries while the host pools the coalesced one, and the
+  // answers differ by design.)
+  EngineOptions options;
+  options.num_shards = 1;
+  options.shard_window = WindowSpec(2048, 256);
+  TelemetryEngine engine(options);
+
+  const std::vector<BackendKind> kinds = {BackendKind::kQlove,
+                                          BackendKind::kGk, BackendKind::kCmqs,
+                                          BackendKind::kExact};
+  std::vector<MetricKey> keys;
+  for (BackendKind kind : kinds) {
+    BackendOptions backend;
+    backend.kind = kind;
+    backend.epsilon = 0.0005;
+    for (const char* host : {"h0", "h1"}) {
+      keys.push_back(MetricKey("lat")
+                         .WithTag("kind", BackendKindName(kind))
+                         .WithTag("host", host));
+      ASSERT_TRUE(engine.RegisterMetric(keys.back(), backend).ok());
+    }
+  }
+  for (int tick = 0; tick < 6; ++tick) {
+    for (size_t k = 0; k < keys.size(); ++k) {
+      workload::NetMonGenerator gen(500 + 10 * k + tick);
+      ASSERT_TRUE(
+          engine.RecordBatch(keys[k], workload::Materialize(&gen, 256)).ok());
+    }
+    engine.Tick();
+  }
+  AggregatorEngine host;
+  ASSERT_TRUE(host.IngestFrame(test_util::FullFrame(engine, "agent")).ok());
+
+  std::vector<QuerySpec> targets;
+  for (const MetricKey& key : keys) targets.push_back(QuerySpec::ForKey(key));
+  for (BackendKind kind : kinds) {
+    targets.push_back(QuerySpec::ForSelector(
+        TagSelector{"lat", {{"kind", BackendKindName(kind)}}}));
+  }
+  targets.push_back(QuerySpec::ForSelector(TagSelector{"lat", {}}));
+
+  int outcomes = 0;
+  for (QuerySpec& spec : targets) {
+    spec.With(QueryRequest::Quantile(0.5))
+        .With(QueryRequest::Quantile(0.97))
+        .With(QueryRequest::Quantile(0.99))
+        .With(QueryRequest::Rank(900.0))
+        .With(QueryRequest::Count());
+    SCOPED_TRACE(DescribeQuerySpec(spec));
+    auto agent = engine.Query(spec);
+    auto pooled = host.Query(spec);
+    ASSERT_TRUE(agent.ok()) << agent.status().ToString();
+    ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
+    const QueryResult& a = agent.ValueOrDie();
+    const QueryResult& h = pooled.ValueOrDie();
+    EXPECT_EQ(a.matched, h.matched);
+    EXPECT_EQ(a.backend, h.backend);
+    EXPECT_EQ(a.mixed_backends, h.mixed_backends);
+    EXPECT_EQ(a.window_count, h.window_count);
+    EXPECT_EQ(a.num_summaries, h.num_summaries);
+    EXPECT_EQ(a.num_shards, h.num_shards);
+    EXPECT_EQ(a.inflight_count, h.inflight_count);
+    EXPECT_EQ(a.burst_active, h.burst_active);
+    ASSERT_EQ(a.outcomes.size(), h.outcomes.size());
+    for (size_t i = 0; i < a.outcomes.size(); ++i) {
+      SCOPED_TRACE("request " + std::to_string(i));
+      EXPECT_EQ(a.outcomes[i].status.ToString(),
+                h.outcomes[i].status.ToString());
+      EXPECT_EQ(a.outcomes[i].value, h.outcomes[i].value);
+      EXPECT_EQ(a.outcomes[i].source, h.outcomes[i].source);
+      EXPECT_EQ(a.outcomes[i].rank_error_bound,
+                h.outcomes[i].rank_error_bound);
+      EXPECT_EQ(a.outcomes[i].value_error_bound,
+                h.outcomes[i].value_error_bound);
+      ++outcomes;
+    }
+  }
+  EXPECT_EQ(outcomes, 65);
 }
 
 }  // namespace

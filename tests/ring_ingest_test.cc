@@ -116,14 +116,17 @@ TEST_P(RingIngestEquivalenceTest, ByteIdenticalToDirectBackendIngest) {
     if (start % 3000 == 0) {
       BackendSummary mid_oracle;
       oracle->SummaryInto(&mid_oracle);
-      EXPECT_EQ(shard.Snapshot(), mid_oracle);
+      BackendSummary mid_ring;
+      shard.SnapshotInto(&mid_ring);
+      EXPECT_EQ(mid_ring, mid_oracle);
     }
   }
   oracle->Tick();
   shard.CloseSubWindow();
 
   const BackendSummary oracle_summary = oracle->Summary();
-  const BackendSummary ring_summary = shard.Snapshot();
+  BackendSummary ring_summary;
+  shard.SnapshotInto(&ring_summary);
   EXPECT_EQ(ring_summary, oracle_summary);
   EXPECT_EQ(shard.InflightCount(), oracle->InflightCount());
   EXPECT_EQ(shard.QueryRank(values[0]), oracle->QueryRank(values[0]));

@@ -27,6 +27,7 @@
 #include "engine/engine.h"
 #include "engine/wire.h"
 #include "export_util.h"
+#include "grid_query.h"
 #include "wal_util.h"
 #include "workload/generators.h"
 
@@ -488,17 +489,17 @@ TEST(EngineWalTest, RecoverRoundTripsQloveAndGk) {
             << "diverged at post-recovery tick " << t;
       }
     }
-    auto live_snap = engine.Snapshot(key);
-    auto back_snap = recovered.Snapshot(key);
-    ASSERT_TRUE(live_snap.ok());
-    ASSERT_TRUE(back_snap.ok());
-    EXPECT_EQ(back_snap.ValueOrDie().window_count,
-              live_snap.ValueOrDie().window_count);
-    ASSERT_EQ(back_snap.ValueOrDie().estimates.size(),
-              live_snap.ValueOrDie().estimates.size());
-    for (size_t q = 0; q < live_snap.ValueOrDie().estimates.size(); ++q) {
-      const double live_value = live_snap.ValueOrDie().estimates[q];
-      const double back_value = back_snap.ValueOrDie().estimates[q];
+    auto live_answer = test_util::GridQuery(engine, key);
+    auto back_answer = test_util::GridQuery(recovered, key);
+    ASSERT_TRUE(live_answer.ok());
+    ASSERT_TRUE(back_answer.ok());
+    EXPECT_EQ(back_answer.ValueOrDie().window_count,
+              live_answer.ValueOrDie().window_count);
+    ASSERT_EQ(back_answer.ValueOrDie().outcomes.size(),
+              live_answer.ValueOrDie().outcomes.size());
+    for (size_t q = 0; q < live_answer.ValueOrDie().outcomes.size(); ++q) {
+      const double live_value = live_answer.ValueOrDie().outcomes[q].value;
+      const double back_value = back_answer.ValueOrDie().outcomes[q].value;
       const double scale = std::max(std::abs(live_value), 1.0);
       EXPECT_NEAR(back_value, live_value, 0.05 * scale)
           << BackendKindName(kind) << " phi index " << q;
