@@ -433,19 +433,6 @@ RunResult RunOnce(engine::BackendKind kind, int num_shards, int num_threads,
         std::exit(1);
       }
     }
-    auto decoded = engine::DecodeFrame(frames[0]);
-    if (!decoded.ok()) {
-      std::fprintf(stderr, "FATAL: decode(%s) failed: %s\n",
-                   engine::BackendKindName(kind),
-                   decoded.status().ToString().c_str());
-      std::exit(1);
-    }
-    const engine::WireSnapshot exported =
-        std::move(decoded.ValueOrDie().snapshot);
-    if (!exported.metrics.empty()) {
-      result.wire_bytes_per_metric =
-          frames[0].size() / exported.metrics.size();
-    }
     engine::AggregatorEngine aggregator;
     Stopwatch merge_watch;
     merge_watch.Start();
@@ -472,6 +459,18 @@ RunResult RunOnce(engine::BackendKind kind, int num_shards, int num_threads,
         merge_elapsed > 0.0
             ? kMergeRounds * kAgents / merge_elapsed / 1e3
             : 0.0;
+    auto held = aggregator.SourceSnapshot("agent-0");
+    if (!held.ok()) {
+      std::fprintf(stderr, "FATAL: held state(%s) missing: %s\n",
+                   engine::BackendKindName(kind),
+                   held.status().ToString().c_str());
+      std::exit(1);
+    }
+    const engine::WireSnapshot exported = held.TakeValue();
+    if (!exported.metrics.empty()) {
+      result.wire_bytes_per_metric =
+          frames[0].size() / exported.metrics.size();
+    }
 
     // Steady-state delta-sync size: first export through the cursor is a
     // full frame, then each round records one batch, ticks, and ships

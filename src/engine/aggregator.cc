@@ -75,105 +75,200 @@ void AggregatorEngine::CountAccepted() {
   if (self_ != nullptr && accepted % 8 == 0) self_->Tick();
 }
 
-Status AggregatorEngine::Ingest(WireSnapshot snapshot) {
-  const Status status = [&] {
-    ScopedStageTimer timer(SelfIntrospection(), Stage::kAggregatorIngest);
-    return IngestImpl(std::move(snapshot));
-  }();
-  if (status.ok()) {
-    CountAccepted();
-  } else if (status.code() == Status::Code::kFailedPrecondition) {
-    rejected_reordered_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    rejected_invalid_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return status;
-}
-
-Status AggregatorEngine::IngestImpl(WireSnapshot snapshot) {
-  // Wire data is untrusted until its self-described configuration passes
-  // the same validation a local registration would: a summary whose
-  // options cannot serve would poison every fleet query it pools into.
-  // The canonical-key-order contract (engine/wire.h) is enforced too: it
-  // implies key uniqueness, and a frame repeating a key would otherwise
-  // silently double-count its population in every query it matches.
-  for (size_t i = 1; i < snapshot.metrics.size(); ++i) {
-    if (!(snapshot.metrics[i - 1].key < snapshot.metrics[i].key)) {
+Result<AggregatorEngine::IngestAck> AggregatorEngine::ApplyFrame(
+    WireFrame frame) {
+  // Content validation first — malformed payloads get error Statuses (a
+  // resync would not fix them). Wire data is untrusted until its
+  // self-described configuration passes the same validation a local
+  // registration would: a summary whose options cannot serve would poison
+  // every fleet query it pools into. The canonical-key-order contract
+  // (engine/wire.h) is enforced too: it implies key uniqueness, and a
+  // frame repeating a key would otherwise silently double-count its
+  // population in every query it matches.
+  for (size_t i = 0; i < frame.metrics.size(); ++i) {
+    const WireMetricDelta& metric = frame.metrics[i];
+    if (i > 0 && !(frame.metrics[i - 1].key < metric.key)) {
       return Status::InvalidArgument(
-          "snapshot from '" + snapshot.source +
+          "frame from '" + frame.source +
           "': metrics are not in strictly ascending canonical key order (" +
-          snapshot.metrics[i].key.ToString() + " repeats or regresses)");
+          metric.key.ToString() + " repeats or regresses)");
     }
-  }
-  for (const WireMetricSummary& metric : snapshot.metrics) {
+    if (metric.mode != WireDeltaMode::kFull) continue;
     QLOVE_RETURN_NOT_OK(metric.options.shard_window.Validate());
     QLOVE_RETURN_NOT_OK(metric.options.backend.Validate(
         metric.options.shard_window, metric.options.phis));
     for (const BackendSummary& shard : metric.shards) {
       if (shard.kind != metric.options.backend.kind) {
         return Status::InvalidArgument(
-            "snapshot from '" + snapshot.source + "': metric " +
+            "frame from '" + frame.source + "': metric " +
             metric.key.ToString() +
             " ships a summary kind disagreeing with its declared backend");
       }
     }
   }
-  const std::string source = snapshot.source;
+
+  // Allocated before the lock; the graveyards are declared before it too,
+  // so what the frame retires — the replaced metric list (with every
+  // summary of an omitted or kFull-replaced key) and the trimmed
+  // sub-windows — is freed after mu_ is released, not under it.
+  std::vector<size_t> patch_targets(frame.metrics.size());
+  std::vector<WireMetricSummary> metrics;
+  std::vector<uint64_t> lineage;
+  metrics.reserve(frame.metrics.size());
+  lineage.reserve(frame.metrics.size());
+  std::vector<WireMetricSummary> retired_metrics;
+  std::vector<uint64_t> retired_lineage;
+  std::vector<core::SubWindowSummary> trimmed;
+  if (frame.is_delta) {
+    trimmed.reserve(frame.metrics.size());  // steady state: one per metric
+  }
+
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = sources_.find(source);
-  if (it != sources_.end()) {
+  IngestAck nak;
+  nak.resync_required = true;
+  auto it = sources_.find(frame.source);
+  if (frame.is_delta) {
+    if (it == sources_.end()) {
+      // Never seen this agent (or the aggregator restarted): there is no
+      // base state to patch. Ask for a full frame.
+      return nak;
+    }
+    nak.acked_epoch = it->second.snapshot.epoch;
+    if (it->second.snapshot.epoch != frame.base_epoch) {
+      // The delta was built against a state we do not hold (dropped
+      // frame, reordering, or an aggregator-side replacement).
+      return nak;
+    }
+    if (it->second.snapshot.sync_token != frame.sync_token) {
+      // Same epoch number, different engine incarnation: the agent
+      // restarted and its Tick epochs collided with the state we hold.
+      // Patching across incarnations would silently mix two different
+      // windows.
+      return nak;
+    }
+  } else if (it == sources_.end()) {
+    // A full frame creates its source. It cannot NAK below: every one of
+    // its metrics rides kFull.
+    it = sources_.try_emplace(frame.source).first;
+    it->second.snapshot.source = frame.source;
+  } else {
     // An epoch regression within the reorder budget is a delayed frame
     // and must not roll the source's state backwards; beyond it the
     // agent's engine restarted (Tick counters begin at 1 again) and the
     // fresh state replaces the old. Staleness below is measured against
     // ingest recency, so a restarted source serves immediately.
-    const int64_t regression = it->second.snapshot.epoch - snapshot.epoch;
+    const int64_t regression = it->second.snapshot.epoch - frame.epoch;
     if (regression > 0 && regression <= options_.staleness_epochs) {
       return Status::FailedPrecondition(
-          "snapshot from '" + source + "' at epoch " +
-          std::to_string(snapshot.epoch) + " is older than the held epoch " +
+          "frame from '" + frame.source + "' at epoch " +
+          std::to_string(frame.epoch) + " is older than the held epoch " +
           std::to_string(it->second.snapshot.epoch) +
           " (reordered frame, not a restart)");
     }
   }
-  fleet_epoch_ = std::max(fleet_epoch_, snapshot.epoch);
-  if (it != sources_.end()) {
-    // A full frame replaces the source's held state wholesale, so any
-    // held key absent from the new frame is retired fleet-wide (the
-    // agent evicted or degraded it away). Both metric lists are in
-    // canonical key order, so one merge scan counts them.
-    const auto& held = it->second.snapshot.metrics;
-    const auto& fresh = snapshot.metrics;
-    int64_t retired = 0;
-    size_t j = 0;
-    for (const WireMetricSummary& old_metric : held) {
-      while (j < fresh.size() && fresh[j].key < old_metric.key) ++j;
-      if (j >= fresh.size() || old_metric.key < fresh[j].key) {
-        ++retired;
-      } else {
-        ++j;
+
+  // Validate-then-swap, in two passes. The first checks every NAK
+  // condition without touching held state, so a NAK on any metric leaves
+  // the source intact; the second builds the replacement list, moving
+  // each patched summary out of the held list (no copy of the held
+  // window). The frame's metric list is authoritative: held metrics it
+  // omits were unregistered, evicted or degraded away by the sender, and
+  // are dropped and counted retired. Both lists are in canonical key
+  // order (enforced on every ingest), so one merge walk finds every patch
+  // target and every omitted key.
+  SourceState& held = it->second;
+  std::vector<WireMetricSummary>& held_metrics = held.snapshot.metrics;
+  int64_t retired = 0;
+  size_t held_index = 0;
+  for (size_t i = 0; i < frame.metrics.size(); ++i) {
+    const WireMetricDelta& metric = frame.metrics[i];
+    while (held_index < held_metrics.size() &&
+           held_metrics[held_index].key < metric.key) {
+      ++held_index;
+      ++retired;
+    }
+    const bool is_held = held_index < held_metrics.size() &&
+                         held_metrics[held_index].key == metric.key;
+    if (metric.mode == WireDeltaMode::kQloveDelta) {
+      if (!is_held) {
+        return nak;  // patch target unknown — agent and aggregator disagree
       }
+      const WireMetricSummary& target = held_metrics[held_index];
+      if (target.shards.size() != 1 ||
+          target.shards[0].kind != BackendKind::kQlove ||
+          target.options.backend.kind != BackendKind::kQlove) {
+        // Held state is not the coalesced qlove shape deltas patch.
+        return nak;
+      }
+      // kQloveDelta trims held sub-windows older than first_live_epoch
+      // and appends the new ones; the trim only removes from the front,
+      // so the newest held epoch survives it unless everything goes.
+      const auto& subs = target.shards[0].subwindows;
+      const int64_t held_max =
+          !subs.empty() && subs.back().epoch >= metric.first_live_epoch
+              ? subs.back().epoch
+              : -1;
+      if (!metric.new_subwindows.empty() &&
+          metric.new_subwindows.front().epoch <= held_max) {
+        // The "new" sub-windows overlap what we hold: the agent's view of
+        // our state has diverged. Applying would double-count.
+        return nak;
+      }
+      patch_targets[i] = held_index;
     }
-    if (retired > 0) {
-      metrics_retired_.fetch_add(retired, std::memory_order_relaxed);
+    if (is_held) ++held_index;
+  }
+  retired += static_cast<int64_t>(held_metrics.size() - held_index);
+
+  for (size_t i = 0; i < frame.metrics.size(); ++i) {
+    WireMetricDelta& metric = frame.metrics[i];
+    if (metric.mode == WireDeltaMode::kFull) {
+      metrics.push_back({std::move(metric.key), std::move(metric.options),
+                         std::move(metric.shards)});
+      lineage.push_back(++last_lineage_);  // replaced, not patched
+      continue;
     }
+    const size_t target = patch_targets[i];
+    WireMetricSummary& patched = held_metrics[target];
+    BackendSummary& summary = patched.shards[0];
+    auto& subs = summary.subwindows;
+    const auto live = std::lower_bound(
+        subs.begin(), subs.end(), metric.first_live_epoch,
+        [](const core::SubWindowSummary& sub, int64_t epoch) {
+          return sub.epoch < epoch;
+        });
+    trimmed.insert(trimmed.end(), std::make_move_iterator(subs.begin()),
+                   std::make_move_iterator(live));
+    subs.erase(subs.begin(), live);
+    subs.insert(subs.end(),
+                std::make_move_iterator(metric.new_subwindows.begin()),
+                std::make_move_iterator(metric.new_subwindows.end()));
+    summary.count = metric.count;
+    summary.inflight = metric.inflight;
+    summary.burst_active = metric.burst_active;
+    summary.rank_error = metric.rank_error;
+    metrics.push_back(std::move(patched));
+    lineage.push_back(held.lineage[target]);
   }
-  SourceState state;
-  if (it != sources_.end()) {
-    // Frame-type counters survive the state swap: they describe the
-    // stream, not the snapshot.
-    state.full_frames = it->second.full_frames;
-    state.delta_frames = it->second.delta_frames;
+
+  if (retired > 0) {
+    metrics_retired_.fetch_add(retired, std::memory_order_relaxed);
   }
-  state.full_frames += 1;
-  // A full frame replaces every held summary: none continues what this
-  // aggregator may have re-exported before.
-  state.lineage.assign(snapshot.metrics.size(), ++last_lineage_);
-  state.snapshot = std::move(snapshot);
-  state.fleet_epoch_at_ingest = fleet_epoch_;
-  state.last_ingest_unix_s = WallUnixSeconds();
-  sources_.insert_or_assign(source, std::move(state));
-  return Status::OK();
+  held.snapshot.epoch = frame.epoch;
+  held.snapshot.sync_token = frame.sync_token;
+  retired_metrics.swap(held.snapshot.metrics);
+  held.snapshot.metrics = std::move(metrics);
+  retired_lineage.swap(held.lineage);
+  held.lineage = std::move(lineage);
+  // Frame-type counters describe the stream, not the held state.
+  (frame.is_delta ? held.delta_frames : held.full_frames) += 1;
+  fleet_epoch_ = std::max(fleet_epoch_, frame.epoch);
+  held.fleet_epoch_at_ingest = fleet_epoch_;
+  held.last_ingest_unix_s = WallUnixSeconds();
+  IngestAck ack;
+  ack.applied = true;
+  ack.acked_epoch = frame.epoch;
+  return ack;
 }
 
 Result<AggregatorEngine::IngestAck> AggregatorEngine::IngestFrame(
@@ -201,26 +296,20 @@ Result<AggregatorEngine::IngestAck> AggregatorEngine::IngestFrameImpl(
     decode_failures_.fetch_add(1, std::memory_order_relaxed);
     return decoded.status();
   }
-  WireFrame frame = decoded.TakeValue();
-  if (!frame.is_delta) {
-    const int64_t epoch = frame.snapshot.epoch;
-    QLOVE_RETURN_NOT_OK(Ingest(std::move(frame.snapshot)));
-    IngestAck ack;
-    ack.applied = true;
-    ack.acked_epoch = epoch;
-    return ack;
-  }
-
-  // Delta path. Mirrors Ingest's accounting wrapper: timed as the ingest
-  // stage, accepted frames counted, rejections classified. NAKs are a
-  // protocol outcome (the agent resolves them by resyncing), so they are
-  // neither an accepted ingest nor an invalid rejection.
+  const bool is_delta = decoded.ValueOrDie().is_delta;
+  // Timed as the ingest stage, accepted frames counted, rejections
+  // classified. NAKs are a protocol outcome (the agent resolves them by
+  // resyncing), so they are neither an accepted ingest nor a rejection.
   auto applied = [&] {
     ScopedStageTimer timer(SelfIntrospection(), Stage::kAggregatorIngest);
-    return ApplyDelta(std::move(frame.delta));
+    return ApplyFrame(decoded.TakeValue());
   }();
   if (!applied.ok()) {
-    rejected_invalid_.fetch_add(1, std::memory_order_relaxed);
+    auto& rejected =
+        applied.status().code() == Status::Code::kFailedPrecondition
+            ? rejected_reordered_
+            : rejected_invalid_;
+    rejected.fetch_add(1, std::memory_order_relaxed);
     return applied.status();
   }
   const IngestAck ack = applied.ValueOrDie();
@@ -228,9 +317,11 @@ Result<AggregatorEngine::IngestAck> AggregatorEngine::IngestFrameImpl(
     resyncs_requested_.fetch_add(1, std::memory_order_relaxed);
     return ack;
   }
-  wire_bytes_delta_ingested_.fetch_add(static_cast<int64_t>(size),
-                                       std::memory_order_relaxed);
-  delta_ingests_.fetch_add(1, std::memory_order_relaxed);
+  if (is_delta) {
+    wire_bytes_delta_ingested_.fetch_add(static_cast<int64_t>(size),
+                                         std::memory_order_relaxed);
+    delta_ingests_.fetch_add(1, std::memory_order_relaxed);
+  }
   CountAccepted();
   return ack;
 }
@@ -360,167 +451,6 @@ void AggregatorEngine::AppendWalFrame(const uint8_t* data, size_t size) {
     return;
   }
   ++wal_records_since_checkpoint_;
-}
-
-Result<AggregatorEngine::IngestAck> AggregatorEngine::ApplyDelta(
-    WireDelta delta) {
-  // Content validation first — malformed payloads get error Statuses (a
-  // resync would not fix them), exactly as IngestImpl treats full frames.
-  for (size_t i = 1; i < delta.metrics.size(); ++i) {
-    if (!(delta.metrics[i - 1].key < delta.metrics[i].key)) {
-      return Status::InvalidArgument(
-          "delta from '" + delta.source +
-          "': metrics are not in strictly ascending canonical key order (" +
-          delta.metrics[i].key.ToString() + " repeats or regresses)");
-    }
-  }
-  for (const WireMetricDelta& metric : delta.metrics) {
-    if (metric.mode != WireDeltaMode::kFull) continue;
-    QLOVE_RETURN_NOT_OK(metric.options.shard_window.Validate());
-    QLOVE_RETURN_NOT_OK(metric.options.backend.Validate(
-        metric.options.shard_window, metric.options.phis));
-    for (const BackendSummary& shard : metric.shards) {
-      if (shard.kind != metric.options.backend.kind) {
-        return Status::InvalidArgument(
-            "delta from '" + delta.source + "': metric " +
-            metric.key.ToString() +
-            " ships a summary kind disagreeing with its declared backend");
-      }
-    }
-  }
-
-  // Allocated before the lock; the two graveyards are declared before it
-  // too, so what the patch retires — the replaced metric list (with every
-  // summary of an omitted or kFull-replaced key) and the trimmed
-  // sub-windows — is freed after mu_ is released, not under it.
-  std::vector<size_t> patch_targets(delta.metrics.size());
-  std::vector<WireMetricSummary> metrics;
-  std::vector<uint64_t> lineage;
-  metrics.reserve(delta.metrics.size());
-  lineage.reserve(delta.metrics.size());
-  std::vector<WireMetricSummary> retired_metrics;
-  std::vector<uint64_t> retired_lineage;
-  std::vector<core::SubWindowSummary> trimmed;
-  trimmed.reserve(delta.metrics.size());  // steady state: one per metric
-
-  std::lock_guard<std::mutex> lock(mu_);
-  IngestAck nak;
-  nak.resync_required = true;
-  auto it = sources_.find(delta.source);
-  if (it == sources_.end()) {
-    // Never seen this agent (or the aggregator restarted): there is no
-    // base state to patch. Ask for a full frame.
-    nak.acked_epoch = -1;
-    return nak;
-  }
-  SourceState& held = it->second;
-  nak.acked_epoch = held.snapshot.epoch;
-  if (held.snapshot.epoch != delta.base_epoch) {
-    // The delta was built against a state we do not hold (dropped frame,
-    // reordering, or an aggregator-side replacement).
-    return nak;
-  }
-  if (held.snapshot.sync_token != delta.sync_token) {
-    // Same epoch number, different engine incarnation: the agent
-    // restarted and its Tick epochs collided with the state we hold.
-    // Patching across incarnations would silently mix two different
-    // windows.
-    return nak;
-  }
-
-  // Validate-then-swap, in two passes. The first checks every NAK
-  // condition without touching held state, so a NAK on any metric leaves
-  // the source intact; the second moves each held summary into the
-  // replacement list and patches it there (no copy of the held window).
-  // The delta's metric list is authoritative — held metrics it omits were
-  // deregistered on the agent and are dropped here.
-  std::vector<WireMetricSummary>& held_metrics = held.snapshot.metrics;
-  // Both lists are in canonical key order (enforced on every ingest), so
-  // one merge walk finds every patch target.
-  size_t held_index = 0;
-  for (size_t i = 0; i < delta.metrics.size(); ++i) {
-    const WireMetricDelta& metric = delta.metrics[i];
-    while (held_index < held_metrics.size() &&
-           held_metrics[held_index].key < metric.key) {
-      ++held_index;
-    }
-    if (metric.mode == WireDeltaMode::kFull) continue;
-    if (held_index == held_metrics.size() ||
-        !(held_metrics[held_index].key == metric.key)) {
-      return nak;  // patch target unknown — agent and aggregator disagree
-    }
-    const auto held_it = held_metrics.begin() +
-                         static_cast<ptrdiff_t>(held_index);
-    if (held_it->shards.size() != 1 ||
-        held_it->shards[0].kind != BackendKind::kQlove ||
-        held_it->options.backend.kind != BackendKind::kQlove) {
-      // Held state is not the coalesced qlove shape deltas patch.
-      return nak;
-    }
-    // kQloveDelta trims held sub-windows older than first_live_epoch and
-    // appends the new ones; the trim only removes from the front, so the
-    // newest held epoch survives it unless everything goes.
-    const auto& subs = held_it->shards[0].subwindows;
-    const int64_t held_max =
-        !subs.empty() && subs.back().epoch >= metric.first_live_epoch
-            ? subs.back().epoch
-            : -1;
-    if (!metric.new_subwindows.empty() &&
-        metric.new_subwindows.front().epoch <= held_max) {
-      // The "new" sub-windows overlap what we hold: the agent's view of
-      // our state has diverged. Applying would double-count.
-      return nak;
-    }
-    patch_targets[i] = held_index;
-  }
-
-  for (size_t i = 0; i < delta.metrics.size(); ++i) {
-    WireMetricDelta& metric = delta.metrics[i];
-    if (metric.mode == WireDeltaMode::kFull) {
-      WireMetricSummary out;
-      out.key = metric.key;
-      out.options = std::move(metric.options);
-      out.shards = std::move(metric.shards);
-      metrics.push_back(std::move(out));
-      lineage.push_back(++last_lineage_);  // replaced, not patched
-      continue;
-    }
-    const size_t target = patch_targets[i];
-    WireMetricSummary& patched = held_metrics[target];
-    BackendSummary& summary = patched.shards[0];
-    auto& subs = summary.subwindows;
-    const auto live = std::lower_bound(
-        subs.begin(), subs.end(), metric.first_live_epoch,
-        [](const core::SubWindowSummary& sub, int64_t epoch) {
-          return sub.epoch < epoch;
-        });
-    trimmed.insert(trimmed.end(), std::make_move_iterator(subs.begin()),
-                   std::make_move_iterator(live));
-    subs.erase(subs.begin(), live);
-    subs.insert(subs.end(),
-                std::make_move_iterator(metric.new_subwindows.begin()),
-                std::make_move_iterator(metric.new_subwindows.end()));
-    summary.count = metric.count;
-    summary.inflight = metric.inflight;
-    summary.burst_active = metric.burst_active;
-    summary.rank_error = metric.rank_error;
-    metrics.push_back(std::move(patched));
-    lineage.push_back(held.lineage[target]);
-  }
-
-  held.snapshot.epoch = delta.epoch;
-  retired_metrics.swap(held.snapshot.metrics);
-  held.snapshot.metrics = std::move(metrics);
-  retired_lineage.swap(held.lineage);
-  held.lineage = std::move(lineage);
-  held.delta_frames += 1;
-  fleet_epoch_ = std::max(fleet_epoch_, delta.epoch);
-  held.fleet_epoch_at_ingest = fleet_epoch_;
-  held.last_ingest_unix_s = WallUnixSeconds();
-  IngestAck ack;
-  ack.applied = true;
-  ack.acked_epoch = delta.epoch;
-  return ack;
 }
 
 Status AggregatorEngine::Export(std::string source, ExportCursor* cursor,

@@ -4,7 +4,7 @@
 // and an AggregatorEngine pools the decoded summaries to serve fleet-wide
 // queries — the merge-centrally topology the paper's mergeable summaries
 // were built for. The aggregator holds exactly one snapshot per source
-// (a re-ingest replaces the source's previous state wholesale, so its
+// (each frame replaces or patches the source's previous state, so its
 // memory is bounded by fleet size x per-agent summary size, not by time)
 // and serves the full PR-3 query surface (arbitrary-phi quantiles,
 // rank/CDF, counts, tag-selector rollups) through the same WindowView
@@ -104,26 +104,32 @@ class AggregatorEngine {
     int64_t acked_epoch = -1;
   };
 
-  /// Decodes and applies one frame (full or delta) and reports the sync
-  /// verdict — the aggregator's only ingest call.
+  /// Decodes and applies one frame and reports the sync verdict — the
+  /// aggregator's only ingest call. Live ingest, WAL replay and the
+  /// agent's TelemetryEngine::RecoverFromWal all come through here.
   ///
-  /// A full frame replaces the source's state wholesale and acks applied.
-  /// It is rejected InvalidArgument when the bytes do not decode, when a
-  /// metric's self-described options cannot serve (defense against
-  /// corrupt or hostile wire data: the summaries would poison every fleet
-  /// query they pool into), or when metrics violate the wire contract's
-  /// strictly-ascending canonical key order (a repeated key would
-  /// double-count); and FailedPrecondition when the frame's epoch
-  /// regresses by no more than staleness_epochs (a reordered export must
-  /// not roll a source's state backwards; re-ingesting the same epoch is
-  /// idempotent and allowed). A larger regression is an agent restart —
-  /// the engine's Tick counter began again at 1 — and replaces the
-  /// source's state normally.
+  /// Every frame is rejected InvalidArgument when the bytes do not
+  /// decode, when a kFull metric's self-described options cannot serve
+  /// (defense against corrupt or hostile wire data: the summaries would
+  /// poison every fleet query they pool into), or when metrics violate the
+  /// wire contract's strictly-ascending canonical key order (a repeated
+  /// key would double-count). Its metric list is authoritative: a held key
+  /// it omits is dropped (FleetHealthSnapshot::metrics_retired).
   ///
-  /// A delta frame applies atomically against the source's held
-  /// snapshot — on any disagreement the held state is untouched and the
-  /// ack says resync_required (an OK Result: NAKs are protocol flow, not
-  /// failures).
+  /// A full frame is a delta whose every metric rides kFull against no
+  /// base: it creates an unknown source, replaces the source's state
+  /// wholesale and acks applied. It is rejected FailedPrecondition when
+  /// its epoch regresses by no more than staleness_epochs (a reordered
+  /// export must not roll a source's state backwards; re-ingesting the
+  /// same epoch is idempotent and allowed). A larger regression is an
+  /// agent restart — the engine's Tick counter began again at 1 — and
+  /// replaces the source's state normally.
+  ///
+  /// A delta frame applies atomically against the source's held state —
+  /// on any disagreement (unknown source, base epoch or sync token
+  /// mismatch, a patch the held summary cannot take) the held state is
+  /// untouched and the ack says resync_required (an OK Result: NAKs are
+  /// protocol flow, not failures).
   Result<IngestAck> IngestFrame(const uint8_t* data, size_t size);
   Result<IngestAck> IngestFrame(const std::vector<uint8_t>& buffer);
 
@@ -287,10 +293,10 @@ class AggregatorEngine {
   /// accounting.
   Result<QueryResult> Query(const QuerySpec& spec) const;
 
-  /// \brief One source's liveness as of the last Ingest.
+  /// \brief One source's liveness as of its last applied frame.
   struct SourceStatus {
     std::string source;
-    int64_t epoch = 0;        ///< Epoch of the last ingested snapshot.
+    int64_t epoch = 0;        ///< Epoch of the last applied frame.
     bool stale = false;       ///< Trails the fleet epoch beyond the budget.
     /// Fleet epochs elapsed since this source last reported (0 = reported
     /// at the current fleet epoch; stale once beyond staleness_epochs).
@@ -318,7 +324,7 @@ class AggregatorEngine {
     int64_t fleet_epoch = 0;
     int64_t sources_fresh = 0;
     int64_t sources_stale = 0;
-    int64_t ingests = 0;             ///< Snapshots accepted.
+    int64_t ingests = 0;             ///< Frames applied (full + delta).
     int64_t rejected_reordered = 0;  ///< FailedPrecondition (stale frame).
     int64_t rejected_invalid = 0;    ///< InvalidArgument (bad wire data).
     int64_t decode_failures = 0;     ///< IngestFrame decode errors.
@@ -334,7 +340,7 @@ class AggregatorEngine {
     int64_t reexport_dropped = 0;    ///< Same-key summaries dropped from
                                      ///< re-exports over disagreeing
                                      ///< self-described options.
-    int64_t metrics_retired = 0;     ///< Held keys a later full frame no
+    int64_t metrics_retired = 0;     ///< Held keys a later frame no
                                      ///< longer carried (source evicted or
                                      ///< degraded the metric away).
     size_t interned_strings = 0;     ///< Process-wide interner population
@@ -381,10 +387,11 @@ class AggregatorEngine {
   /// is therefore about reporting recency, not absolute Tick counts).
   struct SourceState {
     WireSnapshot snapshot;
-    /// Parallel to snapshot.metrics: the stamp of the full frame or kFull
-    /// metric that established each held summary (kQloveDelta patches
-    /// keep it). Export hands these to ExportCursor::Metric, so a summary
-    /// that was replaced since it was last re-exported rides kFull.
+    /// Parallel to snapshot.metrics: the stamp of the kFull metric (of a
+    /// full frame or a delta) that established each held summary
+    /// (kQloveDelta patches keep it). Export hands these to
+    /// ExportCursor::Metric, so a summary that was replaced since it was
+    /// last re-exported rides kFull.
     std::vector<uint64_t> lineage;
     int64_t fleet_epoch_at_ingest = 0;
     int64_t full_frames = 0;   ///< Full snapshots applied.
@@ -407,16 +414,10 @@ class AggregatorEngine {
            options_.staleness_epochs;
   }
 
-  /// Applies one decoded full frame (see IngestFrame for the rejection
-  /// rules), with timing and the accept/reject accounting around
-  /// IngestImpl.
-  Status Ingest(WireSnapshot snapshot);
-  /// The validate-and-swap itself.
-  Status IngestImpl(WireSnapshot snapshot);
   /// Counts one accepted frame and, every few, Ticks the self-metrics
   /// engine so FleetHealth's latency sketches stay current.
   void CountAccepted();
-  /// The decode-and-dispatch behind IngestFrame; the public wrapper adds
+  /// The decode-and-apply behind IngestFrame; the public wrapper adds
   /// the WAL hooks (checkpoint-before-apply, append-after-apply). Replay
   /// calls this directly — the WAL is not yet enabled during recovery, so
   /// replayed frames are never re-logged.
@@ -427,22 +428,23 @@ class AggregatorEngine {
   void MaybeCheckpointWal();
   /// Appends one applied frame's raw bytes as a non-checkpoint record.
   void AppendWalFrame(const uint8_t* data, size_t size);
-  /// Applies one delta frame against the source's held snapshot —
-  /// validate-then-swap, so a NAK or error leaves the held state
+  /// Applies one decoded frame, full or delta (see IngestFrame for the
+  /// rules) — validate-then-swap, so a NAK or error leaves the held state
   /// untouched. OK acks carry the protocol verdict; error Statuses are
-  /// reserved for malformed frame CONTENT (negative counts, grid-size
-  /// mismatches) that no resync would fix differently.
+  /// reserved for malformed frame CONTENT (disordered keys, options that
+  /// cannot serve) that no resync would fix differently, and for a
+  /// reordered full frame.
   ///
   /// Queries wait on mu_, so only the held-state work runs under it:
   /// frame content is validated and the replacement lists are allocated
-  /// before the lock; under it, one merge walk over the delta's and the
-  /// held key lists (both canonical order) checks every NAK condition,
-  /// then each patched summary moves into the replacement list, drops
-  /// its trimmed sub-windows and appends the new ones, and the lists are
-  /// swapped. The retired list and the trimmed sub-windows are destroyed
-  /// after the unlock. Held keys the delta omits are dropped; a kFull
-  /// metric replaces its key's summary under a new lineage stamp.
-  Result<IngestAck> ApplyDelta(WireDelta delta);
+  /// before the lock; under it, one merge walk over the frame's and the
+  /// held key lists (both canonical order) checks every NAK condition and
+  /// counts the held keys the frame omits, then each kFull metric moves
+  /// in under a fresh lineage stamp, each kQloveDelta summary moves over
+  /// from the held list, drops its trimmed sub-windows and appends the new
+  /// ones, and the lists are swapped. The retired list and the trimmed
+  /// sub-windows are destroyed after the unlock.
+  Result<IngestAck> ApplyFrame(WireFrame frame);
   /// The self-metrics engine's stage sink; null when introspection is off.
   Introspection* SelfIntrospection() const;
 

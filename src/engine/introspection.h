@@ -69,8 +69,8 @@ enum class Stage {
   kTick = 2,             ///< CloseSubWindows across every metric.
   kQuery = 3,            ///< One whole TelemetryEngine::Query call.
   kWireEncode = 4,       ///< One TelemetryEngine::Export call.
-  kWireDecode = 5,       ///< DecodeFrame inside AggregatorEngine::IngestFrame.
-  kAggregatorIngest = 6, ///< IngestFrame's validated swap / delta apply.
+  kWireDecode = 5,       ///< DecodeFrame (full or delta) in IngestFrame.
+  kAggregatorIngest = 6, ///< IngestFrame's ApplyFrame, full or delta.
 };
 inline constexpr int kStageCount = 7;
 

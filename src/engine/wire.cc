@@ -585,48 +585,36 @@ void EncodeHeader(uint8_t flags, Writer* w) {
   w->U8(flags);
 }
 
-Status DecodeFullBody(Reader* r, WireSnapshot* snapshot) {
-  QLOVE_RETURN_NOT_OK(r->Str(&snapshot->source));
-  QLOVE_RETURN_NOT_OK(r->Raw64(&snapshot->sync_token));
-  QLOVE_RETURN_NOT_OK(r->NonNegVar(&snapshot->epoch, "snapshot epoch"));
-  uint64_t num_metrics = 0;
-  QLOVE_RETURN_NOT_OK(r->VarCount(&num_metrics, kMinMetricBytes, "metric"));
-  snapshot->metrics.resize(num_metrics);
-  for (WireMetricSummary& metric : snapshot->metrics) {
-    QLOVE_RETURN_NOT_OK(DecodeKey(r, &metric.key));
-    QLOVE_RETURN_NOT_OK(DecodeOptions(r, &metric.options));
-    uint64_t num_shards = 0;
-    QLOVE_RETURN_NOT_OK(r->VarCount(&num_shards, kMinSummaryBytes,
-                                    "shard summary"));
-    metric.shards.resize(num_shards);
-    for (BackendSummary& shard : metric.shards) {
-      QLOVE_RETURN_NOT_OK(DecodeSummary(r, &shard));
+// The body after the flags byte. A full frame has no base epoch and no
+// mode bytes: its records are all kFull, so a full metric is at least
+// kMinMetricBytes long while a delta's kQloveDelta record can be 3.
+Status DecodeBody(Reader* r, WireFrame* frame) {
+  QLOVE_RETURN_NOT_OK(r->Str(&frame->source));
+  QLOVE_RETURN_NOT_OK(r->Raw64(&frame->sync_token));
+  QLOVE_RETURN_NOT_OK(r->NonNegVar(&frame->epoch, "frame epoch"));
+  if (frame->is_delta) {
+    QLOVE_RETURN_NOT_OK(
+        r->NonNegVar(&frame->base_epoch, "delta base epoch"));
+    if (frame->base_epoch > frame->epoch) {
+      return Status::InvalidArgument("wire: delta base epoch exceeds frame "
+                                     "epoch");
     }
   }
-  return Status::OK();
-}
-
-Status DecodeDeltaBody(Reader* r, WireDelta* delta) {
-  QLOVE_RETURN_NOT_OK(r->Str(&delta->source));
-  QLOVE_RETURN_NOT_OK(r->Raw64(&delta->sync_token));
-  QLOVE_RETURN_NOT_OK(r->NonNegVar(&delta->epoch, "delta epoch"));
-  QLOVE_RETURN_NOT_OK(r->NonNegVar(&delta->base_epoch, "delta base epoch"));
-  if (delta->base_epoch > delta->epoch) {
-    return Status::InvalidArgument("wire: delta base epoch exceeds frame "
-                                   "epoch");
-  }
   uint64_t num_metrics = 0;
-  QLOVE_RETURN_NOT_OK(r->VarCount(&num_metrics, 3, "delta metric"));
-  delta->metrics.resize(num_metrics);
-  for (WireMetricDelta& metric : delta->metrics) {
+  QLOVE_RETURN_NOT_OK(r->VarCount(
+      &num_metrics, frame->is_delta ? 3 : kMinMetricBytes, "metric"));
+  frame->metrics.resize(num_metrics);
+  for (WireMetricDelta& metric : frame->metrics) {
     QLOVE_RETURN_NOT_OK(DecodeKey(r, &metric.key));
-    uint8_t mode = 0;
-    QLOVE_RETURN_NOT_OK(r->U8(&mode));
-    if (mode > static_cast<uint8_t>(WireDeltaMode::kQloveDelta)) {
-      return Status::InvalidArgument("wire: unknown delta mode " +
-                                     std::to_string(mode));
+    if (frame->is_delta) {
+      uint8_t mode = 0;
+      QLOVE_RETURN_NOT_OK(r->U8(&mode));
+      if (mode > static_cast<uint8_t>(WireDeltaMode::kQloveDelta)) {
+        return Status::InvalidArgument("wire: unknown delta mode " +
+                                       std::to_string(mode));
+      }
+      metric.mode = static_cast<WireDeltaMode>(mode);
     }
-    metric.mode = static_cast<WireDeltaMode>(mode);
     if (metric.mode == WireDeltaMode::kFull) {
       QLOVE_RETURN_NOT_OK(DecodeOptions(r, &metric.options));
       uint64_t num_shards = 0;
@@ -748,12 +736,17 @@ std::vector<uint8_t> EncodeSnapshotV2(const WireSnapshot& snapshot) {
   return out;
 }
 
-void EncodeDelta(const WireDelta& delta, std::vector<uint8_t>* out) {
+void EncodeFrame(const WireFrame& frame, std::vector<uint8_t>* out) {
   FrameWriter writer(out);
-  writer.DeltaHeader(delta.source, delta.sync_token, delta.epoch,
-                     delta.base_epoch, delta.metrics.size());
+  if (frame.is_delta) {
+    writer.DeltaHeader(frame.source, frame.sync_token, frame.epoch,
+                       frame.base_epoch, frame.metrics.size());
+  } else {
+    writer.FullHeader(frame.source, frame.sync_token, frame.epoch,
+                      frame.metrics.size());
+  }
   std::vector<const BackendSummary*> shards;
-  for (const WireMetricDelta& metric : delta.metrics) {
+  for (const WireMetricDelta& metric : frame.metrics) {
     if (metric.mode == WireDeltaMode::kFull) {
       writer.WholeMetric(metric.key, metric.options,
                          Pointers(metric.shards, &shards));
@@ -766,9 +759,9 @@ void EncodeDelta(const WireDelta& delta, std::vector<uint8_t>* out) {
   }
 }
 
-std::vector<uint8_t> EncodeDelta(const WireDelta& delta) {
+std::vector<uint8_t> EncodeFrame(const WireFrame& frame) {
   std::vector<uint8_t> out;
-  EncodeDelta(delta, &out);
+  EncodeFrame(frame, &out);
   return out;
 }
 
@@ -813,16 +806,12 @@ Result<WireFrame> DecodeFrame(const uint8_t* data, size_t size) {
     return Status::InvalidArgument("wire: unknown flag bits " +
                                    std::to_string(flags));
   }
-  if ((flags & kWireFlagDelta) != 0) {
-    frame.is_delta = true;
-    QLOVE_RETURN_NOT_OK(DecodeDeltaBody(&r, &frame.delta));
-  } else {
-    QLOVE_RETURN_NOT_OK(DecodeFullBody(&r, &frame.snapshot));
-  }
+  frame.is_delta = (flags & kWireFlagDelta) != 0;
+  QLOVE_RETURN_NOT_OK(DecodeBody(&r, &frame));
   if (r.remaining() != 0) {
     return Status::InvalidArgument(
         "wire: " + std::to_string(r.remaining()) +
-        " trailing bytes after snapshot");
+        " trailing bytes after frame");
   }
   return frame;
 }

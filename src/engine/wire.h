@@ -3,11 +3,11 @@
 // for the engine's mergeable window state, so per-host agents can ship
 // their summaries to a central aggregator (the paper's datacenter fleet
 // deployment — sketch locally, merge centrally; the same agent->collector
-// topology production monitoring systems use). One WireSnapshot carries an
-// agent's whole export: its identity, its Tick epoch, and for every metric
-// the full MetricOptions (window spec, phi grid, backend configuration)
-// plus each shard's BackendSummary — enough for a remote AggregatorEngine
-// to rebuild the exact merge the agent's own Query layer would run, few-k
+// topology production monitoring systems use). One frame carries an
+// agent's export: its identity, its Tick epoch, and for every metric the
+// full MetricOptions (window spec, phi grid, backend configuration) plus
+// each shard's BackendSummary — enough for a remote AggregatorEngine to
+// rebuild the exact merge the agent's own Query layer would run, few-k
 // plan layout included, with no out-of-band configuration channel.
 //
 // Format rules (version 2):
@@ -38,6 +38,8 @@
 //    engine/coalesce.h). The format encodes any shard count — aggregator
 //    re-exports carry one summary per contributing source.
 //
+// A full frame is a delta with no base: every metric rides whole, and
+// both decode into one WireFrame whose full-frame records are all kFull.
 // DELTA frames (flags bit 0) carry only what the receiver has not
 // seen: sub-window summaries are epoch-stamped and expire from the front,
 // so a delta against base_epoch B ships, per metric, the first live epoch
@@ -105,30 +107,25 @@ struct WireMetricSummary {
   std::vector<BackendSummary> shards;
 };
 
-/// \brief One agent's complete export at one Tick epoch.
+/// \brief One source's whole window state at one Tick epoch: what an
+/// aggregator holds per source (AggregatorEngine::SourceSnapshot), and
+/// what EncodeSnapshotV2 writes as a full frame (the WAL checkpoint).
 struct WireSnapshot {
-  /// Agent identity (host name, pod id, ...). The aggregator keys its
-  /// per-source state by this string; a re-ingest from the same source
-  /// replaces the previous snapshot wholesale.
   std::string source;
-  /// The agent engine's Tick epoch when the export was taken; the
-  /// aggregator's staleness accounting compares these across sources.
   int64_t epoch = 0;
-  /// Engine-incarnation token (random per TelemetryEngine construction,
-  /// never zero for engine exports). Deltas may only patch state
-  /// established by a full frame with the same token: Tick epochs restart
-  /// at 1 when an agent restarts, so an epoch match alone cannot prove
-  /// the receiver holds the state a delta was diffed against.
+  /// The token of the frames that built this state (WireFrame::sync_token).
   uint64_t sync_token = 0;
-  /// Every exported metric, in canonical key order.
+  /// Every metric, in canonical key order.
   std::vector<WireMetricSummary> metrics;
 };
 
 /// \name Full frames and delta frames
 /// @{
 
-/// How one metric rides in a delta frame (agent exports and aggregator
+/// How one metric rides in a frame (agent exports and aggregator
 /// re-exports alike: both run ExportCursor's one diff, engine/engine.h).
+/// Every metric of a full frame rides kFull; only a delta frame's records
+/// carry the mode byte.
 enum class WireDeltaMode : uint8_t {
   /// Full replacement: options + every shard summary, exactly as in a
   /// full frame. Used for non-qlove backends (their entry payloads are
@@ -144,7 +141,7 @@ enum class WireDeltaMode : uint8_t {
   kQloveDelta = 1,
 };
 
-/// \brief One metric's contribution to a delta frame.
+/// \brief One metric's record in a frame.
 struct WireMetricDelta {
   MetricKey key;
   WireDeltaMode mode = WireDeltaMode::kFull;
@@ -167,36 +164,40 @@ struct WireMetricDelta {
   std::vector<core::SubWindowSummary> new_subwindows;
 };
 
-/// \brief One agent's incremental export: everything that changed since
-/// the frame at base_epoch, which the sender believes the receiver holds.
-struct WireDelta {
-  std::string source;
-  /// The agent engine's Tick epoch when this delta was taken.
-  int64_t epoch = 0;
-  /// The epoch of the sender's previous frame (full or delta). The
-  /// receiver NAKs when its held epoch for this source disagrees.
-  int64_t base_epoch = 0;
-  /// Must equal the sync_token of the full frame that established the
-  /// receiver's held state (see WireSnapshot::sync_token); any mismatch
-  /// NAKs into a full resync.
-  uint64_t sync_token = 0;
-  /// The agent's complete metric list (authoritative: a held metric
-  /// absent here was unregistered), in canonical key order.
-  std::vector<WireMetricDelta> metrics;
-};
-
-/// \brief One decoded frame: either a full snapshot or a delta.
+/// \brief One decoded frame. A full frame is a delta against nothing: it
+/// carries every metric whole (kFull), and the receiver replaces the
+/// source's held state with it; a delta frame patches the state held at
+/// base_epoch.
 struct WireFrame {
+  /// Flags bit 0: a delta against base_epoch rather than a full frame.
   bool is_delta = false;
-  WireSnapshot snapshot;  ///< Populated when !is_delta.
-  WireDelta delta;        ///< Populated when is_delta.
+  /// Agent identity (host name, pod id, ...). The aggregator keys its
+  /// per-source state by this string.
+  std::string source;
+  /// Engine-incarnation token (random per TelemetryEngine construction,
+  /// never zero for engine exports). A delta may only patch state
+  /// established by a full frame with the same token: Tick epochs restart
+  /// at 1 when an agent restarts, so an epoch match alone cannot prove the
+  /// receiver holds the state a delta was diffed against.
+  uint64_t sync_token = 0;
+  /// The sender's Tick epoch when the frame was taken; the aggregator's
+  /// staleness accounting compares these across sources.
+  int64_t epoch = 0;
+  /// Delta frames only: the epoch of the sender's previous frame (full or
+  /// delta). The receiver NAKs when its held epoch for this source
+  /// disagrees. 0 in a full frame.
+  int64_t base_epoch = 0;
+  /// The sender's complete metric list (authoritative: a held metric
+  /// absent here was unregistered), in canonical key order. Every record
+  /// of a full frame is kFull.
+  std::vector<WireMetricDelta> metrics;
 };
 
 /// \brief Streams one frame into a caller-owned buffer: the header and
 /// metric count, then one record per metric, written straight from the
-/// summaries the caller holds — no WireSnapshot or WireDelta is built.
+/// summaries the caller holds — no WireSnapshot or WireFrame is built.
 /// Every record layout of the format is written here and nowhere else;
-/// EncodeSnapshotV2, EncodeDelta and ExportCursor (engine/engine.h) all
+/// EncodeSnapshotV2, EncodeFrame and ExportCursor (engine/engine.h) all
 /// drive this writer.
 ///
 /// Usage: construct over the buffer (its contents are replaced, its
@@ -243,10 +244,11 @@ class FrameWriter {
 void EncodeSnapshotV2(const WireSnapshot& snapshot, std::vector<uint8_t>* out);
 std::vector<uint8_t> EncodeSnapshotV2(const WireSnapshot& snapshot);
 
-/// \brief Encodes \p delta as a delta frame (flags bit 0 set) through
-/// FrameWriter. Same buffer contract as EncodeSnapshotV2.
-void EncodeDelta(const WireDelta& delta, std::vector<uint8_t>* out);
-std::vector<uint8_t> EncodeDelta(const WireDelta& delta);
+/// \brief Encodes \p frame — a full frame when !is_delta (every metric
+/// must then be kFull), else a delta frame — through FrameWriter. Same
+/// buffer contract as EncodeSnapshotV2.
+void EncodeFrame(const WireFrame& frame, std::vector<uint8_t>* out);
+std::vector<uint8_t> EncodeFrame(const WireFrame& frame);
 
 /// \brief The tagged-double coder every frame value goes through, exposed
 /// so tests can hold its integer fast path to the exhaustive exponent
@@ -269,7 +271,7 @@ Result<WireFrame> DecodeFrame(const std::vector<uint8_t>& buffer);
 /// @}
 
 /// \brief A fresh engine-incarnation token: random-looking, never zero.
-/// TelemetryEngine stamps one into every export (WireSnapshot::sync_token)
+/// TelemetryEngine stamps one into every export (WireFrame::sync_token)
 /// and AggregatorEngine stamps one into its re-exports, so delta receivers
 /// can tell a restarted sender apart from a continued stream when Tick
 /// epochs collide numerically.

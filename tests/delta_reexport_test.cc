@@ -106,7 +106,7 @@ void ExpectConverged(const AggregatorEngine& child, const std::string& source,
 /// How \p key rides in delta \p frame; fails the test when absent.
 WireDeltaMode ModeOf(const WireFrame& frame, const MetricKey& key) {
   EXPECT_TRUE(frame.is_delta);
-  for (const WireMetricDelta& metric : frame.delta.metrics) {
+  for (const WireMetricDelta& metric : frame.metrics) {
     if (metric.key == key) return metric.mode;
   }
   ADD_FAILURE() << key.ToString() << " missing from the delta";
@@ -416,7 +416,7 @@ TEST(DeltaReexportTest, NakOnTheLastMetricLeavesHeldStateByteIdentical) {
 
   // Every metric but the last would patch cleanly; the last one claims a
   // "new" sub-window the cluster already holds.
-  WireDelta tampered = decoded.ValueOrDie().delta;
+  WireFrame tampered = decoded.ValueOrDie();
   WireMetricDelta& last = tampered.metrics.back();
   ASSERT_EQ(last.mode, WireDeltaMode::kQloveDelta);
   ASSERT_FALSE(last.new_subwindows.empty());
@@ -424,7 +424,7 @@ TEST(DeltaReexportTest, NakOnTheLastMetricLeavesHeldStateByteIdentical) {
 
   auto before = cluster.SourceSnapshot("host");
   ASSERT_TRUE(before.ok());
-  auto ack = cluster.IngestFrame(EncodeDelta(tampered));
+  auto ack = cluster.IngestFrame(EncodeFrame(tampered));
   ASSERT_TRUE(ack.ok()) << ack.status().ToString();
   EXPECT_TRUE(ack.ValueOrDie().resync_required);
   EXPECT_FALSE(ack.ValueOrDie().applied);
@@ -483,7 +483,7 @@ TEST(DeltaReexportTest, FleetHealthSplitsFullAndDeltaReexports) {
 }
 
 // ---------------------------------------------------------------------------
-// ApplyDelta's merge walk over the delta's and the held key lists
+// ApplyFrame's merge walk over the frame's and the held key lists
 // ---------------------------------------------------------------------------
 
 /// A host holding \p keys from agent-a after a few ticks, and that agent's
@@ -492,7 +492,7 @@ struct HeldAndNext {
   std::unique_ptr<TelemetryEngine> agent;
   ExportCursor cursor;
   AggregatorEngine host;
-  WireDelta next;
+  WireFrame next;
   std::vector<uint8_t> next_frame;
 };
 
@@ -511,16 +511,16 @@ void HoldThenExportDelta(const std::vector<MetricKey>& keys, HeldAndNext* out) {
   auto decoded = DecodeFrame(out->next_frame);
   ASSERT_TRUE(decoded.ok());
   ASSERT_TRUE(decoded.ValueOrDie().is_delta);
-  out->next = decoded.ValueOrDie().delta;
+  out->next = decoded.TakeValue();
 }
 
 /// Ingests \p tampered, which must NAK without touching \p host's held
 /// state.
 void ExpectNakLeavesHeldState(AggregatorEngine* host,
-                              const WireDelta& tampered) {
+                              const WireFrame& tampered) {
   auto before = host->SourceSnapshot("agent-a");
   ASSERT_TRUE(before.ok());
-  auto ack = host->IngestFrame(EncodeDelta(tampered));
+  auto ack = host->IngestFrame(EncodeFrame(tampered));
   ASSERT_TRUE(ack.ok()) << ack.status().ToString();
   EXPECT_TRUE(ack.ValueOrDie().resync_required);
   EXPECT_FALSE(ack.ValueOrDie().applied);
@@ -544,10 +544,10 @@ TEST(ApplyDeltaTest, HeldKeyTheDeltaOmitsIsDropped) {
   ASSERT_TRUE(reference.IngestFrame(EncodeSnapshotV2(held.ValueOrDie())).ok());
   ASSERT_TRUE(reference.IngestFrame(state.next_frame).ValueOrDie().applied);
 
-  WireDelta tampered = state.next;
+  WireFrame tampered = state.next;
   ASSERT_EQ(tampered.metrics.size(), 3u);
   tampered.metrics.erase(tampered.metrics.begin() + 1);
-  auto ack = state.host.IngestFrame(EncodeDelta(tampered));
+  auto ack = state.host.IngestFrame(EncodeFrame(tampered));
   ASSERT_TRUE(ack.ok()) << ack.status().ToString();
   ASSERT_TRUE(ack.ValueOrDie().applied);
 
@@ -559,6 +559,8 @@ TEST(ApplyDeltaTest, HeldKeyTheDeltaOmitsIsDropped) {
   want.metrics.erase(want.metrics.begin() + 1);
   EXPECT_EQ(EncodeSnapshotV2(patched.ValueOrDie()), EncodeSnapshotV2(want));
   EXPECT_FALSE(Carries(patched.ValueOrDie(), keys[1]));
+  // Dropped and counted, as a full frame omitting the key would be.
+  EXPECT_EQ(state.host.FleetHealth().metrics_retired, 1);
 }
 
 TEST(ApplyDeltaTest, PatchOfAKeyBetweenHeldKeysNaks) {
@@ -574,7 +576,7 @@ TEST(ApplyDeltaTest, PatchOfAKeyBetweenHeldKeysNaks) {
                               MetricKey("rtt_us", {{"host", "d"}})};
   for (const MetricKey& stray : strays) {
     SCOPED_TRACE(stray.ToString());
-    WireDelta tampered = state.next;
+    WireFrame tampered = state.next;
     WireMetricDelta extra = tampered.metrics[0];
     extra.key = stray;
     tampered.metrics.push_back(extra);
@@ -616,14 +618,14 @@ TEST(ApplyDeltaTest, FullMetricInsideADeltaIsRestampedAndRidesFullUp) {
   // The same window, shipped whole: `replaced` rides kFull inside the
   // delta, as it does after an agent-side replacement.
   const WireSnapshot whole = test_util::FullSnapshot(agent, "agent-a");
-  WireDelta delta = decoded.ValueOrDie().delta;
+  WireFrame delta = decoded.TakeValue();
   ASSERT_EQ(delta.metrics.size(), 2u);
   ASSERT_EQ(delta.metrics[0].key, replaced);
   delta.metrics[0].mode = WireDeltaMode::kFull;
   delta.metrics[0].options = whole.metrics[0].options;
   delta.metrics[0].shards = whole.metrics[0].shards;
   delta.metrics[0].new_subwindows.clear();
-  auto ack = host.IngestFrame(EncodeDelta(delta));
+  auto ack = host.IngestFrame(EncodeFrame(delta));
   ASSERT_TRUE(ack.ok()) << ack.status().ToString();
   ASSERT_TRUE(ack.ValueOrDie().applied);
 
@@ -642,6 +644,88 @@ TEST(ApplyDeltaTest, FullMetricInsideADeltaIsRestampedAndRidesFullUp) {
   const WireFrame next = ShipReexport(host, "host", &host_cursor, &cluster);
   EXPECT_EQ(ModeOf(next, replaced), WireDeltaMode::kQloveDelta);
   ExpectConverged(host, "host", cluster, 7);
+}
+
+/// \p frame with the sender's random sync token zeroed, re-encoded: two
+/// aggregators' re-exports compare byte for byte.
+std::vector<uint8_t> WithoutToken(const std::vector<uint8_t>& frame) {
+  auto decoded = DecodeFrame(frame);
+  EXPECT_TRUE(decoded.ok()) << decoded.status().ToString();
+  if (!decoded.ok()) return {};
+  decoded.ValueOrDie().sync_token = 0;
+  return EncodeFrame(decoded.ValueOrDie());
+}
+
+TEST(ApplyDeltaTest, FullFrameIsADeltaWhoseEveryMetricRidesFull) {
+  // Two hosts hold the same source; one takes the agent's next full
+  // frame, the other a delta at the same epoch carrying the same metrics,
+  // every one kFull. Both must end up holding the same bytes and
+  // re-export the same next frame.
+  TelemetryEngine agent(AgentOptions());
+  const BackendKind kinds[] = {BackendKind::kQlove, BackendKind::kGk,
+                               BackendKind::kExact};
+  std::vector<MetricKey> keys;
+  for (BackendKind kind : kinds) {
+    keys.push_back(MetricKey("rtt_us", {{"backend", BackendKindName(kind)}}));
+    ASSERT_TRUE(agent.RegisterMetric(keys.back(), Backend(kind)).ok());
+  }
+  ExportCursor agent_cursor;
+  AggregatorEngine hosts[2];
+  AggregatorEngine clusters[2];
+  ExportCursor host_cursors[2];
+  workload::NetMonGenerator gen(23);
+  for (int tick = 0; tick < 5; ++tick) {
+    for (const MetricKey& key : keys) Feed(&agent, key, &gen);
+    agent.Tick();
+    std::vector<uint8_t> frame;
+    ASSERT_TRUE(agent.Export("agent-a", &agent_cursor, &frame).ok());
+    for (int h = 0; h < 2; ++h) {
+      auto ack = hosts[h].IngestFrame(frame);
+      ASSERT_TRUE(ack.ok() && ack.ValueOrDie().applied);
+      ShipReexport(hosts[h], "host", &host_cursors[h], &clusters[h]);
+    }
+  }
+  for (const MetricKey& key : keys) Feed(&agent, key, &gen);
+  agent.Tick();
+  const std::vector<uint8_t> full = test_util::FullFrame(agent, "agent-a");
+  auto decoded = DecodeFrame(full);
+  ASSERT_TRUE(decoded.ok() && !decoded.ValueOrDie().is_delta);
+  WireFrame all_full = decoded.TakeValue();
+  all_full.is_delta = true;
+  all_full.base_epoch = hosts[1].SourceSnapshot("agent-a").ValueOrDie().epoch;
+  ASSERT_EQ(all_full.metrics.size(), keys.size());
+  for (const WireMetricDelta& metric : all_full.metrics) {
+    ASSERT_EQ(metric.mode, WireDeltaMode::kFull);
+  }
+
+  auto ack = hosts[0].IngestFrame(full);
+  ASSERT_TRUE(ack.ok() && ack.ValueOrDie().applied);
+  ack = hosts[1].IngestFrame(EncodeFrame(all_full));
+  ASSERT_TRUE(ack.ok() && ack.ValueOrDie().applied);
+  // Ticks 1-4 arrived as deltas; the all-kFull frame counts as one too.
+  EXPECT_EQ(hosts[1].FleetHealth().delta_ingests, 5);
+  auto held_full = hosts[0].SourceSnapshot("agent-a");
+  auto held_delta = hosts[1].SourceSnapshot("agent-a");
+  ASSERT_TRUE(held_full.ok() && held_delta.ok());
+  EXPECT_EQ(EncodeSnapshotV2(held_delta.ValueOrDie()),
+            EncodeSnapshotV2(held_full.ValueOrDie()));
+
+  std::vector<uint8_t> reexports[2];
+  for (int h = 0; h < 2; ++h) {
+    ASSERT_TRUE(
+        hosts[h].Export("host", &host_cursors[h], &reexports[h]).ok());
+    auto up = clusters[h].IngestFrame(reexports[h]);
+    ASSERT_TRUE(up.ok() && up.ValueOrDie().applied);
+    ExpectConverged(hosts[h], "host", clusters[h], 6);
+  }
+  EXPECT_EQ(WithoutToken(reexports[1]), WithoutToken(reexports[0]));
+  // Both replaced every summary: each key rides kFull one tier up.
+  auto up = DecodeFrame(reexports[1]);
+  ASSERT_TRUE(up.ok());
+  for (const MetricKey& key : keys) {
+    EXPECT_EQ(ModeOf(up.ValueOrDie(), key), WireDeltaMode::kFull)
+        << key.ToString();
+  }
 }
 
 TEST(ExportRaceTest, AggregatorExportRacesIngestAndQuery) {

@@ -1,5 +1,5 @@
 // Copyright 2026 The QLOVE Reproduction Authors
-// Shared test helper: an engine's full export frame, raw or decoded. Tests
+// Shared test helper: an engine's full export frame, raw or as held. Tests
 // that need a WireSnapshot to inspect or tamper with take it from the
 // bytes the engine actually ships (TelemetryEngine::Export through a fresh
 // cursor), never from a side channel.
@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/aggregator.h"
 #include "engine/engine.h"
 #include "engine/wire.h"
 
@@ -32,16 +33,20 @@ inline std::vector<uint8_t> FullFrame(
   return frame;
 }
 
-/// \p engine's full frame, decoded: exactly what an aggregator ingests.
+/// \p engine's full frame as an aggregator holds it: ingested into a
+/// scratch AggregatorEngine and read back.
 inline engine::WireSnapshot FullSnapshot(
     const engine::TelemetryEngine& engine, std::string source,
     const engine::ExportOptions& options = {}) {
-  auto decoded =
-      engine::DecodeFrame(FullFrame(engine, std::move(source), options));
-  EXPECT_TRUE(decoded.ok()) << decoded.status().ToString();
-  if (!decoded.ok()) return {};
-  EXPECT_FALSE(decoded.ValueOrDie().is_delta);
-  return std::move(decoded.ValueOrDie().snapshot);
+  engine::AggregatorOptions scratch_options;
+  scratch_options.introspection = false;
+  engine::AggregatorEngine scratch(scratch_options);
+  auto ack = scratch.IngestFrame(FullFrame(engine, source, options));
+  EXPECT_TRUE(ack.ok() && ack.ValueOrDie().applied)
+      << (ack.ok() ? "NAKed" : ack.status().ToString());
+  auto held = scratch.SourceSnapshot(source);
+  EXPECT_TRUE(held.ok()) << held.status().ToString();
+  return held.ok() ? held.TakeValue() : engine::WireSnapshot();
 }
 
 }  // namespace test_util

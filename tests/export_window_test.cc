@@ -510,10 +510,10 @@ TEST(ExportWindowEngineTest, WalRecordsAndWireFramesAreByteIdentical) {
   ASSERT_GE(checkpoints, 4);
   auto last = DecodeFrame(full.back());
   ASSERT_TRUE(last.ok());
-  const WireSnapshot& snapshot = last.ValueOrDie().snapshot;
+  const WireFrame& snapshot = last.ValueOrDie();
   EXPECT_EQ(snapshot.epoch, 14);
   ASSERT_EQ(snapshot.metrics.size(), keys.size());
-  for (const WireMetricSummary& metric : snapshot.metrics) {
+  for (const WireMetricDelta& metric : snapshot.metrics) {
     if (!(metric.key == late)) continue;
     // Nine Ticks since its registration: the metric's own epochs.
     ASSERT_FALSE(metric.shards.at(0).subwindows.empty());

@@ -162,10 +162,10 @@ TEST(FrameWriterTest, ReexportSequenceMatchesPinnedBytes) {
     const WireFrame& got = decoded.ValueOrDie();
     EXPECT_EQ(got.is_delta, want_delta) << golden;
     if (want_delta) {
-      ASSERT_EQ(got.delta.metrics.size(), modes.size()) << golden;
+      ASSERT_EQ(got.metrics.size(), modes.size()) << golden;
       for (size_t i = 0; i < modes.size(); ++i) {
-        EXPECT_EQ(got.delta.metrics[i].mode, modes[i])
-            << golden << ": " << got.delta.metrics[i].key.ToString();
+        EXPECT_EQ(got.metrics[i].mode, modes[i])
+            << golden << ": " << got.metrics[i].key.ToString();
       }
     }
     CheckReexportGolden(frame, "host", golden);
@@ -195,15 +195,17 @@ TEST(FrameWriterTest, ReexportSequenceMatchesPinnedBytes) {
   // 2. Deltas from both: `only_a` patches (kQloveDelta), `shared` is
   // pooled across two sources and the exact key is not epoch-addressable
   // (both kFull).
-  WireDelta da;
+  WireFrame da;
+  da.is_delta = true;
   da.source = "agent-a";
   da.sync_token = kTokenA;
   da.epoch = 3;
   da.base_epoch = 2;
   da.metrics.push_back(Patch(only_a, 2, Sub(3, 1.0)));
   da.metrics.push_back(Patch(shared, 2, Sub(3, 2.0)));
-  Apply(&host, EncodeDelta(da));
-  WireDelta db;
+  Apply(&host, EncodeFrame(da));
+  WireFrame db;
+  db.is_delta = true;
   db.source = "agent-b";
   db.sync_token = kTokenB;
   db.epoch = 3;
@@ -216,7 +218,7 @@ TEST(FrameWriterTest, ReexportSequenceMatchesPinnedBytes) {
   exact_full.shards.push_back(Exact(1.0));
   db.metrics.push_back(exact_full);
   db.metrics.push_back(Patch(shared, 3, Sub(3, 3.0)));
-  Apply(&host, EncodeDelta(db));
+  Apply(&host, EncodeFrame(db));
   reexport(/*want_delta=*/true, "reexport_v2_delta_pooled",
            {kFull, kPatch, kFull});
 
@@ -234,7 +236,7 @@ TEST(FrameWriterTest, ReexportSequenceMatchesPinnedBytes) {
   exact_full.shards[0] = Exact(2.0);
   db.metrics.push_back(exact_full);
   db.metrics.push_back(Patch(shared, 3, Sub(4, 3.0)));
-  Apply(&host, EncodeDelta(db));
+  Apply(&host, EncodeFrame(db));
   reexport(/*want_delta=*/true, "reexport_v2_lineage", {kFull, kFull, kFull});
 
   // 4. B's full frame drops the exact key: the re-export must retire it,

@@ -236,7 +236,7 @@ TEST(IntrospectionWireTest, SelfMetricsExportAndRollUpThroughAggregator) {
 
   auto decoded = DecodeFrame(encoded);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  const WireSnapshot& snapshot = decoded.ValueOrDie().snapshot;
+  const WireFrame& snapshot = decoded.ValueOrDie();
   size_t internal_metrics = 0;
   for (size_t i = 0; i < snapshot.metrics.size(); ++i) {
     if (IsReservedMetricName(snapshot.metrics[i].key.name())) {

@@ -180,7 +180,7 @@ TEST(MergePropertyTest, SerializeThenMergeEqualsInProcessMerge) {
         if (!decoded.ok()) return "decode failed: " +
                                   decoded.status().ToString();
         const std::vector<uint8_t> reencoded =
-            EncodeSnapshotV2(decoded.ValueOrDie().snapshot);
+            EncodeFrame(decoded.ValueOrDie());
         AggregatorEngine host;
         AggregatorEngine reencoded_host;
         AggregatorEngine cluster;

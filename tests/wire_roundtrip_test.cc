@@ -194,7 +194,7 @@ TEST_P(WireRoundTripTest, ReencodeIsByteIdentical) {
   auto decoded = DecodeFrame(frame);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   ASSERT_FALSE(decoded.ValueOrDie().is_delta);
-  const WireSnapshot& snapshot = decoded.ValueOrDie().snapshot;
+  const WireFrame& snapshot = decoded.ValueOrDie();
   EXPECT_EQ(snapshot.source, source);
   EXPECT_EQ(snapshot.epoch, 6);
   EXPECT_NE(snapshot.sync_token, 0u);
@@ -202,7 +202,7 @@ TEST_P(WireRoundTripTest, ReencodeIsByteIdentical) {
   EXPECT_EQ(snapshot.metrics[0].options.backend.kind, GetParam());
   // Exports are shard-coalesced: two engine shards ship as one summary.
   EXPECT_EQ(snapshot.metrics[0].shards.size(), 1u);
-  EXPECT_EQ(EncodeSnapshotV2(snapshot), frame);
+  EXPECT_EQ(EncodeFrame(snapshot), frame);
 
   // The aggregator holds exactly what was shipped.
   AggregatorEngine aggregator;
@@ -409,7 +409,7 @@ TEST_P(WireV2RoundTripTest, ReencodeIsByteIdentical) {
   auto frame = DecodeFrame(encoded);
   ASSERT_TRUE(frame.ok()) << frame.status().ToString();
   ASSERT_FALSE(frame.ValueOrDie().is_delta);
-  const WireSnapshot& snapshot = frame.ValueOrDie().snapshot;
+  const WireFrame& snapshot = frame.ValueOrDie();
   EXPECT_EQ(snapshot.source, original.source);
   EXPECT_EQ(snapshot.epoch, original.epoch);
   ASSERT_EQ(snapshot.metrics.size(), original.metrics.size());
@@ -426,7 +426,7 @@ TEST_P(WireV2RoundTripTest, ReencodeIsByteIdentical) {
           << "shard " << shard << " summary diverged across the round trip";
     }
   }
-  EXPECT_EQ(EncodeSnapshotV2(snapshot), encoded);
+  EXPECT_EQ(EncodeFrame(snapshot), encoded);
 }
 
 TEST_P(WireV2RoundTripTest, GoldenBytesMatchCheckedInFixture) {
@@ -437,7 +437,7 @@ TEST_P(WireV2RoundTripTest, GoldenBytesMatchCheckedInFixture) {
                 auto frame = DecodeFrame(golden);
                 EXPECT_TRUE(frame.ok()) << frame.status().ToString();
                 EXPECT_FALSE(frame.ValueOrDie().is_delta);
-                return EncodeSnapshotV2(frame.ValueOrDie().snapshot);
+                return EncodeFrame(frame.ValueOrDie());
               });
 }
 
@@ -461,14 +461,7 @@ TEST_P(WireV2RoundTripTest, ByteFlipsNeverCrashAndUsuallyFailCleanly) {
     const uint8_t saved = encoded[i];
     encoded[i] = static_cast<uint8_t>(~saved);
     auto frame = DecodeFrame(encoded);
-    if (frame.ok()) {
-      WireFrame& value = frame.ValueOrDie();
-      if (value.is_delta) {
-        EncodeDelta(value.delta);
-      } else {
-        EncodeSnapshotV2(value.snapshot);
-      }
-    }
+    if (frame.ok()) EncodeFrame(frame.ValueOrDie());
     encoded[i] = saved;
   }
 }
@@ -487,8 +480,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 /// A hand-built delta: one qlove patch and one full-mode metric, literal
 /// values only (same reasoning as LiteralSnapshot).
-WireDelta LiteralDelta() {
-  WireDelta delta;
+WireFrame LiteralDelta() {
+  WireFrame delta;
+  delta.is_delta = true;
   delta.source = "golden-agent";
   delta.epoch = 9;
   delta.base_epoch = 7;
@@ -528,13 +522,13 @@ WireDelta LiteralDelta() {
 }
 
 TEST(WireDeltaTest, ReencodeIsByteIdentical) {
-  const WireDelta original = LiteralDelta();
-  const std::vector<uint8_t> encoded = EncodeDelta(original);
+  const WireFrame original = LiteralDelta();
+  const std::vector<uint8_t> encoded = EncodeFrame(original);
 
   auto frame = DecodeFrame(encoded);
   ASSERT_TRUE(frame.ok()) << frame.status().ToString();
   ASSERT_TRUE(frame.ValueOrDie().is_delta);
-  const WireDelta& delta = frame.ValueOrDie().delta;
+  const WireFrame& delta = frame.ValueOrDie();
   EXPECT_EQ(delta.source, original.source);
   EXPECT_EQ(delta.epoch, original.epoch);
   EXPECT_EQ(delta.base_epoch, original.base_epoch);
@@ -549,22 +543,22 @@ TEST(WireDeltaTest, ReencodeIsByteIdentical) {
   ASSERT_EQ(delta.metrics[1].shards.size(), 2u);
   EXPECT_EQ(delta.metrics[1].shards[0], original.metrics[1].shards[0]);
 
-  EXPECT_EQ(EncodeDelta(delta), encoded);
+  EXPECT_EQ(EncodeFrame(delta), encoded);
 }
 
 TEST(WireDeltaTest, GoldenBytesMatchCheckedInFixture) {
-  CheckGolden(EncodeDelta(LiteralDelta()),
+  CheckGolden(EncodeFrame(LiteralDelta()),
               GoldenPath("delta"),
               [](const std::vector<uint8_t>& golden) {
                 auto frame = DecodeFrame(golden);
                 EXPECT_TRUE(frame.ok()) << frame.status().ToString();
                 EXPECT_TRUE(frame.ValueOrDie().is_delta);
-                return EncodeDelta(frame.ValueOrDie().delta);
+                return EncodeFrame(frame.ValueOrDie());
               });
 }
 
 TEST(WireDeltaTest, EveryTruncationReturnsErrorStatus) {
-  const std::vector<uint8_t> encoded = EncodeDelta(LiteralDelta());
+  const std::vector<uint8_t> encoded = EncodeFrame(LiteralDelta());
   for (size_t length = 0; length < encoded.size(); ++length) {
     EXPECT_FALSE(DecodeFrame(encoded.data(), length).ok())
         << "prefix of " << length << " bytes decoded";
@@ -572,19 +566,12 @@ TEST(WireDeltaTest, EveryTruncationReturnsErrorStatus) {
 }
 
 TEST(WireDeltaTest, ByteFlipsNeverCrashAndUsuallyFailCleanly) {
-  std::vector<uint8_t> encoded = EncodeDelta(LiteralDelta());
+  std::vector<uint8_t> encoded = EncodeFrame(LiteralDelta());
   for (size_t i = 0; i < encoded.size(); ++i) {
     const uint8_t saved = encoded[i];
     encoded[i] = static_cast<uint8_t>(~saved);
     auto frame = DecodeFrame(encoded);
-    if (frame.ok()) {
-      WireFrame& value = frame.ValueOrDie();
-      if (value.is_delta) {
-        EncodeDelta(value.delta);
-      } else {
-        EncodeSnapshotV2(value.snapshot);
-      }
-    }
+    if (frame.ok()) EncodeFrame(frame.ValueOrDie());
     encoded[i] = saved;
   }
 }
@@ -663,7 +650,7 @@ TEST(WireCoalesceTest, CoalescedExportShedsTheShardMultiplier) {
   const std::vector<uint8_t> frame = FullFrame(engine, "a");
   auto decoded = DecodeFrame(frame);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  const WireSnapshot& coalesced = decoded.ValueOrDie().snapshot;
+  const WireFrame& coalesced = decoded.ValueOrDie();
   ASSERT_EQ(coalesced.metrics.size(), 1u);
   ASSERT_EQ(coalesced.metrics[0].shards.size(), 1u);
   const BackendSummary& summary = coalesced.metrics[0].shards[0];
