@@ -1,12 +1,10 @@
 #include "engine/backend.h"
 
 #include <algorithm>
-#include <cmath>
 #include <deque>
 #include <utility>
 
 #include "container/frequency_tree.h"
-#include "engine/query.h"
 #include "sketch/cmqs.h"
 #include "sketch/gk.h"
 
@@ -154,17 +152,13 @@ void ExpireOldEpochs(Epochs* epochs, int64_t now, int64_t n,
 /// The default backend: the paper operator behind the seam. Its summary
 /// carries the raw sub-window summaries so the cross-shard merge keeps the
 /// Level-2 weighting and few-k tail corrections in lockstep with the
-/// operator (engine/snapshot.cc).
+/// operator (engine/coalesce.cc, engine/query.cc).
 class QloveBackend final : public ShardBackend {
  public:
   explicit QloveBackend(const core::QloveOptions& options) : op_(options) {}
 
   Status Initialize(const WindowSpec& spec,
                     const std::vector<double>& phis) override {
-    // Phi-ascending view of the configured grid, for QueryRank's
-    // per-sub-window CDF walks (phis arrive in caller order; summaries
-    // align their quantiles with that order).
-    phi_order_ = SortedPhiOrder(phis, &sorted_phis_);
     return op_.Initialize(spec, phis);
   }
 
@@ -215,24 +209,6 @@ class QloveBackend final : public ShardBackend {
 
   int64_t InflightCount() const override { return op_.InflightCount(); }
 
-  int64_t QueryRank(double value) const override {
-    // Ranks are additive across sub-windows; each completed summary's
-    // exact quantile grid serves as its CDF (the same GridCdfAtValue the
-    // engine-level rank evaluation uses, so the two surfaces agree).
-    int64_t rank = 0;
-    rank_scratch_.resize(phi_order_.size());  // reused; owning Shard locks
-    for (const core::SubWindowSummary& summary : op_.SubWindowSummaries()) {
-      if (summary.quantiles.size() != phi_order_.size()) continue;
-      for (size_t j = 0; j < phi_order_.size(); ++j) {
-        rank_scratch_[j] = summary.quantiles[phi_order_[j]];
-      }
-      rank += std::llround(
-          GridCdfAtValue(sorted_phis_, rank_scratch_, value) *
-          static_cast<double>(summary.count));
-    }
-    return rank;
-  }
-
   int64_t ObservedSpaceVariables() const override {
     return op_.ObservedSpaceVariables();
   }
@@ -241,9 +217,6 @@ class QloveBackend final : public ShardBackend {
 
  private:
   core::QloveOperator op_;
-  std::vector<size_t> phi_order_;    // sorted position -> input phi index
-  std::vector<double> sorted_phis_;  // ascending
-  mutable std::vector<double> rank_scratch_;  // QueryRank; shard-serialized
 };
 
 /// Sub-window GK: one GkSummary per in-flight sub-window, sealed at each
@@ -318,16 +291,6 @@ class GkBackend final : public ShardBackend {
   }
 
   int64_t InflightCount() const override { return inflight_.count(); }
-
-  int64_t QueryRank(double value) const override {
-    // Each sealed epoch's point-weight export is epsilon-accurate over its
-    // own count, so the summed rank stays within epsilon of the window.
-    int64_t rank = 0;
-    for (const Epoch& sealed : completed_) {
-      rank += sketch::WeightedRankAtValue(sealed.entries, value);
-    }
-    return rank;
-  }
 
   int64_t ObservedSpaceVariables() const override { return peak_space_; }
 
@@ -429,10 +392,6 @@ class CmqsBackend final : public ShardBackend {
   /// queries and exports inside `entries` (see BackendSummary docs).
   int64_t InflightCount() const override { return 0; }
 
-  int64_t QueryRank(double value) const override {
-    return op_.WindowRankAtValue(value);  // in place; no export copy
-  }
-
   int64_t ObservedSpaceVariables() const override {
     return op_.ObservedSpaceVariables();
   }
@@ -520,10 +479,6 @@ class ExactBackend final : public ShardBackend {
 
   int64_t InflightCount() const override {
     return static_cast<int64_t>(inflight_.size());
-  }
-
-  int64_t QueryRank(double value) const override {
-    return tree_.CountLessThan(value) + tree_.CountOf(value);
   }
 
   int64_t ObservedSpaceVariables() const override { return peak_space_; }

@@ -5,7 +5,8 @@
 // deterministic rank error in bounded space, Exact for oracle-mode metrics.
 //
 // Every backend exports a mergeable BackendSummary; cross-shard merging
-// (engine/snapshot.cc) dispatches on its kind:
+// (engine/coalesce.cc, and WindowView in engine/query.cc for cross-metric
+// pools) dispatches on its kind:
 //
 //  - kQlove carries the operator's sub-window summaries: the merge reuses
 //    the paper's estimators (count-weighted Level-2 mean + few-k tail
@@ -222,21 +223,11 @@ class ShardBackend {
 
   /// Values accepted but not yet visible to queries (they surface at the
   /// next Tick); matches Summary().inflight without paying for a summary
-  /// export. Unlike window state — which only changes at a Tick and is
-  /// therefore cacheable between boundaries (engine/query.h
-  /// ResolvedWindow) — this is a *live* counter the engine re-reads per
-  /// query so staleness dashboards see buffered backlog immediately.
+  /// export. Unlike window state — which queries read from a copy of the
+  /// metric's export window (engine/query.h ResolvedWindow) — this is a
+  /// *live* counter the engine re-reads per query so staleness dashboards
+  /// see buffered backlog immediately.
   virtual int64_t InflightCount() const = 0;
-
-  /// Rank of \p value in the live window: how many window elements are at
-  /// or below it, under the backend's semantics — exact for kExact, within
-  /// epsilon * N for the GK family, sub-window quantile-grid resolution
-  /// for kQlove. Excludes in-flight values, consistent with Summary().
-  /// This is the per-stripe serving hook behind the engine's Rank/CDF
-  /// requests ("what fraction of requests exceeded 500ms?"); ranks are
-  /// additive across disjoint stripes, so shard and metric rollups are
-  /// plain sums of this hook.
-  virtual int64_t QueryRank(double value) const = 0;
 
   /// Peak stored scalars (the paper's §5.1 space metric).
   virtual int64_t ObservedSpaceVariables() const = 0;

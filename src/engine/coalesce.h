@@ -24,13 +24,14 @@
 //  - entry kinds (kGk/kCmqs/kExact): entries are pooled, sorted, and equal
 //    values' weights combined — the weighted multiset is unchanged.
 //
-// What is NOT preserved bit-for-bit: the weighted-MEDIAN merge strategy
-// (a median over pre-averaged groups is not the median over the originals)
+// What is NOT preserved bit-for-bit against pooling the per-shard
+// summaries directly: floating-point reassociation in the Level-2 mean,
 // and the per-summary bookkeeping some error bounds derive from (merged
 // sub-windows are fewer and larger, which only tightens the finite-m
-// terms). Every engine export is coalesced, so an aggregator's answers
-// match the exporting engine's own to within these differences, and match
-// each other (any tier, any number of re-encodes) bit for bit.
+// terms). Nothing pools them directly: the exporting engine answers its
+// own queries from the same coalesced window (MetricState::Resolved), so
+// the engine and every aggregator tier above it answer bit for bit alike
+// (any number of re-encodes).
 
 #ifndef QLOVE_ENGINE_COALESCE_H_
 #define QLOVE_ENGINE_COALESCE_H_

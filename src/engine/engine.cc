@@ -949,10 +949,9 @@ Result<QueryResult> TelemetryEngine::QueryImpl(const QuerySpec& spec) const {
             });
   states.erase(std::unique(states.begin(), states.end()), states.end());
 
-  // Each metric's resolved window is cached between Ticks (the per-shard
-  // summary copies used to dominate Query at high shard counts); holding
-  // the shared_ptrs pins this epoch's state even if a concurrent Tick
-  // invalidates the cache mid-evaluation.
+  // Each metric serves a copy of its export window, taken once per window
+  // update; holding the shared_ptrs pins that copy even if a concurrent
+  // Tick or Export updates the window mid-evaluation.
   std::vector<std::shared_ptr<const ResolvedWindow>> resolved;
   std::vector<PoolMember> members;
   resolved.reserve(states.size());
@@ -963,10 +962,10 @@ Result<QueryResult> TelemetryEngine::QueryImpl(const QuerySpec& spec) const {
                        resolved.back()->views(),
                        static_cast<int>(state->num_shards())});
   }
-  // A single metric also reuses the cached evaluator itself: its Level-2 /
-  // entry-pooling merge runs once per Tick, not once per query.
+  // A single metric also reuses the window's evaluator: its Level-2 /
+  // entry-pooling merge runs once per window update, not once per query.
   const WindowView* cached =
-      resolved.size() == 1 ? &resolved.front()->View(spec.strategy) : nullptr;
+      resolved.size() == 1 ? &resolved.front()->view() : nullptr;
   auto result = EvaluatePool(members, spec, cached);
   if (!result.ok()) return result;
 

@@ -317,15 +317,17 @@ class TelemetryEngine {
   /// Evaluates \p spec against the live window: any quantile (not just the
   /// registered grid), rank/CDF, count, and sum/mean where the serving
   /// backend supports them — over one key, an explicit key list, or every
-  /// metric a tag selector matches (fleet rollup). Multi-metric targets
-  /// pool all shards' summaries under EvaluatePool (engine/query.h), the
-  /// rule AggregatorEngine::Query shares: metrics of one serving
-  /// configuration merge through the paper's estimator chain (identical
-  /// to adding shards), anything heterogeneous through the weighted-entry
-  /// path with qlove summaries lowered to entries. NotFound when the
-  /// target resolves to no registered metric; FailedPrecondition when it
-  /// pools qlove metrics on different phi grids (a WAL-recovered metric
-  /// keeps its logged grid); per-request problems (empty window,
+  /// metric a tag selector matches (fleet rollup). Each metric serves its
+  /// export window — its shards coalesced, exactly the summary Export
+  /// ships — so a host fed this engine's frames answers bit for bit as it
+  /// does. Multi-metric targets pool those windows under EvaluatePool
+  /// (engine/query.h), the rule AggregatorEngine::Query shares: metrics of
+  /// one serving configuration merge through the paper's estimator chain
+  /// (identical to adding shards), anything heterogeneous through the
+  /// weighted-entry path with qlove summaries lowered to entries. NotFound
+  /// when the target resolves to no registered metric; FailedPrecondition
+  /// when it pools qlove metrics on different phi grids (a WAL-recovered
+  /// metric keeps its logged grid); per-request problems (empty window,
   /// unsupported aggregate) surface as per-outcome statuses, not query
   /// failure. The registered grid phis are the sharpest requests: a
   /// Quantile per EngineOptions::phis reads the merged grid estimates.

@@ -27,10 +27,10 @@ QueryOutcome EmptyWindowOutcome(core::OutcomeSource source) {
   return outcome;
 }
 
-/// Worst-case |true CDF - GridCdfAtValue| for one grid: the width of the
-/// grid bracket the value falls in — [0, phi_first] below the grid floor,
-/// [phi_last, 1] above the ceiling, the enclosing grid cell inside. Span
-/// form so EvaluateRank can walk precomputed flat per-summary grids.
+/// Worst-case |true CDF - GridCdfAtValueSpan| for one grid: the width of
+/// the grid bracket the value falls in — [0, phi_first] below the grid
+/// floor, [phi_last, 1] above the ceiling, the enclosing grid cell inside.
+/// Span form so EvaluateRank can walk precomputed flat per-summary grids.
 double GridCdfBoundSpan(const double* phis, const double* values, size_t n,
                         double value) {
   if (n == 0) return kInf;
@@ -181,6 +181,11 @@ std::string DescribeQuerySpec(const QuerySpec& spec) {
   return out;
 }
 
+namespace {
+
+/// Argsort of \p phis ascending — (*order)[j] is the input index of the
+/// j-th smallest phi — filling \p sorted_phis with the sorted grid, both
+/// reusing their capacity.
 void SortedPhiOrderInto(const std::vector<double>& phis,
                         std::vector<size_t>* order,
                         std::vector<double>* sorted_phis) {
@@ -193,13 +198,8 @@ void SortedPhiOrderInto(const std::vector<double>& phis,
   for (size_t j : *order) sorted_phis->push_back(phis[j]);
 }
 
-std::vector<size_t> SortedPhiOrder(const std::vector<double>& phis,
-                                   std::vector<double>* sorted_phis) {
-  std::vector<size_t> order;
-  SortedPhiOrderInto(phis, &order, sorted_phis);
-  return order;
-}
-
+/// Linear interpolation of the value at \p phi on a phi-ascending grid
+/// with aligned monotone \p values, clamped to the grid ends.
 double GridValueAtPhi(const std::vector<double>& phis,
                       const std::vector<double>& values, double phi) {
   if (phis.empty()) return 0.0;
@@ -213,11 +213,11 @@ double GridValueAtPhi(const std::vector<double>& phis,
   return values[hi - 1] + t * (values[hi] - values[hi - 1]);
 }
 
-namespace {
-
-/// Span core of GridCdfAtValue; the public vector overload forwards here,
-/// and EvaluateRank walks precomputed flat per-summary grids through it
-/// without building vectors per call.
+/// The CDF fraction at \p value on one phi-ascending grid of \p n points:
+/// linear inverse interpolation inside the grid; outside it, nearest-cell
+/// slope extrapolation clamped to the unobserved bracket. Span form, so
+/// EvaluateRank walks precomputed flat per-summary grids without building
+/// vectors per call.
 double GridCdfAtValueSpan(const double* phis, const double* values, size_t n,
                           double value) {
   if (n == 0) return 0.0;
@@ -250,15 +250,6 @@ double GridCdfAtValueSpan(const double* phis, const double* values, size_t n,
   return phis[hi - 1] + t * (phis[hi] - phis[hi - 1]);
 }
 
-}  // namespace
-
-double GridCdfAtValue(const std::vector<double>& phis,
-                      const std::vector<double>& values, double value) {
-  return GridCdfAtValueSpan(phis.data(), values.data(), phis.size(), value);
-}
-
-namespace {
-
 std::vector<const BackendSummary*> ViewPointers(
     const std::vector<BackendSummary>& views) {
   std::vector<const BackendSummary*> pointers;
@@ -270,14 +261,13 @@ std::vector<const BackendSummary*> ViewPointers(
 }  // namespace
 
 WindowView::WindowView(const std::vector<BackendSummary>& views,
-                       const MetricOptions& options, MergeStrategy strategy,
-                       bool lower_to_entries)
-    : WindowView(ViewPointers(views), options, strategy, lower_to_entries) {}
+                       const MetricOptions& options, bool lower_to_entries)
+    : WindowView(ViewPointers(views), options, lower_to_entries) {}
 
 WindowView::WindowView(const std::vector<const BackendSummary*>& views,
-                       const MetricOptions& options, MergeStrategy strategy,
-                       bool lower_to_entries, WindowArena* arena)
-    : options_(options), strategy_(strategy) {
+                       const MetricOptions& options, bool lower_to_entries,
+                       WindowArena* arena)
+    : options_(options) {
   if (arena != nullptr) {
     // Adopt the previous construction's buffers: every member below is
     // cleared before use, so only capacity carries over.
@@ -354,27 +344,17 @@ void WindowView::BuildQlove(const std::vector<const BackendSummary*>& views) {
            summary.tails.size() == plans_.size();
   };
 
-  // Pass 1: pool every shard's summaries into the Level-2 weighted mean
-  // (or the weighted-median entry lists) and count the merged population.
+  // Pass 1: pool every view's sub-window summaries into the Level-2
+  // weighted mean and count the merged population.
   core::Level2Aggregator level2(num_phis);
-  std::vector<std::vector<sketch::WeightedValue>> median_entries;
-  const bool use_median = strategy_ == MergeStrategy::kWeightedMedian;
-  if (use_median) median_entries.resize(num_phis);
-
   for (const BackendSummary* view : views) {
     for (const core::SubWindowSummary& summary : view->subwindows) {
       if (!mergeable(summary)) continue;
       merged_.push_back(&summary);
       window_count_ += summary.count;
       ++num_summaries_;
-      if (use_median) {
-        for (size_t i = 0; i < num_phis; ++i) {
-          median_entries[i].emplace_back(summary.quantiles[i], summary.count);
-        }
-      } else {
-        level2.AccumulateWeighted(summary.quantiles,
-                                  static_cast<double>(summary.count));
-      }
+      level2.AccumulateWeighted(summary.quantiles,
+                                static_cast<double>(summary.count));
     }
   }
 
@@ -399,17 +379,9 @@ void WindowView::BuildQlove(const std::vector<const BackendSummary*>& views) {
   }
 
   if (num_summaries_ > 0) {
-    if (use_median) {
-      for (size_t i = 0; i < num_phis; ++i) {
-        auto median = sketch::WeightedQuantileQuery(
-            &median_entries[i], 0.5, sketch::RankSemantics::kInterpolated);
-        estimates[i] = median.ok() ? median.ValueOrDie() : 0.0;
-      }
-    } else {
-      estimates = level2.ComputeWeightedResult();
-    }
+    estimates = level2.ComputeWeightedResult();
 
-    // Pass 2: few-k tail correction over the union of every shard's tail
+    // Pass 2: few-k tail correction over the union of every view's tail
     // captures, with ranks recomputed from the *merged* population T: the
     // per-shard plans target each shard's share; the merged answer must
     // target T(1-phi). Mirrors QloveOperator::ComputeQuantiles.
@@ -656,9 +628,8 @@ QueryOutcome WindowView::EvaluateRank(double value) const {
     return EmptyWindowOutcome(core::OutcomeSource::kLevel2);
   }
   // Ranks are additive across disjoint sub-windows: each summary's exact
-  // per-sub-window quantile grid acts as its CDF (the same primitive
-  // behind ShardBackend::QueryRank), and the window CDF is the
-  // count-weighted mean. The annotation pools each summary's bracket
+  // per-sub-window quantile grid acts as its CDF, and the window CDF is
+  // the count-weighted mean. The annotation pools each summary's bracket
   // width the same way.
   QueryOutcome outcome;
   outcome.source = core::OutcomeSource::kLevel2;
@@ -734,19 +705,9 @@ QueryOutcome WindowView::EvaluateMean() const {
   return outcome;
 }
 
-ResolvedWindow::ResolvedWindow(std::vector<BackendSummary> views,
+ResolvedWindow::ResolvedWindow(const BackendSummary& window,
                                const MetricOptions& options)
-    : views_(std::move(views)), options_(options) {}
-
-const WindowView& ResolvedWindow::View(MergeStrategy strategy) const {
-  const auto slot = static_cast<size_t>(strategy);
-  std::lock_guard<std::mutex> lock(mu_);
-  if (by_strategy_[slot] == nullptr) {
-    by_strategy_[slot] = std::make_unique<WindowView>(views_, options_,
-                                                      strategy);
-  }
-  return *by_strategy_[slot];
-}
+    : window_(window), view_({&window_}, options) {}
 
 bool SameServingConfiguration(const MetricOptions& a, const MetricOptions& b) {
   return SameBackendConfiguration(a.backend, b.backend) && a.phis == b.phis &&
@@ -814,8 +775,7 @@ Result<QueryResult> EvaluatePool(std::span<const PoolMember> members,
         pointers.push_back(&summary);
       }
     }
-    pooled.emplace(pointers, options, spec.strategy,
-                   /*lower_to_entries=*/!native, &arena);
+    pooled.emplace(pointers, options, /*lower_to_entries=*/!native, &arena);
     arena.pointers = std::move(pointers);
     view = &*pooled;
   }

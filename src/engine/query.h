@@ -9,8 +9,9 @@
 //              x requests (Quantile(phi) | Rank(value) | Count | Sum | Mean)
 //   TelemetryEngine::Query(spec) -> Result<QueryResult>
 //
-// Evaluation pools the per-shard (and, for multi-metric targets,
-// per-metric) BackendSummary views into one WindowView:
+// Evaluation pools each metric's coalesced window (one BackendSummary per
+// metric — the summary its exports ship, whatever its shard count) into
+// one WindowView:
 //
 //  - Homogeneous kQlove targets keep the paper's estimator chain. The
 //    registered phis act as a *grid*: few-k layouts are planned for the
@@ -36,8 +37,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <utility>
@@ -52,18 +51,6 @@
 
 namespace qlove {
 namespace engine {
-
-/// \brief How non-high quantiles are merged across sub-window summaries
-/// (kQlove backends only; weighted backends pool entries either way).
-enum class MergeStrategy {
-  /// Count-weighted mean of sub-window quantiles (the paper's Level-2
-  /// estimator generalized to uneven sub-window populations). Default.
-  kWeightedMean = 0,
-  /// Count-weighted median of sub-window quantiles (sketch/weighted_merge):
-  /// trades a little CLT efficiency for robustness when a shard's slice is
-  /// contaminated (e.g. one host-group misroutes its records).
-  kWeightedMedian = 1,
-};
 
 /// \brief What one QueryRequest asks of the window.
 enum class QueryRequestKind {
@@ -109,9 +96,6 @@ struct QuerySpec {
   TagSelector selector;          ///< kSelector target.
 
   std::vector<QueryRequest> requests;  ///< At least one.
-
-  /// kQlove body merging strategy for the non-high grid phis.
-  MergeStrategy strategy = MergeStrategy::kWeightedMean;
 
   static QuerySpec ForKey(MetricKey key) {
     QuerySpec spec;
@@ -217,10 +201,14 @@ struct QueryResult {
 
   int64_t window_count = 0;    ///< Pooled elements covered by the window.
   int64_t num_summaries = 0;   ///< Merged sub-window summaries (qlove path)
-                               ///< or contributing shard summaries.
+                               ///< or contributing metric summaries; a
+                               ///< metric's shards are coalesced, so S
+                               ///< shards do not multiply it.
   int64_t inflight_count = 0;  ///< Recorded but awaiting the next Tick.
-  int num_shards = 0;          ///< Total shards pooled across all metrics.
-  bool burst_active = false;   ///< Any qlove shard flagged a live burst.
+  int num_shards = 0;          ///< Configured shards summed over the matched
+                               ///< metrics (an aggregator counts 1 per
+                               ///< held summary).
+  bool burst_active = false;   ///< Any pooled qlove summary flagged a burst.
 
   /// \name Fleet accounting (AggregatorEngine queries only)
   ///
@@ -239,43 +227,6 @@ struct QueryResult {
   int64_t sources_stale = 0;
   /// @}
 };
-
-/// \name Quantile-grid helpers
-///
-/// A metric's configured phis with their estimates form a monotone
-/// phi -> value grid: a coarse piecewise-linear CDF. These are the shared
-/// primitives behind every grid evaluation — WindowView's off-grid
-/// interpolation and rank requests, and QloveBackend::QueryRank — so the
-/// engine-level and shard-level answers cannot drift. Both take the grid
-/// sorted ascending by phi with `values` aligned (and monotone, which
-/// sub-window quantiles and monotonicity-restored merges guarantee).
-/// @{
-
-/// Argsort of \p phis ascending — out[j] is the input index of the j-th
-/// smallest phi — filling \p sorted_phis with the sorted grid. The one
-/// ordering both grid consumers (WindowView and QloveBackend::QueryRank)
-/// build from, so their CDF answers cannot diverge on ordering.
-std::vector<size_t> SortedPhiOrder(const std::vector<double>& phis,
-                                   std::vector<double>* sorted_phis);
-
-/// In-place variant reusing \p order / \p sorted_phis capacity (the
-/// arena-backed rollup path).
-void SortedPhiOrderInto(const std::vector<double>& phis,
-                        std::vector<size_t>* order,
-                        std::vector<double>* sorted_phis);
-
-/// Linear interpolation of the value at \p phi, clamped to the grid ends.
-double GridValueAtPhi(const std::vector<double>& phis,
-                      const std::vector<double>& values, double phi);
-
-/// The CDF fraction at \p value: linear inverse interpolation inside the
-/// grid; outside it, nearest-cell slope extrapolation clamped to the
-/// unobserved bracket ([0, phi_first] below the grid floor, [phi_last, 1]
-/// above the ceiling) — the interval the true CDF is known to lie in.
-double GridCdfAtValue(const std::vector<double>& phis,
-                      const std::vector<double>& values, double value);
-
-/// @}
 
 /// \brief Reusable scratch buffers for WindowView construction.
 ///
@@ -308,9 +259,9 @@ struct WindowArena {
 /// summary's phi-ascending value grid), so Evaluate performs no
 /// allocations — the cached-window query path stays allocation-free.
 /// Not thread-safe to build; Evaluate is const and safe concurrently.
-/// Callers hold consistent views (MetricState::Resolved is
-/// epoch-consistent per metric; a multi-metric pool is consistent per
-/// metric, not across metrics).
+/// Callers hold consistent views (MetricState::Resolved copies one
+/// metric's export window under its epoch lock; a multi-metric pool is
+/// consistent per metric, not across metrics).
 class WindowView {
  public:
   /// Pools \p views (non-owning pointers: the summaries must outlive the
@@ -324,15 +275,12 @@ class WindowView {
   /// multi-metric rollups (and the fleet aggregator) pool cached per-metric
   /// summaries without copying a single backend state per query.
   WindowView(const std::vector<const BackendSummary*>& views,
-             const MetricOptions& options,
-             MergeStrategy strategy = MergeStrategy::kWeightedMean,
-             bool lower_to_entries = false, WindowArena* arena = nullptr);
+             const MetricOptions& options, bool lower_to_entries = false,
+             WindowArena* arena = nullptr);
 
   /// Convenience over an owned summary vector (single-metric callers).
   WindowView(const std::vector<BackendSummary>& views,
-             const MetricOptions& options,
-             MergeStrategy strategy = MergeStrategy::kWeightedMean,
-             bool lower_to_entries = false);
+             const MetricOptions& options, bool lower_to_entries = false);
 
   /// Moves this view's buffers into \p arena for the next construction to
   /// adopt. The view is dead afterwards — release only when done
@@ -365,7 +313,6 @@ class WindowView {
   double QloveValueErrorBound(double phi) const;
 
   const MetricOptions& options_;
-  MergeStrategy strategy_;
   bool entry_backed_ = false;
 
   int64_t window_count_ = 0;
@@ -400,45 +347,34 @@ class WindowView {
   bool pool_has_lowered_qlove_ = false;
 };
 
-/// \brief One Tick epoch's resolved window state for a metric: the
-/// per-shard summaries copied out of the shards exactly once, plus
-/// lazily-built per-strategy WindowViews over them.
+/// \brief One metric's query window: an immutable copy of its export
+/// window (MetricState::VisitExportWindow) plus the WindowView over it,
+/// built once at construction.
 ///
-/// This is the read-path cache behind TelemetryEngine::Query. Backend
-/// window state only changes at a Tick (in-flight values surface at the
-/// next boundary by contract), so every query between two Ticks can share
-/// one resolved copy instead of re-snapshotting S shards per call — the
-/// per-shard copy cost was the query-throughput cliff at high shard
-/// counts. MetricState owns the cache and drops it in CloseSubWindows;
-/// callers hold the shared_ptr for the duration of an evaluation, so a
-/// concurrent Tick never invalidates state under a running query.
+/// This is the read-path cache behind TelemetryEngine::Query.
+/// MetricState::Resolved builds one per export-window update and shares it
+/// with every query until the next update, so between updates a query
+/// evaluates without merging anything. Callers hold the shared_ptr for the
+/// duration of an evaluation; a concurrent Tick or Export never touches
+/// state under a running query.
 ///
 /// The referenced MetricOptions must outlive this object (it lives in the
-/// owning MetricState, which callers keep alive alongside the cache).
+/// owning MetricState, which callers keep alive alongside the window).
 class ResolvedWindow {
  public:
-  ResolvedWindow(std::vector<BackendSummary> views,
-                 const MetricOptions& options);
+  ResolvedWindow(const BackendSummary& window, const MetricOptions& options);
+  ResolvedWindow(const ResolvedWindow&) = delete;
+  ResolvedWindow& operator=(const ResolvedWindow&) = delete;
 
-  const std::vector<BackendSummary>& views() const { return views_; }
+  /// The window as a one-summary pool member span.
+  std::span<const BackendSummary> views() const { return {&window_, 1}; }
 
-  /// Transfers the per-shard summary buffers out for recycling; the owning
-  /// MetricState calls this at a Tick boundary when it is the sole owner
-  /// (the next epoch's resolve re-fills them in place). The window is dead
-  /// afterwards.
-  std::vector<BackendSummary> ReclaimViews() { return std::move(views_); }
-
-  /// The shared evaluator for \p strategy, built on first use (the
-  /// expensive Level-2 / entry-pooling merge thus runs once per Tick per
-  /// strategy, not once per query). Thread-safe; the returned reference is
-  /// valid for this object's lifetime and safe for concurrent Evaluate.
-  const WindowView& View(MergeStrategy strategy) const;
+  /// The evaluator over the window; safe for concurrent Evaluate.
+  const WindowView& view() const { return view_; }
 
  private:
-  std::vector<BackendSummary> views_;
-  const MetricOptions& options_;
-  mutable std::mutex mu_;  // guards lazy construction only
-  mutable std::unique_ptr<WindowView> by_strategy_[2];
+  const BackendSummary window_;
+  const WindowView view_;  // points into window_
 };
 
 /// \name The pool rule
@@ -475,8 +411,8 @@ struct PoolMember {
 /// qlove members disagree on the phi grid: one of them would be
 /// mis-lowered. The view is built from a thread-local WindowArena; a
 /// single-member caller holding a prebuilt native view of that member
-/// (TelemetryEngine's per-Tick ResolvedWindow) passes it as \p cached
-/// instead, and it is evaluated as is.
+/// (TelemetryEngine's ResolvedWindow) passes it as \p cached instead, and
+/// it is evaluated as is.
 ///
 /// Fills matched (canonical order, each key once), backend (the first
 /// member's kind), mixed_backends, num_shards, outcomes, window_count,

@@ -1,28 +1,12 @@
 #include "engine/registry.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <utility>
 
 #include "engine/coalesce.h"
 #include "engine/query.h"
-
-// The Tick-time summary-buffer recycle below synchronizes with the last
-// outside reader through the releasing refcount decrement of its
-// shared_ptr copy plus an acquire fence — valid fence-atomic
-// synchronization, but ThreadSanitizer does not model
-// std::atomic_thread_fence and reports the hand-off as a race. Under TSan
-// the recycle is disabled (the cache is dropped and rebuilt with a fresh
-// allocation); query results are unaffected.
-#if defined(__SANITIZE_THREAD__)
-#define QLOVE_TSAN_BUILD 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define QLOVE_TSAN_BUILD 1
-#endif
-#endif
 
 namespace qlove {
 namespace engine {
@@ -141,29 +125,6 @@ void MetricState::CloseSubWindows() {
     }
     if (!overlay_active_) overlay_ = BackendSummary();
   }
-  // The boundary changed window state: queries in flight keep their
-  // shared_ptr to the old epoch's resolved views; the next query resolves
-  // afresh.
-  DropResolvedLocked();
-}
-
-void MetricState::DropResolvedLocked() const {
-  // When nothing else holds the cache, reclaim its per-shard summary
-  // buffers for the next resolve instead of freeing them — steady-state
-  // Ticks then rebuild the query cache allocation-free. The const_cast is
-  // sound: copies of resolved_ are only handed out under epoch_mu_, so
-  // use_count() == 1 here means no other reference exists or can appear.
-#if !defined(QLOVE_TSAN_BUILD)
-  if (resolved_ != nullptr && resolved_.use_count() == 1) {
-    // use_count() is a relaxed load; the fence pairs with the releasing
-    // refcount decrement of the last outside holder, ordering its final
-    // reads of the views before the mutation below.
-    std::atomic_thread_fence(std::memory_order_acquire);
-    spare_views_ =
-        const_cast<ResolvedWindow*>(resolved_.get())->ReclaimViews();
-  }
-#endif
-  resolved_.reset();
 }
 
 namespace {
@@ -235,6 +196,9 @@ void MetricState::UpdateExportWindowLocked(int64_t epoch) const {
 }
 
 void MetricState::NoteExportWindowLocked() const {
+  // Queries in flight keep their shared_ptr to the previous copy; the
+  // next Resolved() copies the window afresh.
+  resolved_.reset();
   if (export_window_.kind == BackendKind::kQlove) {
     export_window_.burst_active = std::any_of(
         export_window_.subwindows.begin(), export_window_.subwindows.end(),
@@ -256,34 +220,15 @@ int64_t MetricState::LiveInflightCount() const {
 
 std::shared_ptr<const ResolvedWindow> MetricState::Resolved() const {
   std::lock_guard<std::mutex> lock(epoch_mu_);
-  // A CMQS window also moves between Ticks: its open bucket rides in
-  // `entries`, so every newly accepted value stales the cache (the stamp
-  // RefreshExportWindowLocked keeps for the export window).
-  int64_t accepted = 0;
-  if (options_.backend.kind == BackendKind::kCmqs) {
-    for (const auto& shard : shards_) {
-      accepted += shard->DrainLiveCounts().total_added;
-    }
-    if (accepted != resolved_accepted_) DropResolvedLocked();
+  // Between boundaries only a CMQS window moves, so any other kind skips
+  // the S-shard drain while its window is current.
+  if (options_.backend.kind == BackendKind::kCmqs ||
+      window_epoch_ != tick_epochs_.load(std::memory_order_relaxed)) {
+    RefreshExportWindowLocked();
   }
   if (resolved_ == nullptr) {
-    // Refill the previous epoch's reclaimed buffers in place (empty on the
-    // first resolve); Shard::SnapshotInto reuses each summary's payload
-    // capacity, so a steady-state rebuild performs no allocations.
-    std::vector<BackendSummary> views = std::move(spare_views_);
-    spare_views_.clear();
-    views.resize(shards_.size());
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      shards_[s]->SnapshotInto(&views[s]);
-    }
-    if (overlay_active_) {
-      views.erase(std::remove_if(views.begin(), views.end(), ViewIsEmpty),
-                  views.end());
-      views.push_back(overlay_);
-    }
-    resolved_ = std::make_shared<const ResolvedWindow>(std::move(views),
+    resolved_ = std::make_shared<const ResolvedWindow>(export_window_,
                                                        options_);
-    resolved_accepted_ = accepted;
   }
   return resolved_;
 }
@@ -311,7 +256,6 @@ void MetricState::RestoreSummary(BackendSummary summary, int64_t base_epoch) {
   // The metric has (logically) seen base_epoch boundaries already; a zero
   // epoch count would make exports skip it as never-ticked.
   tick_epochs_.store(base_epoch, std::memory_order_relaxed);
-  resolved_.reset();
 }
 
 // ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@
 namespace qlove {
 namespace engine {
 
-class ResolvedWindow;  // engine/query.h: cached per-Tick evaluation state
+class ResolvedWindow;  // engine/query.h: a query copy of the export window
 
 /// \brief Per-metric configuration shared by every shard of the metric.
 struct MetricOptions {
@@ -117,21 +117,19 @@ class MetricState {
     return window_bytes_.load(std::memory_order_relaxed);
   }
 
-  /// The cached resolved window of the current Tick epoch: every shard's
-  /// summary (Shard::SnapshotInto) plus the restore overlay, taken once
-  /// and shared by every query until CloseSubWindows invalidates it (kCmqs
-  /// also whenever its shards accepted values since, because its open
-  /// bucket is window content). Other backends' window state only changes
-  /// at a Tick, so between-Tick queries over the same resolved state are
-  /// exact, not stale — this is what keeps Query throughput flat as
-  /// shards grow (previously every Query re-copied S backend summaries).
-  /// Callers keep the returned shared_ptr alive for the duration of an
-  /// evaluation; a concurrent Tick builds a fresh cache without touching
-  /// theirs.
+  /// The metric's query window: an immutable copy of the export window
+  /// (VisitExportWindow), taken once per window update and shared by
+  /// every query until the export window next changes — at a sub-window
+  /// boundary, or, for kCmqs, once its shards accepted values since
+  /// (its open bucket is window content). The agent thus pools exactly
+  /// the summary its exports ship, so a host fed its frames answers bit
+  /// for bit as it does. Callers keep the returned shared_ptr alive for
+  /// the duration of an evaluation; a concurrent Tick or Export updates
+  /// the export window without touching theirs.
   std::shared_ptr<const ResolvedWindow> Resolved() const;
 
   /// Live sum of every shard's in-flight (accepted, awaiting the next
-  /// Tick) count. Deliberately NOT part of the cached ResolvedWindow:
+  /// Tick) count. Deliberately NOT part of the ResolvedWindow:
   /// in-flight backlog grows between Ticks, and freezing it at cache
   /// build time would blind staleness dashboards; the engine re-reads
   /// this per query (S mutex acquisitions, no state copies).
@@ -170,10 +168,10 @@ class MetricState {
   /// A restarted engine cannot rehydrate backend internals from a wire
   /// summary (Level-2 state is incrementally maintained), so recovery
   /// installs the replayed window as a restore OVERLAY: one extra
-  /// coalesced summary served alongside the live shards' views — queries
-  /// merge it exactly like another shard, and it seeds the export window
-  /// (a qlove overlay's sub-windows then age out through the window's own
-  /// epoch trim; an entry-kind overlay is coalesced in while it serves).
+  /// coalesced summary folded into the export window, which queries and
+  /// exports both serve (a qlove overlay's sub-windows seed the window and
+  /// age out through its own epoch trim; an entry-kind overlay is
+  /// coalesced in while it serves).
   /// The overlay decays on the same schedule the crashed window would
   /// have: each CloseSubWindows ages it one epoch (qlove sub-windows
   /// expire individually; entry-kind payloads drop wholesale after
@@ -213,19 +211,9 @@ class MetricState {
   BackendSummary overlay_;
   int64_t overlay_base_epoch_ = 0;  ///< Crashed incarnation's Tick epoch.
   int64_t overlay_closes_ = 0;      ///< Boundaries since the restore.
-  /// Current epoch's resolved window; guarded by epoch_mu_, reset by
-  /// CloseSubWindows, built lazily by Resolved().
+  /// Query copy of export_window_; guarded by epoch_mu_, dropped
+  /// whenever export_window_ changes, rebuilt by Resolved().
   mutable std::shared_ptr<const ResolvedWindow> resolved_;
-  /// Per-shard summary buffers reclaimed from the previous epoch's
-  /// resolved window (when this state was its sole owner at the Tick):
-  /// the next Resolved() re-fills them in place via Shard::SnapshotInto,
-  /// so steady-state Ticks rebuild the query cache without allocating.
-  mutable std::vector<BackendSummary> spare_views_;
-  /// kCmqs: the shards' summed accepted count resolved_ covers.
-  mutable int64_t resolved_accepted_ = 0;
-  /// Releases resolved_, reclaiming its views into spare_views_ when no
-  /// query still holds it (epoch_mu_ held).
-  void DropResolvedLocked() const;
 
   /// Drains the shards' live counts, brings export_window_ up to date
   /// when it is stale, and returns the live in-flight count (epoch_mu_

@@ -211,11 +211,6 @@ int64_t Shard::TotalAdded() const {
   return total_added_.load(std::memory_order_relaxed);
 }
 
-int64_t Shard::QueryRank(double value) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return backend_->QueryRank(value);
-}
-
 int64_t Shard::ObservedSpaceVariables() const {
   std::lock_guard<std::mutex> lock(mu_);
   return backend_->ObservedSpaceVariables();

@@ -15,8 +15,8 @@
 // dashboards poll them without touching the mutex.
 //
 // SnapshotInto() exports the backend's mergeable summary under the lock;
-// cross-shard merging happens outside it (the metric's export window in
-// registry.h, the query path's ResolvedWindow in query.h).
+// cross-shard merging happens outside it, in the metric's export window
+// (registry.h), which queries and exports both read.
 
 #ifndef QLOVE_ENGINE_SHARD_H_
 #define QLOVE_ENGINE_SHARD_H_
@@ -218,13 +218,6 @@ class Shard {
   /// The quantizer ingest must apply before PublishPreQuantizedStrided;
   /// nullptr when the backend takes raw values.
   const Quantizer* pre_quantizer() const { return pre_quantizer_; }
-
-  /// Window rank of \p value in this stripe (ShardBackend::QueryRank under
-  /// the shard lock). Ranks are additive across stripes, so a metric- or
-  /// fleet-level rank is the plain sum of this over every shard — the
-  /// cheap CDF side-channel for callers that hold shards directly (e.g. an
-  /// RPC facade probing one stripe) without exporting a full summary.
-  int64_t QueryRank(double value) const;
 
   /// Elements accepted since initialization. Drains the ring first so
   /// everything the caller flushed before asking is counted (the pre-ring

@@ -139,18 +139,6 @@ std::vector<WeightedValue> CmqsOperator::ExportWindowEntries() const {
   return entries;
 }
 
-int64_t CmqsOperator::WindowRankAtValue(double value) const {
-  int64_t rank = 0;
-  for (const Bucket& bucket : completed_) {
-    for (const auto& [entry_value, weight] : bucket.entries) {
-      if (entry_value > value) break;  // entries are sorted ascending
-      rank += weight;
-    }
-  }
-  if (inflight_.count() > 0) rank += inflight_.RankAtValue(value);
-  return rank;
-}
-
 std::vector<double> CmqsOperator::ComputeQuantiles() {
   // All active sketches are combined with a k-way heap merge (each bucket
   // sketch is already sorted); every requested quantile is answered in one

@@ -58,11 +58,6 @@ class CmqsOperator final : public QuantileOperator {
   /// summary-export path a sharded engine merges across shards.
   std::vector<WeightedValue> ExportWindowEntries() const;
 
-  /// Total weight of window entries at or below \p value — the rank a
-  /// query over ExportWindowEntries would accumulate, computed in place
-  /// (no per-probe export copy). Backs the engine's rank/CDF hook.
-  int64_t WindowRankAtValue(double value) const;
-
   /// Expires everything ingested before global element index
   /// \p global_index (0-based; elements are indexed in arrival order):
   /// completed buckets wholly before the cutoff expire wholesale, and the

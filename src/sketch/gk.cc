@@ -139,28 +139,6 @@ std::vector<std::pair<double, int64_t>> GkSummary::ExportPointWeights()
   return out;
 }
 
-int64_t GkSummary::RankAtValue(double value) const {
-  // Mirrors ExportPointWeights' rank assignment exactly: same point
-  // placement, same strictly-increasing forcing, and — because tuples are
-  // ascending by value — the final entry's remainder absorption reduces to
-  // "everything qualifies" whenever the last emitted tuple does.
-  int64_t rmin = 0;
-  int64_t prev_point = 0;
-  int64_t rank = 0;
-  bool last_qualifies = false;
-  for (const GkTuple& t : tuples_) {
-    rmin += t.g;
-    int64_t point = rmin + t.delta / 2;
-    point = std::max(point, prev_point + 1);
-    point = std::min(point, count_);
-    if (point <= prev_point) continue;  // exhausted the rank space
-    last_qualifies = t.value <= value;
-    if (last_qualifies) rank = point;
-    prev_point = point;
-  }
-  return last_qualifies ? count_ : rank;
-}
-
 void GkSummary::Reset() {
   count_ = 0;
   inserts_since_compress_ = 0;

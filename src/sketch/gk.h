@@ -71,12 +71,6 @@ class GkSummary {
   /// compounds across sub-windows into a systematic rank offset.
   std::vector<std::pair<double, int64_t>> ExportPointWeights() const;
 
-  /// Cumulative point weight at or below \p value — the rank
-  /// ExportPointWeights' entries would report, computed with the same walk
-  /// (including the final entry's remainder absorption) but without
-  /// materializing the export. Backs per-probe rank/CDF queries.
-  int64_t RankAtValue(double value) const;
-
   /// Forces a compression pass now (normally automatic).
   void Compress();
 

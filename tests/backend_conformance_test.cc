@@ -198,27 +198,26 @@ TEST_P(BackendConformanceTest, TrickleIngestStillExpiresStaleData) {
 }
 
 TEST_P(BackendConformanceTest, QueryRankAgreesWithExactWindowRank) {
-  // The QueryRank hook (the CDF primitive behind the engine's Rank
-  // requests) must agree with the exact at-or-below count of the window
-  // contents within the backend's budget: exactly for Exact, within the
-  // epsilon rank budget for the GK family, and within the quantile-grid
-  // resolution for QLOVE.
+  // A Rank request must agree with the exact at-or-below fraction of the
+  // window contents within the backend's budget: exactly for Exact,
+  // within the epsilon rank budget for the GK family, and within the
+  // quantile-grid resolution for QLOVE.
   const BackendCase param = GetParam();
-  auto built = engine::CreateShardBackend(
-      MakeBackendOptions(param.kind), WindowSpec(kWindow, kPeriod), kPhis);
-  ASSERT_TRUE(built.ok()) << built.status().ToString();
-  std::unique_ptr<engine::ShardBackend> backend = built.TakeValue();
+  engine::TelemetryEngine engine = MakeEngine(1);
+  const engine::MetricKey key("rank");
+  ASSERT_TRUE(engine.RegisterMetric(key, MakeBackendOptions(param.kind)).ok());
 
   workload::NetMonGenerator gen(73);
   const std::vector<double> data = workload::Materialize(&gen, kWindow);
-  for (size_t offset = 0; offset < data.size();
-       offset += static_cast<size_t>(kPeriod)) {
-    backend->AddStrided(data.data() + offset,
-                        static_cast<size_t>(kPeriod), 0, 1);
-    backend->Tick();
-  }
+  FeedByPeriods(&engine, key, data);
   std::vector<double> sorted = data;
   std::sort(sorted.begin(), sorted.end());
+  auto rank_of = [&](double probe) {
+    auto answer = engine.Query(engine::QuerySpec::ForKey(key).With(
+        engine::QueryRequest::Rank(probe)));
+    EXPECT_TRUE(answer.ok()) << answer.status().ToString();
+    return answer.ok() ? answer.ValueOrDie().outcomes[0].value : -1.0;
+  };
 
   double tol;
   switch (param.kind) {
@@ -234,11 +233,12 @@ TEST_P(BackendConformanceTest, QueryRankAgreesWithExactWindowRank) {
     const auto exact_rank = static_cast<int64_t>(
         std::upper_bound(sorted.begin(), sorted.end(), probe) -
         sorted.begin());
-    const int64_t rank = backend->QueryRank(probe);
-    const double err = std::abs(static_cast<double>(rank - exact_rank)) /
-                       static_cast<double>(kWindow);
-    EXPECT_LE(err, tol) << backend->Name() << " phi=" << phi
-                        << " rank=" << rank << " exact=" << exact_rank;
+    const double fraction = rank_of(probe);
+    const double err = std::abs(fraction - static_cast<double>(exact_rank) /
+                                               static_cast<double>(kWindow));
+    EXPECT_LE(err, tol) << engine::BackendKindName(param.kind)
+                        << " phi=" << phi << " fraction=" << fraction
+                        << " exact=" << exact_rank;
   }
   // Probes outside the observed range saturate — exactly for the
   // entry-backed kinds (their entries span the window), within the grid
@@ -246,12 +246,13 @@ TEST_P(BackendConformanceTest, QueryRankAgreesWithExactWindowRank) {
   // probe just outside the range is indistinguishable from one just
   // inside the outermost grid cell).
   if (param.kind == engine::BackendKind::kQlove) {
-    const auto slack = static_cast<int64_t>(tol * kWindow);
-    EXPECT_GE(backend->QueryRank(sorted.back() + 1.0), kWindow - slack);
-    EXPECT_LE(backend->QueryRank(sorted.front() - 1.0), slack);
+    // The budget in whole elements of the window, as a fraction.
+    const double slack = std::floor(tol * kWindow) / kWindow;
+    EXPECT_GE(rank_of(sorted.back() + 1.0), 1.0 - slack);
+    EXPECT_LE(rank_of(sorted.front() - 1.0), slack);
   } else {
-    EXPECT_EQ(backend->QueryRank(sorted.back() + 1.0), kWindow);
-    EXPECT_EQ(backend->QueryRank(sorted.front() - 1.0), 0);
+    EXPECT_EQ(rank_of(sorted.back() + 1.0), 1.0);
+    EXPECT_EQ(rank_of(sorted.front() - 1.0), 0.0);
   }
 }
 

@@ -16,10 +16,8 @@ namespace test_util {
 /// \p engine's answer for \p key with one Quantile request per grid phi
 /// (EngineOptions::phis), in grid order.
 inline Result<engine::QueryResult> GridQuery(
-    const engine::TelemetryEngine& engine, const engine::MetricKey& key,
-    engine::MergeStrategy strategy = engine::MergeStrategy::kWeightedMean) {
+    const engine::TelemetryEngine& engine, const engine::MetricKey& key) {
   engine::QuerySpec spec = engine::QuerySpec::ForKey(key);
-  spec.strategy = strategy;
   for (double phi : engine.options().phis) {
     spec.With(engine::QueryRequest::Quantile(phi));
   }

@@ -1,5 +1,5 @@
-// Allocation accounting for the read hot path. The between-Ticks query
-// cache (ResolvedWindow), the spare-view recycling at Tick boundaries, and
+// Allocation accounting for the read hot path. The query window cache
+// (ResolvedWindow: one copy of the export window per window update) and
 // the precomputed WindowView evaluation state exist so that serving
 // dashboards does not churn the allocator; this suite pins those
 // properties down by counting global operator new calls:
@@ -11,8 +11,7 @@
 //    per-query allocation count (the QueryResult's own vectors), i.e. the
 //    evaluator itself contributes nothing once cached;
 //  - steady-state Tick -> query cycles settle to a constant allocation
-//    count too (the recycled summary buffers stop growing once window
-//    shape stabilizes);
+//    count too (each Tick copies one window of a stable shape);
 //  - agent and aggregator Exports write frames straight from the held
 //    windows, so their allocations do not grow with window depth.
 //
@@ -291,10 +290,10 @@ TEST(QueryAllocTest2, TickRebuildRecyclesSummaryBuffers) {
 
   const int64_t first = CountNews([&] { for (int i = 0; i < 8; ++i) cycle(); });
   const int64_t second = CountNews([&] { for (int i = 0; i < 8; ++i) cycle(); });
-  // Identical work, identical shapes: the recycled summary/evaluator
-  // buffers must hold the allocation count flat across rounds (no
-  // per-Tick leak of capacity into fresh vectors). A few allocations of
-  // slack absorb deque block boundaries drifting across the rounds.
+  // Identical work, identical shapes: the per-Tick window copy and its
+  // evaluator must hold the allocation count flat across rounds (no
+  // per-Tick growth). A few allocations of slack absorb deque block
+  // boundaries drifting across the rounds.
   EXPECT_LE(std::abs(first - second), 8)
       << "first=" << first << " second=" << second;
 }

@@ -10,8 +10,11 @@
 #include "engine/query.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -625,16 +628,16 @@ TEST(QueryCacheTest, ResolvedWindowIsCachedBetweenTicksAndDroppedByTick) {
 
   const std::shared_ptr<const ResolvedWindow> first = state.Resolved();
   EXPECT_EQ(first.get(), state.Resolved().get());  // cached, not rebuilt
-  EXPECT_EQ(first->View(MergeStrategy::kWeightedMean).window_count(), 512);
+  EXPECT_EQ(first->view().window_count(), 512);
 
   state.shard(0).AddBatch(batch.data(), batch.size());
   state.CloseSubWindows();  // Tick: the cache must drop
   const std::shared_ptr<const ResolvedWindow> second = state.Resolved();
   EXPECT_NE(first.get(), second.get());
-  EXPECT_EQ(second->View(MergeStrategy::kWeightedMean).window_count(), 1024);
+  EXPECT_EQ(second->view().window_count(), 1024);
   // The old epoch's state stays valid for holders (queries in flight
   // across a concurrent Tick keep evaluating a consistent window).
-  EXPECT_EQ(first->View(MergeStrategy::kWeightedMean).window_count(), 512);
+  EXPECT_EQ(first->view().window_count(), 512);
 }
 
 TEST(QueryCacheTest, TickInvalidatesCachedQueryAnswers) {
@@ -780,15 +783,18 @@ TEST(QueryApiTest, AgentRefusesPoolAcrossDisagreeingGrids) {
           .ok());
 }
 
-TEST(QueryApiTest, OneShardAgentAnswersBitIdenticallyToHost) {
-  // At one shard an agent's export carries exactly the summaries its own
-  // queries pool, so a host fed the full frame must answer every target —
-  // single keys, same-kind rollups and the mixed name-wide rollup —
-  // bit for bit like the agent. (At more shards the agent pools
-  // per-shard summaries while the host pools the coalesced one, and the
-  // answers differ by design.)
+class QueryApiParityTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(QueryApiParityTest, AgentAnswersBitIdenticallyToHost) {
+  // An agent's queries pool exactly the coalesced export window it ships,
+  // whatever its shard count, so a host fed the full frame must answer
+  // every target — single keys, same-kind rollups and the mixed name-wide
+  // rollup — bit for bit like the agent. The one field that differs by
+  // design is num_shards: the agent reports its configured shards, the
+  // host one per held summary.
+  const int shards = GetParam();
   EngineOptions options;
-  options.num_shards = 1;
+  options.num_shards = shards;
   options.shard_window = WindowSpec(2048, 256);
   TelemetryEngine engine(options);
 
@@ -845,7 +851,7 @@ TEST(QueryApiTest, OneShardAgentAnswersBitIdenticallyToHost) {
     EXPECT_EQ(a.mixed_backends, h.mixed_backends);
     EXPECT_EQ(a.window_count, h.window_count);
     EXPECT_EQ(a.num_summaries, h.num_summaries);
-    EXPECT_EQ(a.num_shards, h.num_shards);
+    EXPECT_EQ(a.num_shards, shards * h.num_shards);
     EXPECT_EQ(a.inflight_count, h.inflight_count);
     EXPECT_EQ(a.burst_active, h.burst_active);
     ASSERT_EQ(a.outcomes.size(), h.outcomes.size());
@@ -863,6 +869,87 @@ TEST(QueryApiTest, OneShardAgentAnswersBitIdenticallyToHost) {
     }
   }
   EXPECT_EQ(outcomes, 65);
+}
+
+INSTANTIATE_TEST_SUITE_P(ShardCounts, QueryApiParityTest,
+                         ::testing::Values(1, 4, 8),
+                         [](const auto& info) {
+                           return "shards" + std::to_string(info.param);
+                         });
+
+// ---------------------------------------------------------------------------
+// The query window's lifetime under concurrent Ticks and Exports
+// ---------------------------------------------------------------------------
+
+TEST(AgentQueryRaceTest, QueriesRaceTickAndExport) {
+  // A query holds its metric's ResolvedWindow — a copy of the export
+  // window — for the whole evaluation, while Tick and Export update the
+  // export window under the epoch lock and drop the copy: under TSan every
+  // access must be ordered by that lock or by the shared_ptr. Every answer
+  // is a whole number of full Ticks (no torn window), and afterwards the
+  // agent answers exactly as the host its frames fed.
+  constexpr int kShards = 4;
+  constexpr int64_t kPeriod = 256;
+  constexpr int kTicks = 24;
+  EngineOptions options;
+  options.num_shards = kShards;
+  options.shard_window = WindowSpec(4 * kPeriod, kPeriod);
+  TelemetryEngine engine(options);
+  const MetricKey keys[2] = {MetricKey("rtt_us", {{"host", "a"}}),
+                             MetricKey("rtt_us", {{"host", "b"}})};
+  for (const MetricKey& key : keys) {
+    ASSERT_TRUE(engine.RegisterMetric(key).ok());
+  }
+  AggregatorEngine host;
+  const int64_t batch = kShards * kPeriod;
+
+  std::atomic<bool> done{false};
+  std::thread ticker([&] {
+    workload::NetMonGenerator gen(31);
+    ExportCursor cursor;
+    std::vector<uint8_t> frame;
+    for (int tick = 0; tick < kTicks; ++tick) {
+      for (const MetricKey& key : keys) {
+        EXPECT_TRUE(
+            engine.RecordBatch(key, workload::Materialize(&gen, batch)).ok());
+      }
+      engine.Tick();
+      EXPECT_TRUE(engine.Export("agent", &cursor, &frame).ok());
+      auto ack = host.IngestFrame(frame);
+      EXPECT_TRUE(ack.ok()) << ack.status().ToString();
+      if (!ack.ok() || !ack.ValueOrDie().applied) cursor.RequestResync();
+    }
+    done.store(true);
+  });
+  const QuerySpec point = QuerySpec::ForKey(keys[0])
+                              .With(QueryRequest::Count())
+                              .With(QueryRequest::Quantile(0.99))
+                              .With(QueryRequest::Rank(800.0));
+  const QuerySpec rollup = QuerySpec::ForSelector({"rtt_us", {}})
+                               .With(QueryRequest::Count())
+                               .With(QueryRequest::Quantile(0.5));
+  // No ASSERT before the join: returning early would destroy the ticker
+  // unjoined.
+  do {
+    for (const QuerySpec* spec : {&point, &rollup}) {
+      auto result = engine.Query(*spec);
+      EXPECT_TRUE(result.ok()) << result.status().ToString();
+      if (!result.ok()) continue;
+      const QueryResult& r = result.ValueOrDie();
+      EXPECT_EQ(r.window_count % batch, 0) << "torn window";
+      EXPECT_EQ(r.outcomes[0].value, static_cast<double>(r.window_count));
+    }
+  } while (!done.load());
+  ticker.join();
+
+  auto agent = engine.Query(point);
+  auto pooled = host.Query(point);
+  ASSERT_TRUE(agent.ok() && pooled.ok());
+  EXPECT_EQ(agent.ValueOrDie().window_count, 4 * batch);
+  for (size_t i = 0; i < point.requests.size(); ++i) {
+    EXPECT_EQ(agent.ValueOrDie().outcomes[i].value,
+              pooled.ValueOrDie().outcomes[i].value);
+  }
 }
 
 }  // namespace
