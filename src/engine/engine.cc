@@ -370,6 +370,11 @@ void TelemetryEngine::FlushToShards(MetricState* state, const double* values,
     state->shard(shard_index)
         .PublishPreQuantizedStrided(publish, count, offset, num_shards);
   }
+  // Counted after the publish: a Tick that reads the count and then drains
+  // the rings has these values in its kCmqs windows.
+  if (state->options().backend.kind == BackendKind::kCmqs) {
+    cmqs_flushes_.fetch_add(1, std::memory_order_acq_rel);
+  }
 }
 
 Status TelemetryEngine::FlushBuffer(const MetricKey& key,
@@ -405,6 +410,12 @@ void TelemetryEngine::Tick() {
   // samples recorded since the last Tick land in the sub-window this Tick
   // closes (queryable immediately after).
   if (introspection_ != nullptr) PublishStageSamples();
+  // The boundary proper starts here: nothing above moves what an export
+  // tracks. Alone: every earlier Tick has ended, so none is half done
+  // under this one's WAL encode.
+  const uint64_t tick = ticks_begun_.fetch_add(1) + 1;
+  const bool alone = ticks_ended_.load() == tick - 1;
+  const uint64_t cmqs_flushes = cmqs_flushes_.load(std::memory_order_acquire);
   std::vector<std::shared_ptr<MetricState>> states = registry_.List();
   for (const auto& state : states) {
     state->CloseSubWindows();
@@ -414,7 +425,8 @@ void TelemetryEngine::Tick() {
   }
   MaintainAfterTick(states);
   tick_epochs_.fetch_add(1, std::memory_order_relaxed);
-  AppendWalRecord();
+  AppendWalRecord(alone ? tick : 0, cmqs_flushes);
+  ticks_ended_.fetch_add(1);
   if (introspection_ != nullptr) {
     introspection_->OnTick();
     // This Tick's own latency is buffered now and published by the NEXT
@@ -461,7 +473,7 @@ void TelemetryEngine::set_wal_testing_fail_appends(int n) {
   if (wal_ != nullptr) wal_->set_testing_fail_appends(n);
 }
 
-void TelemetryEngine::AppendWalRecord() {
+void TelemetryEngine::AppendWalRecord(uint64_t tick, uint64_t cmqs_flushes) {
   std::lock_guard<std::mutex> lock(wal_mu_);
   if (wal_ == nullptr) return;
   // A checkpoint is due when the writer asks for one (no open segment, or
@@ -473,8 +485,23 @@ void TelemetryEngine::AppendWalRecord() {
       wal_degraded_.load(std::memory_order_relaxed) ||
       wal_ticks_since_checkpoint_ >= wal_->options().checkpoint_every_n_ticks;
   if (checkpoint) wal_cursor_.RequestResync();  // full frame
-  // The unmetered encode: WAL records are not wire exports.
-  EncodeExport("wal", &wal_cursor_, &wal_scratch_, ExportOptions{});
+  const uint64_t base_view = wal_cursor_.view_;
+  const int64_t base_epoch = wal_cursor_.last_epoch_;
+  // Read before the encode lists the registry: any later registration or
+  // eviction changes it.
+  const uint64_t generation = registry_.generation();
+  // The unmetered encode: WAL records are not wire exports. It reads the
+  // in-flight counts the boundary left, so its frame is as of the Tick.
+  const FrameShape shape = EncodeExport("wal", &wal_cursor_, &wal_scratch_,
+                                        ExportOptions{}, /*as_of_tick=*/true);
+  // No other Tick overlapped this one, so the encode saw this Tick's state
+  // whole: the WAL cursor now tracks exactly what a wire cursor exporting
+  // after this Tick will.
+  const bool whole = tick != 0 && ticks_begun_.load() == tick;
+  if (whole) {
+    wal_cursor_.view_token_ = sync_token_;
+    wal_cursor_.view_ = tick;
+  }
   Status status = checkpoint ? wal_->BeginSegment() : Status::OK();
   if (status.ok()) {
     status = wal_->Append(wal_scratch_.data(), wal_scratch_.size(),
@@ -482,6 +509,25 @@ void TelemetryEngine::AppendWalRecord() {
   }
   if (status.ok() && wal_->options().fsync == WalFsyncPolicy::kEveryTick) {
     status = wal_->Sync();
+  }
+  // Keep a delta for Export to ship (its bytes are right whether or not
+  // the disk took them). Its tracking state moves into a shared map the
+  // cursors that ship it adopt; the next Tick's encode copies it back.
+  if (whole && shape.delta && base_view != 0) {
+    auto sent = std::make_shared<const ExportCursor::SentMap>(
+        std::move(wal_cursor_.sent_));
+    wal_cursor_.Adopt(sent, wal_cursor_.last_epoch_, sync_token_, tick);
+    std::lock_guard<std::mutex> frame_lock(tick_frame_mu_);
+    std::swap(tick_frame_.bytes, wal_scratch_);
+    tick_frame_.body_offset = shape.body_offset;
+    tick_frame_.metrics = shape.metrics;
+    tick_frame_.epoch = wal_cursor_.last_epoch_;
+    tick_frame_.base_epoch = base_epoch;
+    tick_frame_.view = tick;
+    tick_frame_.base_view = base_view;
+    tick_frame_.registry_generation = generation;
+    tick_frame_.cmqs_flushes = cmqs_flushes;
+    tick_frame_.sent = std::move(sent);
   }
   if (!status.ok()) {
     // Non-durable degraded mode: keep serving, remember that the on-disk
@@ -704,7 +750,21 @@ Status TelemetryEngine::Export(std::string source, ExportCursor* cursor,
     return Status::InvalidArgument("null output buffer");
   }
   Stopwatch watch;
-  const bool delta = EncodeExport(source, cursor, out, export_options);
+  const bool reused =
+      !export_options.include_self_metrics && ShipTickFrame(source, cursor, out);
+  bool delta = true;
+  if (!reused) {
+    const uint64_t ended = ticks_ended_.load();
+    const uint64_t begun = ticks_begun_.load();
+    delta = EncodeExport(source, cursor, out, export_options).delta;
+    // No Tick was half done or began during the encode: the cursor tracks
+    // Tick `begun`'s state (self-metrics are not part of that state).
+    if (!export_options.include_self_metrics && ended == begun &&
+        ticks_begun_.load() == begun) {
+      cursor->view_token_ = sync_token_;
+      cursor->view_ = begun;
+    }
+  }
   if (introspection_ != nullptr) {
     const auto bytes = static_cast<int64_t>(out->size());
     introspection_->RecordStage(Stage::kWireEncode,
@@ -712,14 +772,48 @@ Status TelemetryEngine::Export(std::string source, ExportCursor* cursor,
     introspection_->OnExport();
     introspection_->OnWireBytes(bytes);
     if (delta) introspection_->OnDeltaExport(bytes);
+    if (reused) introspection_->OnFrameReused();
   }
   return Status::OK();
 }
 
-bool TelemetryEngine::EncodeExport(std::string_view source,
-                                   ExportCursor* cursor,
-                                   std::vector<uint8_t>* out,
-                                   const ExportOptions& export_options) const {
+bool TelemetryEngine::ShipTickFrame(std::string_view source,
+                                    ExportCursor* cursor,
+                                    std::vector<uint8_t>* out) const {
+  std::shared_ptr<const ExportCursor::SentMap> sent;
+  int64_t epoch = 0;
+  uint64_t view = 0;
+  {
+    std::lock_guard<std::mutex> lock(tick_frame_mu_);
+    const TickFrame& frame = tick_frame_;
+    // The cursor sits where the frame's encode began (same engine, same
+    // Tick, same epoch, nothing forcing a full frame), no later Tick began,
+    // and nothing the frame covers moved since.
+    if (frame.view == 0 || frame.view != ticks_begun_.load() ||
+        cursor->force_full_ || cursor->view_token_ != sync_token_ ||
+        cursor->view_ != frame.base_view ||
+        cursor->last_epoch_ != frame.base_epoch ||
+        registry_.generation() != frame.registry_generation ||
+        cmqs_flushes_.load(std::memory_order_acquire) != frame.cmqs_flushes) {
+      return false;
+    }
+    FrameWriter(out).DeltaHeader(source, sync_token_, frame.epoch,
+                                 frame.base_epoch, frame.metrics);
+    out->insert(out->end(),
+                frame.bytes.begin() +
+                    static_cast<std::ptrdiff_t>(frame.body_offset),
+                frame.bytes.end());
+    sent = frame.sent;
+    epoch = frame.epoch;
+    view = frame.view;
+  }
+  cursor->Adopt(std::move(sent), epoch, sync_token_, view);
+  return true;
+}
+
+TelemetryEngine::FrameShape TelemetryEngine::EncodeExport(
+    std::string_view source, ExportCursor* cursor, std::vector<uint8_t>* out,
+    const ExportOptions& export_options, bool as_of_tick) const {
   const int64_t epoch = TickEpochs();
   std::vector<std::shared_ptr<MetricState>> states = registry_.List();
   if (export_options.include_self_metrics) {
@@ -743,24 +837,43 @@ bool TelemetryEngine::EncodeExport(std::string_view source,
   std::vector<const MetricKey*> keys;
   keys.reserve(states.size());
   for (const auto& state : states) keys.push_back(&state->key());
-  const bool delta = cursor->Begin(source, sync_token_, epoch, keys, out);
+  FrameShape shape;
+  shape.delta = cursor->Begin(source, sync_token_, epoch, keys, out);
+  shape.metrics = keys.size();
+  shape.body_offset = out->size();
   for (const auto& state : states) {
     // Shard count is an agent-internal detail: every export ships the
     // metric's one coalesced window, encoded where it is kept.
     state->VisitExportWindow(
-        [&](const BackendSummary& window, int64_t live_inflight) {
+        [&](const BackendSummary& window, int64_t inflight) {
           const BackendSummary* shards[] = {&window};
-          cursor->Metric(state->key(), state->options(), shards,
-                         live_inflight, /*lineage=*/0);
-        });
+          cursor->Metric(state->key(), state->options(), shards, inflight,
+                         /*lineage=*/0);
+        },
+        as_of_tick);
   }
   cursor->End();
-  return delta;
+  return shape;
+}
+
+void ExportCursor::Adopt(std::shared_ptr<const SentMap> sent, int64_t epoch,
+                         uint64_t view_token, uint64_t view) {
+  sent_.clear();
+  shared_sent_ = std::move(sent);
+  force_full_ = false;
+  last_epoch_ = epoch;
+  view_token_ = view_token;
+  view_ = view;
 }
 
 bool ExportCursor::Begin(std::string_view source, uint64_t sync_token,
                          int64_t epoch, std::span<const MetricKey* const> keys,
                          std::vector<uint8_t>* out) {
+  if (shared_sent_ != nullptr) {
+    sent_ = *shared_sent_;
+    shared_sent_.reset();
+  }
+  view_ = 0;  // the exporter stamps the state this frame leaves, if known
   // A tracked metric absent from this export vanished (evicted or
   // otherwise retired): only a full frame retires it on the receiver.
   // Both sides are in canonical key order, so one merge scan decides.

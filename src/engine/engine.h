@@ -177,6 +177,14 @@ struct ExportOptions {
 /// newest sub-window epoch shipped and where the summary came from), never
 /// a copy of the exported state: frames are written straight from the
 /// exporter's own windows.
+///
+/// After an agent export the tracking state depends only on the windows
+/// exported: every exported metric's entry is rewritten, the rest are
+/// pruned, and last_epoch() becomes the frame's epoch. So an agent stamps
+/// a cursor with the Tick whose state it exported, and a cursor stamped
+/// with the Tick before the newest one holds exactly the state the newest
+/// Tick's WAL record was diffed against — the condition under which
+/// TelemetryEngine::Export ships that record's bytes instead of encoding.
 class ExportCursor {
  public:
   /// Force the next export to be a full frame (initial state). Call on
@@ -193,11 +201,16 @@ class ExportCursor {
   /// aggregator, keys whose sources went stale) are pruned on every
   /// export (a vanished tracked metric also forces that export to a full
   /// frame, so the receiver retires it too).
-  size_t tracked_metrics() const { return sent_.size(); }
+  size_t tracked_metrics() const {
+    return shared_sent_ != nullptr ? shared_sent_->size() : sent_.size();
+  }
 
  private:
   friend class TelemetryEngine;
   friend class AggregatorEngine;
+
+  struct Sent;
+  using SentMap = std::map<MetricKey, Sent>;
 
   /// The one state->frame diff behind both engines' Export, streamed: the
   /// exporter calls Begin with its metric keys, then Metric once per key
@@ -251,16 +264,31 @@ class ExportCursor {
     uint64_t lineage = 0;
   };
 
+  /// Takes on the tracking state a Tick's WAL encode left behind, after
+  /// the agent shipped that record's body through this cursor: \p sent is
+  /// shared, not copied, until the next Begin needs its own.
+  void Adopt(std::shared_ptr<const SentMap> sent, int64_t epoch,
+             uint64_t view_token, uint64_t view);
+
   bool force_full_ = true;
   int64_t last_epoch_ = -1;
   /// Keys are kept in lockstep with the exports — see tracked_metrics().
-  std::map<MetricKey, Sent> sent_;
+  /// While shared_sent_ is set it holds the tracking state instead (sent_
+  /// is then empty), and Begin copies it back into sent_.
+  SentMap sent_;
+  std::shared_ptr<const SentMap> shared_sent_;
+  /// Which agent state the tracking state equals: the count of Ticks
+  /// begun on the engine whose sync token is view_token_ when the export
+  /// ran with no Tick in progress. 0 when unknown — after every Begin
+  /// until the agent stamps it, and always for an aggregator's cursor.
+  uint64_t view_token_ = 0;
+  uint64_t view_ = 0;
   /// The frame in progress (between Begin and End): its writer, whether
   /// it is a delta, and the next tracked entry Metric merges against
   /// (keys arrive in canonical order, so sent_ is updated in one pass).
   FrameWriter writer_;
   bool delta_ = false;
-  std::map<MetricKey, Sent>::iterator tracked_{};
+  SentMap::iterator tracked_{};
 };
 
 /// \brief Sharded, thread-safe, multi-metric quantile engine.
@@ -363,23 +391,40 @@ class TelemetryEngine {
   /// self-metrics ride along (fleet health rolls up through the same
   /// pipeline as the telemetry itself).
   ///
+  /// One encode per Tick: with a WAL enabled, each Tick encodes its delta
+  /// once, for the WAL record, and keeps the bytes. An export that would
+  /// diff against the same state ships them — a fresh header naming
+  /// \p source, then the kept body — and advances the cursor without
+  /// visiting any window: the steady state of a cursor exporting once
+  /// after every Tick. Such a frame's in-flight counts are those of the
+  /// Tick, not of the export (values flushed in between show up in the
+  /// next frame). Everything else encodes as described above: a fresh or
+  /// resynced cursor, a cursor that skipped a Tick or already shipped this
+  /// one, a checkpoint Tick (the WAL record is a full frame),
+  /// include_self_metrics, a metric registered or evicted since the Tick,
+  /// a kCmqs metric that received values since the Tick (its window moved),
+  /// a Tick that overlapped another Tick, an export begun after the next
+  /// Tick began, and WAL off.
+  ///
   /// The cursor advances optimistically; pair with
   /// AggregatorEngine::IngestFrame and call cursor->RequestResync()
   /// whenever the returned IngestAck demands it or the transport hiccups.
   /// Timing lands in the wire_encode stage; the frame feeds the exports /
   /// wire_bytes_encoded (and, for deltas, delta_exports /
-  /// wire_bytes_delta) counters.
+  /// wire_bytes_delta) counters, and a shipped Tick frame frames_reused.
   Status Export(std::string source, ExportCursor* cursor,
                 std::vector<uint8_t>* out,
                 const ExportOptions& export_options = {}) const;
 
   /// \name Crash durability (engine/wal.h)
   ///
-  /// With a WAL enabled, every Tick appends one record — the same
-  /// delta-sync frame Export would ship to an aggregator (but unmetered:
-  /// WAL records never count as exports) — and periodically a
+  /// With a WAL enabled, every Tick appends one record — a delta-sync
+  /// frame diffed through the WAL's own cursor, encoded once and unmetered
+  /// (WAL records never count as exports) — and periodically a
   /// full-snapshot checkpoint (segment rotation, cadence, or degraded-mode
-  /// healing). A restarted process calls
+  /// healing). A non-checkpoint record's body is exactly what Export ships
+  /// through a cursor that exported the previous Tick, and Export ships
+  /// those very bytes (see Export). A restarted process calls
   /// RecoverFromWal on a FRESH engine to resume with the last durable
   /// window; because recovery rebuilds real registry state, the next
   /// export to an aggregator re-ships it (the receiver treats the new
@@ -483,22 +528,39 @@ class TelemetryEngine {
   /// The uninstrumented query path; Query() wraps it with timing and the
   /// slow-query capture.
   Result<QueryResult> QueryImpl(const QuerySpec& spec) const;
+  /// What EncodeExport wrote: the header's kind and metric count, and
+  /// where the body after the header starts.
+  struct FrameShape {
+    bool delta = false;
+    size_t metrics = 0;
+    size_t body_offset = 0;
+  };
   /// The unmetered encode behind Export (and the WAL): streams every
   /// ticked metric, in canonical key order, through \p cursor
   /// (ExportCursor::Begin/Metric/End), each written straight from its
   /// export window under the metric's epoch lock
-  /// (MetricState::VisitExportWindow). Returns true when it wrote a delta.
-  bool EncodeExport(std::string_view source, ExportCursor* cursor,
-                    std::vector<uint8_t>* out,
-                    const ExportOptions& export_options) const;
+  /// (MetricState::VisitExportWindow; \p as_of_tick for the Tick's own
+  /// encode).
+  FrameShape EncodeExport(std::string_view source, ExportCursor* cursor,
+                          std::vector<uint8_t>* out,
+                          const ExportOptions& export_options,
+                          bool as_of_tick = false) const;
+  /// Ships the kept Tick frame through \p cursor into \p out when the
+  /// cursor holds the state it was diffed against; false (nothing
+  /// written) otherwise. O(1) plus the copy of the body.
+  bool ShipTickFrame(std::string_view source, ExportCursor* cursor,
+                     std::vector<uint8_t>* out) const;
   /// Drains the buffered stage-latency samples into the `__qlove/`
   /// sketches (called at Tick, before CloseSubWindows so the samples land
   /// in the closing sub-window).
   void PublishStageSamples();
   /// The per-Tick WAL append (no-op when WAL is off): decides checkpoint
   /// vs delta, rotates segments at checkpoints, and drives degraded-mode
-  /// transitions. Called at the end of Tick, after the epoch advanced.
-  void AppendWalRecord();
+  /// transitions; keeps a delta record as the Tick frame Export ships.
+  /// Called at the end of Tick number \p tick (0 when another Tick was in
+  /// progress as it began), after the epoch advanced; \p cmqs_flushes is
+  /// cmqs_flushes_ as the Tick's boundary began.
+  void AppendWalRecord(uint64_t tick, uint64_t cmqs_flushes);
 
   EngineOptions options_;
   Status options_status_;         // Validate() result, computed once
@@ -535,6 +597,33 @@ class TelemetryEngine {
   std::atomic<bool> wal_degraded_{false};
   std::atomic<int64_t> wal_recovered_epoch_{0};
   std::atomic<int64_t> wal_recovered_metrics_{0};
+
+  /// One encode per Tick. Ticks begun and ended so far: an export that
+  /// reads ended == begun before its encode and the same begun after it
+  /// saw no boundary half done, so its cursor is stamped with that Tick.
+  std::atomic<uint64_t> ticks_begun_{0};
+  std::atomic<uint64_t> ticks_ended_{0};
+  /// Flushes into kCmqs metrics: their open bucket is window content, so
+  /// any flush after a Tick's boundary means the kept frame is stale.
+  std::atomic<uint64_t> cmqs_flushes_{0};
+  /// The last Tick's delta WAL record and what proves a cursor may ship
+  /// it; guarded by tick_frame_mu_. Served only while `view` is still the
+  /// newest Tick begun.
+  struct TickFrame {
+    std::vector<uint8_t> bytes;  ///< The WAL record: "wal" header + body.
+    size_t body_offset = 0;
+    size_t metrics = 0;
+    int64_t epoch = 0;
+    int64_t base_epoch = 0;
+    uint64_t view = 0;       ///< The Tick that encoded it (0: none).
+    uint64_t base_view = 0;  ///< The Tick whose state it was diffed against.
+    uint64_t registry_generation = 0;
+    uint64_t cmqs_flushes = 0;
+    /// The tracking state the encode left behind.
+    std::shared_ptr<const ExportCursor::SentMap> sent;
+  };
+  mutable std::mutex tick_frame_mu_;
+  TickFrame tick_frame_;  // guarded by tick_frame_mu_
 
   /// Self-metrics state. The `__qlove/` metrics live in their own
   /// registry, created with a null introspection sink (no recursion) and

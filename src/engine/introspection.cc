@@ -158,6 +158,7 @@ CountersSnapshot Introspection::Counters() const {
       wire_bytes_encoded_.load(std::memory_order_relaxed);
   out.delta_exports = delta_exports_.load(std::memory_order_relaxed);
   out.wire_bytes_delta = wire_bytes_delta_.load(std::memory_order_relaxed);
+  out.frames_reused = frames_reused_.load(std::memory_order_relaxed);
   out.stage_samples_dropped =
       stage_samples_dropped_.load(std::memory_order_relaxed);
   return out;
@@ -265,7 +266,7 @@ std::string FormatEngineStats(const EngineStats& stats) {
           static_cast<long long>(c.high_water_drains));
   AppendF(&out,
           "  queries=%lld (slow=%lld)  exports=%lld wire_bytes=%lld "
-          "(delta_exports=%lld delta_bytes=%lld)  "
+          "(delta_exports=%lld delta_bytes=%lld frames_reused=%lld)  "
           "stage_samples_dropped=%lld\n",
           static_cast<long long>(c.queries),
           static_cast<long long>(c.slow_queries),
@@ -273,6 +274,7 @@ std::string FormatEngineStats(const EngineStats& stats) {
           static_cast<long long>(c.wire_bytes_encoded),
           static_cast<long long>(c.delta_exports),
           static_cast<long long>(c.wire_bytes_delta),
+          static_cast<long long>(c.frames_reused),
           static_cast<long long>(c.stage_samples_dropped));
   if (!stats.stages.empty()) {
     out += "  stages (us):\n";
@@ -352,7 +354,7 @@ std::string EngineStatsToJson(const EngineStats& stats) {
           "\"ticks\": %lld, \"queries\": %lld, \"slow_queries\": %lld, "
           "\"exports\": %lld, \"wire_bytes_encoded\": %lld, "
           "\"delta_exports\": %lld, \"wire_bytes_delta\": %lld, "
-          "\"stage_samples_dropped\": %lld}, ",
+          "\"frames_reused\": %lld, \"stage_samples_dropped\": %lld}, ",
           static_cast<long long>(c.events_recorded),
           static_cast<long long>(c.flush_batches),
           static_cast<long long>(c.drain_batches),
@@ -368,6 +370,7 @@ std::string EngineStatsToJson(const EngineStats& stats) {
           static_cast<long long>(c.wire_bytes_encoded),
           static_cast<long long>(c.delta_exports),
           static_cast<long long>(c.wire_bytes_delta),
+          static_cast<long long>(c.frames_reused),
           static_cast<long long>(c.stage_samples_dropped));
   out += "\"stages\": [";
   for (size_t i = 0; i < stats.stages.size(); ++i) {

@@ -107,6 +107,10 @@ struct CountersSnapshot {
                                        ///< (full-frame resyncs excluded).
   int64_t wire_bytes_delta = 0;        ///< Bytes of those delta frames (a
                                        ///< subset of wire_bytes_encoded).
+  int64_t frames_reused = 0;           ///< Exports that shipped the last
+                                       ///< Tick's WAL record body instead
+                                       ///< of encoding (subset of
+                                       ///< delta_exports).
   int64_t stage_samples_dropped = 0;   ///< Samples lost to a full stage
                                        ///< buffer (no Tick draining it).
 };
@@ -233,6 +237,9 @@ class Introspection {
     delta_exports_.fetch_add(1, std::memory_order_relaxed);
     wire_bytes_delta_.fetch_add(bytes, std::memory_order_relaxed);
   }
+  void OnFrameReused() {
+    frames_reused_.fetch_add(1, std::memory_order_relaxed);
+  }
   /// @}
 
   /// Records one \p stage latency sample (microseconds): updates the
@@ -290,6 +297,7 @@ class Introspection {
   std::atomic<int64_t> wire_bytes_encoded_{0};
   std::atomic<int64_t> delta_exports_{0};
   std::atomic<int64_t> wire_bytes_delta_{0};
+  std::atomic<int64_t> frames_reused_{0};
   std::atomic<int64_t> stage_samples_dropped_{0};
 
   mutable std::mutex slow_mu_;

@@ -81,9 +81,13 @@ void MetricState::CloseSubWindows() {
   // export never observes a torn epoch (some shards ticked, some not).
   std::lock_guard<std::mutex> lock(epoch_mu_);
   size_t bytes = 0;
+  closed_counts_ = Shard::LiveCounts();
   for (auto& shard : shards_) {
-    bytes += static_cast<size_t>(shard->CloseSubWindow()) * 8 +
+    Shard::LiveCounts live;
+    bytes += static_cast<size_t>(shard->CloseSubWindow(&live)) * 8 +
              shard->RingCapacity() * 16;
+    closed_counts_.inflight += live.inflight;
+    closed_counts_.total_added += live.total_added;
   }
   shard_bytes_ = bytes;
   memory_bytes_.store(
@@ -142,24 +146,26 @@ bool ViewIsEmpty(const BackendSummary& view) {
 
 }  // namespace
 
-int64_t MetricState::RefreshExportWindowLocked() const {
-  int64_t inflight = 0;
-  int64_t accepted = 0;
-  for (const auto& shard : shards_) {
-    const Shard::LiveCounts live = shard->DrainLiveCounts();
-    inflight += live.inflight;
-    accepted += live.total_added;
+int64_t MetricState::RefreshExportWindowLocked(bool as_of_tick) const {
+  Shard::LiveCounts counts = closed_counts_;
+  if (!as_of_tick) {
+    counts = Shard::LiveCounts();
+    for (const auto& shard : shards_) {
+      const Shard::LiveCounts live = shard->DrainLiveCounts();
+      counts.inflight += live.inflight;
+      counts.total_added += live.total_added;
+    }
   }
   const int64_t epoch = tick_epochs_.load(std::memory_order_relaxed);
   // A CMQS window also moves between boundaries: its open bucket exports
   // inside `entries`, so every newly accepted value stales it.
   if (window_epoch_ != epoch ||
       (options_.backend.kind == BackendKind::kCmqs &&
-       accepted != window_accepted_)) {
+       counts.total_added != window_accepted_)) {
     UpdateExportWindowLocked(epoch);
-    window_accepted_ = accepted;
+    window_accepted_ = counts.total_added;
   }
-  return inflight;
+  return counts.inflight;
 }
 
 void MetricState::UpdateExportWindowLocked(int64_t epoch) const {
@@ -172,13 +178,19 @@ void MetricState::UpdateExportWindowLocked(int64_t epoch) const {
     size_t drop = 0;
     while (drop < subs.size() && subs[drop].epoch <= horizon) ++drop;
     subs.erase(subs.begin(), subs.begin() + static_cast<ptrdiff_t>(drop));
-    std::vector<core::SubWindowSummary> fresh;
-    for (const auto& shard : shards_) {
-      shard->CopySubWindowsAfter(window_epoch_, &fresh);
+    if (shards_.size() == 1) {
+      // One shard's sub-windows are already coalesced (one per epoch):
+      // copy them straight into the window.
+      shards_[0]->CopySubWindowsAfter(window_epoch_, &subs);
+    } else {
+      std::vector<core::SubWindowSummary> fresh;
+      for (const auto& shard : shards_) {
+        shard->CopySubWindowsAfter(window_epoch_, &fresh);
+      }
+      std::vector<const core::SubWindowSummary*> group(fresh.size());
+      for (size_t i = 0; i < fresh.size(); ++i) group[i] = &fresh[i];
+      AppendCoalescedSubWindows(std::move(group), &subs);
     }
-    std::vector<const core::SubWindowSummary*> group(fresh.size());
-    for (size_t i = 0; i < fresh.size(); ++i) group[i] = &fresh[i];
-    AppendCoalescedSubWindows(std::move(group), &subs);
   } else {
     std::vector<BackendSummary> views(shards_.size());
     for (size_t s = 0; s < shards_.size(); ++s) {
@@ -390,6 +402,7 @@ Result<std::shared_ptr<MetricState>> MetricRegistry::GetOrCreate(
   InsertLocked(std::move(node));
   by_name_[key.name_id()].push_back(state);
   live_count_.fetch_add(1, std::memory_order_relaxed);
+  generation_.fetch_add(1, std::memory_order_release);
   return state;
 }
 
@@ -423,6 +436,7 @@ bool MetricRegistry::Evict(const MetricKey& key,
   }
   live_count_.fetch_sub(1, std::memory_order_relaxed);
   evictions_.fetch_add(1, std::memory_order_relaxed);
+  generation_.fetch_add(1, std::memory_order_release);
   return true;
 }
 
@@ -460,6 +474,7 @@ Result<std::shared_ptr<MetricState>> MetricRegistry::Replace(
     }
   }
   evictions_.fetch_add(1, std::memory_order_relaxed);  // old state retired
+  generation_.fetch_add(1, std::memory_order_release);
   return fresh;
 }
 

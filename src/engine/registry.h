@@ -91,23 +91,26 @@ class MetricState {
   /// Calls \p fn(window, live_inflight) with the metric's coalesced export
   /// window — one summary over every shard (plus the restore overlay), as
   /// CoalesceShardSummaries would fold the shards' summaries
-  /// (engine/coalesce.h) — under the epoch lock, so an export encodes the
-  /// window where it is kept instead of copying it (every export does: the
-  /// WAL record and each wire frame). \p fn must not call back into this
-  /// state. The window is kept, not rebuilt per call: the first visit
-  /// after a sub-window boundary brings it up to date once. A qlove window
-  /// merges only the sub-windows closed since the last update and trims
-  /// the ones that left every shard; an entry-kind window is not
-  /// epoch-decomposable and is re-coalesced (kCmqs also whenever its
-  /// shards accepted values since, because its open bucket exports inside
-  /// `entries`). The window's own `inflight` field is unused:
-  /// `live_inflight` is read live on every call (each shard drained, as
-  /// Shard::SnapshotInto does). A qlove window's `burst_active` is the OR
-  /// of its sub-windows' flags.
+  /// (engine/coalesce.h) — under the epoch lock, so an encode writes the
+  /// window where it is kept instead of copying it (the Tick's WAL record,
+  /// and each wire frame that cannot ship that record's bytes). \p fn must
+  /// not call back into this state. The window is kept, not rebuilt per
+  /// call: the first visit after a sub-window boundary brings it up to
+  /// date once. A qlove window merges only the sub-windows closed since
+  /// the last update and trims the ones that left every shard; an
+  /// entry-kind window is not epoch-decomposable and is re-coalesced
+  /// (kCmqs also whenever its shards accepted values since, because its
+  /// open bucket exports inside `entries`). The window's own `inflight`
+  /// field is unused. `live_inflight` is read live on every call (each
+  /// shard drained, as Shard::SnapshotInto does) — unless \p as_of_tick,
+  /// which reads the counts the last CloseSubWindows left behind and
+  /// drains nothing: the Tick's own encode runs right after the boundary
+  /// drained every ring. A qlove window's `burst_active` is the OR of its
+  /// sub-windows' flags.
   template <typename Fn>
-  void VisitExportWindow(Fn&& fn) const {
+  void VisitExportWindow(Fn&& fn, bool as_of_tick = false) const {
     std::lock_guard<std::mutex> lock(epoch_mu_);
-    const int64_t live_inflight = RefreshExportWindowLocked();
+    const int64_t live_inflight = RefreshExportWindowLocked(as_of_tick);
     fn(static_cast<const BackendSummary&>(export_window_), live_inflight);
   }
 
@@ -215,10 +218,10 @@ class MetricState {
   /// whenever export_window_ changes, rebuilt by Resolved().
   mutable std::shared_ptr<const ResolvedWindow> resolved_;
 
-  /// Drains the shards' live counts, brings export_window_ up to date
-  /// when it is stale, and returns the live in-flight count (epoch_mu_
-  /// held).
-  int64_t RefreshExportWindowLocked() const;
+  /// Drains the shards' live counts (or, \p as_of_tick, takes
+  /// closed_counts_), brings export_window_ up to date when it is stale,
+  /// and returns the in-flight count (epoch_mu_ held).
+  int64_t RefreshExportWindowLocked(bool as_of_tick = false) const;
   /// Brings export_window_ up to date at Tick epoch \p epoch (epoch_mu_
   /// held) and refreshes the memory accounting.
   void UpdateExportWindowLocked(int64_t epoch) const;
@@ -236,6 +239,9 @@ class MetricState {
   mutable int64_t window_epoch_ = kWindowNeverBuilt;
   /// kCmqs: the shards' summed accepted count the window covers.
   mutable int64_t window_accepted_ = 0;
+  /// The shards' summed LiveCounts right after the last CloseSubWindows;
+  /// guarded by epoch_mu_.
+  Shard::LiveCounts closed_counts_;
   /// Shard-side bytes of the last boundary; memory_bytes_ adds the window.
   size_t shard_bytes_ = 0;
   mutable std::atomic<size_t> window_bytes_{0};
@@ -307,6 +313,12 @@ class MetricRegistry {
   /// a family's auto-degrade threshold is checked against.
   size_t CountForName(uint32_t name_id) const;
 
+  /// Bumped by every registration, eviction and degrade replacement: an
+  /// unchanged generation proves the set of registered states unchanged.
+  uint64_t generation() const {
+    return generation_.load(std::memory_order_acquire);
+  }
+
   /// Tombstones published so far (evictions + degrade replacements).
   int64_t evictions() const {
     return evictions_.load(std::memory_order_relaxed);
@@ -363,6 +375,7 @@ class MetricRegistry {
 
   std::atomic<size_t> live_count_{0};
   std::atomic<int64_t> evictions_{0};
+  std::atomic<uint64_t> generation_{0};
   std::atomic<size_t> approx_bytes_{0};
 };
 

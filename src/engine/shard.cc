@@ -164,12 +164,16 @@ void Shard::AddBatchStrided(const double* values, size_t count, size_t offset,
   PublishPreQuantizedStrided(quantized.data(), quantized.size(), 0, 1);
 }
 
-int64_t Shard::CloseSubWindow() {
+int64_t Shard::CloseSubWindow(LiveCounts* live) {
   std::lock_guard<std::mutex> lock(mu_);
   DrainLocked();
   backend_->Tick();
-  backend_inflight_.store(backend_->InflightCount(),
-                          std::memory_order_relaxed);
+  const int64_t inflight = backend_->InflightCount();
+  backend_inflight_.store(inflight, std::memory_order_relaxed);
+  if (live != nullptr) {
+    live->inflight = inflight;
+    live->total_added = total_added_.load(std::memory_order_relaxed);
+  }
   return backend_->ObservedSpaceVariables();
 }
 

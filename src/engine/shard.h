@@ -162,11 +162,20 @@ class Shard {
   void PublishPreQuantizedStrided(const double* values, size_t count,
                                   size_t offset, size_t stride);
 
+  /// The live counters an export reports next to its window, read after
+  /// draining the ring (as SnapshotInto does).
+  struct LiveCounts {
+    int64_t inflight = 0;     ///< The backend's in-flight count.
+    int64_t total_added = 0;  ///< Accepted since initialization.
+  };
+
   /// Finalizes the in-flight sub-window (the engine's Tick): drains the
   /// ring, then ticks the backend. Returns the backend's observed space in
-  /// variables (already under the lock, so Tick-time memory accounting
-  /// costs no extra acquisition). Thread-safe.
-  int64_t CloseSubWindow();
+  /// variables and, when \p live is set, the LiveCounts right after the
+  /// boundary (both read under the lock the boundary already holds, so
+  /// Tick-time accounting costs no extra acquisition or drain).
+  /// Thread-safe.
+  int64_t CloseSubWindow(LiveCounts* live = nullptr);
 
   /// Rebases the backend's sub-window epoch counter (WAL recovery on a
   /// fresh shard; see ShardBackend::SetEpochBase). Thread-safe.
@@ -185,13 +194,6 @@ class Shard {
   /// for the entry kinds (ShardBackend::ClosedSubWindows). Thread-safe.
   void CopySubWindowsAfter(int64_t after_epoch,
                            std::vector<core::SubWindowSummary>* out) const;
-
-  /// The live counters an export reports next to its window, read after
-  /// draining the ring (as SnapshotInto does).
-  struct LiveCounts {
-    int64_t inflight = 0;     ///< The backend's in-flight count.
-    int64_t total_added = 0;  ///< Accepted since initialization.
-  };
 
   /// Drains the ring, then reads LiveCounts under the lock. Thread-safe.
   LiveCounts DrainLiveCounts() const;

@@ -743,8 +743,13 @@ TEST(ExportRaceTest, AggregatorExportRacesIngestAndQuery) {
   AggregatorEngine host;
   AggregatorEngine cluster;
   ExportCursor host_cursor;
+  // The ticks start only after the first re-export, so the ingest thread
+  // cannot finish before the export loop below has run: the race runs
+  // every time.
+  std::atomic<bool> exporting{false};
   std::atomic<bool> done{false};
   std::thread ingest([&] {
+    while (!exporting.load()) std::this_thread::yield();
     workload::NetMonGenerator gen(21);
     for (int tick = 0; tick < 12; ++tick) {
       for (int a = 0; a < 2; ++a) {
@@ -772,12 +777,18 @@ TEST(ExportRaceTest, AggregatorExportRacesIngestAndQuery) {
   int exports = 0;
   std::vector<uint8_t> frame;
   while (!done.load()) {
-    ASSERT_TRUE(host.Export("host", &host_cursor, &frame).ok());
+    // A failure ends the loop, never the test: both threads must be joined.
+    const Status exported = host.Export("host", &host_cursor, &frame);
+    EXPECT_TRUE(exported.ok()) << exported.ToString();
+    if (!exported.ok()) break;
     auto ack = cluster.IngestFrame(frame);
-    ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+    EXPECT_TRUE(ack.ok()) << ack.status().ToString();
+    if (!ack.ok()) break;
     if (!ack.ValueOrDie().applied) host_cursor.RequestResync();
     ++exports;
+    exporting.store(true);
   }
+  exporting.store(true);  // also after a failed first export
   ingest.join();
   query.join();
   ShipReexport(host, "host", &host_cursor, &cluster);
